@@ -80,12 +80,14 @@ def _serial_run():
 class DmsdLikeSteadyState(SteadyStateStrategy):
     """Closed-form stand-in for the DMSD operating point.
 
-    The real DMSD strategy bisects on simulated delays; benchmarking
-    backends with it would mostly time the (identical) search
-    simulations on every backend.  This strategy reproduces the same
-    kind of mid-range operating points from eq. (2)-style scaling, so
-    the benchmark isolates what the backends differ on: executing the
-    measured fixed-frequency units.
+    This strategy reproduces the kind of mid-range operating points
+    DMSD reaches, from eq. (2)-style scaling, without any search
+    simulation.  The numbers this benchmark records are therefore
+    kernel-only: they time executing the measured fixed-frequency
+    units and nothing else.  They are not an end-to-end figure time.
+    The real DMSD search runs in lockstep probe rounds on the batched
+    backend and one probe at a time on serial; ``perfbench/`` measures
+    that end to end on the ``fig4-paper`` workload.
     """
 
     name = "dmsd-like"

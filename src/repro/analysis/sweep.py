@@ -11,8 +11,14 @@ each policy at its *steady-state frequency*:
 * **DMSD** — the fixed point ``delay(F*) = target`` of the PI loop of
   Fig. 3, found by bisection (delay in ns is strictly decreasing in
   ``F``: a faster clock both shortens the cycle and moves the network
-  away from saturation).  The transient PI loop itself is validated in
-  tests and the ``dvfs_transient`` example.
+  away from saturation).  The bisection is one probe generator
+  (:meth:`DmsdSteadyState.frequency_search`): ``frequency_for`` runs
+  its probes one ``run_fixed_point`` at a time, while the batched
+  backend advances every search of a batch group in lockstep, one
+  batched engine run per round.  Batched replicas equal single fast
+  runs bit for bit, so both drivers choose the same frequency.  The
+  transient PI loop itself is validated in tests and the
+  ``dvfs_transient`` example.
 
 Each point runs the cycle-level simulator at the chosen frequency and
 reports latency, delay, accepted throughput and the power-model
@@ -24,7 +30,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from ..control.adaptive import GCC_ALPHA
 from ..core.registry import Ref, make_strategy, register_strategy
@@ -45,7 +51,7 @@ __all__ = [
     "NoDvfsSteadyState", "RmsdSteadyState", "SimBudget",
     "SteadyStateStrategy", "StrategyResources", "SweepPoint",
     "SweepSeries", "THOROUGH", "UtilitySteadyState", "point_from_unit",
-    "run_fixed_point", "run_sweep", "strategy_from_ref",
+    "probe_delay_ns", "run_fixed_point", "run_sweep", "strategy_from_ref",
 ]
 
 
@@ -152,6 +158,20 @@ class RmsdSteadyState(SteadyStateStrategy):
         return (self.name, repr(self.lambda_max))
 
 
+def probe_delay_ns(result: SimResult) -> float:
+    """The delay a bisection probe reports to the search."""
+    if result.saturated:
+        # Saturated runs under-report delay (only delivered packets
+        # count) and may deliver none at all; force the search upward.
+        return float("inf")
+    if result.mean_delay_ns is None:
+        # No deliveries from a drained network: treat as zero delay so
+        # the search keeps the frequency low (only happens at ~zero
+        # load).
+        return 0.0
+    return result.mean_delay_ns
+
+
 class DmsdSteadyState(SteadyStateStrategy):
     """Bisection for the PI loop's fixed point ``delay(F*) = target``."""
 
@@ -174,41 +194,47 @@ class DmsdSteadyState(SteadyStateStrategy):
                 (search.warmup_cycles, search.measure_cycles,
                  search.drain_cycles))
 
-    def _delay_at(self, config: NocConfig, traffic: TrafficSpec,
-                  freq_hz: float, budget: SimBudget, seed: int,
-                  engine: str) -> float:
-        result = run_fixed_point(config, traffic, freq_hz, budget, seed,
-                                 engine=engine)
-        if result.mean_delay_ns is None:
-            # No deliveries at all: treat as zero delay so the search
-            # keeps the frequency low (only happens at ~zero load).
-            return 0.0
-        if result.saturated:
-            # Saturated runs under-report delay (only delivered packets
-            # count); force the search upward.
-            return float("inf")
-        return result.mean_delay_ns
+    def frequency_search(
+            self, config: NocConfig, budget: SimBudget
+    ) -> Generator[tuple[float, SimBudget], SimResult, float]:
+        """The bisection as a probe generator.
 
-    def frequency_for(self, config: NocConfig, traffic: TrafficSpec,
-                      budget: SimBudget, seed: int,
-                      engine: str = DEFAULT_ENGINE) -> float:
+        Yields ``(freq_hz, search_budget)`` per probe, receives the
+        probe's :class:`SimResult` and returns the frequency.  It
+        probes Fmin, then Fmax, then ``iterations`` midpoints; the
+        caller runs each probe with the unit's own traffic and seed.
+        :meth:`frequency_for` drives this serially; the batched
+        backend drives many searches in lockstep.  A strategy offering
+        this method promises that ``frequency_for`` is its serial
+        driver.
+        """
         search = self.search_budget or budget.scaled(0.6)
         target = self.target_delay_ns
         lo, hi = config.f_min_hz, config.f_max_hz
-        if self._delay_at(config, traffic, lo, search, seed,
-                          engine) <= target:
+        if probe_delay_ns((yield lo, search)) <= target:
             return lo
-        if self._delay_at(config, traffic, hi, search, seed,
-                          engine) > target:
+        if probe_delay_ns((yield hi, search)) > target:
             return hi
         for _ in range(self.iterations):
             mid = 0.5 * (lo + hi)
-            if self._delay_at(config, traffic, mid, search, seed,
-                              engine) > target:
+            if probe_delay_ns((yield mid, search)) > target:
                 lo = mid
             else:
                 hi = mid
         return hi
+
+    def frequency_for(self, config: NocConfig, traffic: TrafficSpec,
+                      budget: SimBudget, seed: int,
+                      engine: str = DEFAULT_ENGINE) -> float:
+        search = self.frequency_search(config, budget)
+        result = None
+        while True:
+            try:
+                freq_hz, probe_budget = search.send(result)
+            except StopIteration as done:
+                return done.value
+            result = run_fixed_point(config, traffic, freq_hz,
+                                     probe_budget, seed, engine=engine)
 
 
 class GccSteadyState(SteadyStateStrategy):

@@ -8,7 +8,8 @@ the experiments CLI; its equivalence to the reference engine is
 enforced by ``tests/test_engine_equivalence.py``.
 """
 
-from .batch import BatchPoint, run_fixed_batch
+from .batch import BatchPoint, run_fixed_batch, run_probe_round
 from .engine import FastNetwork
 
-__all__ = ["BatchPoint", "FastNetwork", "run_fixed_batch"]
+__all__ = ["BatchPoint", "FastNetwork", "run_fixed_batch",
+           "run_probe_round"]

@@ -7,7 +7,9 @@ NumPy dispatch overhead — the fast engine's dominant remaining cost —
 is amortized over the whole batch.  This is the engine's intended
 execution mode for sweeps: the batched execution backend
 (:mod:`repro.runner.backends`) routes eligible work-unit groups here,
-and it is what ``BENCH_kernel.json``/``BENCH_sweep.json`` benchmark.
+runs its lockstep frequency searches here round by round
+(:func:`run_probe_round`), and it is what
+``BENCH_kernel.json``/``BENCH_sweep.json`` benchmark.
 
 Every point keeps its own network clock, node-clock bridge, RNG and
 injection process, and the replicas share no simulation state, so each
@@ -213,4 +215,26 @@ def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
             freq_trace=[(0.0, clocks[i].freq_hz)],
             power_windows=[window],
         ))
+    return results
+
+
+def run_probe_round(config: NocConfig,
+                    probes: list[tuple[BatchPoint, "SimBudget"]]
+                    ) -> list["SimResult"]:
+    """One lockstep round of frequency-search probes.
+
+    Each probe is a point and the budget of the search that asked for
+    it.  One engine runs one budget, so the probes bucket by budget
+    and each bucket runs as one :func:`run_fixed_batch`.  Results come
+    back in probe order, each equal to the probe's single fast run.
+    """
+    buckets: dict[SimBudget, list[int]] = {}
+    for i, (_, budget) in enumerate(probes):
+        buckets.setdefault(budget, []).append(i)
+    results: list[SimResult | None] = [None] * len(probes)
+    for budget, members in buckets.items():
+        sims = run_fixed_batch(config, [probes[i][0] for i in members],
+                               budget)
+        for i, sim in zip(members, sims):
+            results[i] = sim
     return results

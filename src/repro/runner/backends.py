@@ -17,7 +17,9 @@ here, mirroring how simulation engines register in
     Batch groups execute as *one*
     :func:`repro.noc.fastsim.run_fixed_batch` call per shard — the
     fast engine's intended sweep mode — and the per-replica results
-    fan back into per-unit results.  Shards and leftover per-unit work
+    fan back into per-unit results.  The shard's frequency searches
+    (DMSD, ``utility``) run before it in lockstep, one batched probe
+    round at a time.  Shards and leftover per-unit work
     fan out across the pool when ``jobs > 1``, with the same serial
     fallback.
 ``distributed``
@@ -38,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
-from ..noc.fastsim import BatchPoint, run_fixed_batch
+from ..noc.fastsim import BatchPoint, run_fixed_batch, run_probe_round
 from .plan import BatchGroup, ExecutionPlan
 from .units import UnitResult, WorkUnit
 
@@ -51,26 +53,76 @@ def _execute_unit(unit: WorkUnit) -> UnitResult:
     return unit.execute()
 
 
+def _search_in_lockstep(group: BatchGroup,
+                        seeds: list[int]) -> dict[int, tuple[float, float]]:
+    """Drive the group's frequency searches together, round by round.
+
+    Returns ``{unit index: (frequency, seconds)}`` for every unit whose
+    strategy offers ``frequency_search``; a unit's seconds are an
+    equal share of each probe round it took part in.
+    """
+    searches = {}
+    for i, unit in enumerate(group.units):
+        if hasattr(unit.strategy, "frequency_search"):
+            searches[i] = unit.strategy.frequency_search(unit.config,
+                                                         unit.budget)
+    resolved = {}
+    seconds = dict.fromkeys(searches, 0.0)
+    sent = dict.fromkeys(searches)      # sending None starts a search
+    while sent:
+        probes = {}
+        for i, result in sent.items():
+            try:
+                probes[i] = searches[i].send(result)
+            except StopIteration as done:
+                resolved[i] = (done.value, seconds[i])
+        if not probes:
+            break
+        t0 = time.perf_counter()
+        sims = run_probe_round(
+            group.config,
+            [(BatchPoint(group.units[i].traffic, freq, seeds[i]), budget)
+             for i, (freq, budget) in probes.items()])
+        share = (time.perf_counter() - t0) / len(probes)
+        for i in probes:
+            seconds[i] += share
+        sent = dict(zip(probes, sims))
+    return resolved
+
+
 def _execute_group(group: BatchGroup) -> list[UnitResult]:
     """Execute one batch group: shared engine, per-unit results.
 
-    Frequencies still resolve per unit (closed-form strategies are
-    instant; search-based ones run their own simulations), then every
-    unit's fixed-frequency measurement runs as one replica of a single
-    batched engine.  Digests, seeds and results are identical to
-    per-unit execution; each unit's ``elapsed_s`` is its frequency
-    search plus its share of the batch.
+    Frequencies resolve first.  A strategy that offers a
+    ``frequency_search(config, budget)`` probe generator (DMSD and
+    ``utility``) is driven in lockstep with the group's other
+    searches: each round gathers every live search's next probe and
+    runs the probes as batched engines, one per search budget, each
+    probe with its unit's own traffic and seed.  Any other strategy
+    resolves per unit through ``frequency_for`` (closed-form ones are
+    instant).  Then every unit's fixed-frequency measurement runs as
+    one replica of a single batched engine.
+
+    Batched replicas equal single fast runs bit for bit, so digests,
+    seeds, chosen frequencies and results are identical to per-unit
+    execution.  Each unit's ``elapsed_s`` is its frequency resolution
+    (for a lockstep search, its shares of the probe rounds) plus its
+    share of the measurement batch.
     """
     units = group.units
-    seeds: list[int] = []
+    seeds = [unit.seed() for unit in units]
+    resolved = _search_in_lockstep(group, seeds)
     freqs: list[float] = []
     search_s: list[float] = []
-    for unit in units:
-        t0 = time.perf_counter()
-        seed = unit.seed()
-        freqs.append(unit.steady_frequency(seed))
-        seeds.append(seed)
-        search_s.append(time.perf_counter() - t0)
+    for i, unit in enumerate(units):
+        if i in resolved:
+            freq, seconds = resolved[i]
+        else:
+            t0 = time.perf_counter()
+            freq = unit.steady_frequency(seeds[i])
+            seconds = time.perf_counter() - t0
+        freqs.append(freq)
+        search_s.append(seconds)
     t0 = time.perf_counter()
     sims = run_fixed_batch(
         group.config,

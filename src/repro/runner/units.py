@@ -134,7 +134,8 @@ class WorkUnit:
         """Ask the strategy for the steady-state frequency.
 
         Public because the batched backend resolves frequencies before
-        handing the whole group to one engine.
+        handing the whole group to one engine (strategies with a
+        ``frequency_search`` generator it drives itself, in lockstep).
 
         Built-in strategies accept the unit's engine so their search
         simulations run on it too.  User strategies written before the
@@ -164,6 +165,11 @@ class UnitResult:
     seed: int
     digest: str
     result: SimResult
+    #: Seconds spent on this unit.  Per-unit execution times the
+    #: frequency search and the measurement.  In a batch group the
+    #: measurement is an equal share of the group's batch, and a
+    #: lockstep frequency search is an equal share of each probe round
+    #: the unit's search took part in.
     elapsed_s: float
     from_cache: bool = field(default=False, compare=False)
 

@@ -8,19 +8,25 @@ working.
 """
 
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (DmsdSteadyState, NoDvfsSteadyState,
-                            RmsdSteadyState, run_sweep, sweep_units)
+                            RmsdSteadyState, SteadyStateStrategy,
+                            run_sweep, sweep_units)
+from repro.analysis import sweep as sweep_module
+from repro.analysis.sweep import UtilitySteadyState
 from repro.experiments import Workbench
 from repro.experiments.common import Profile
 from repro.noc import NocConfig, SimBudget
+from repro.noc.fastsim import batch as batch_module
 from repro.runner import (BatchGroup, ExecutionContext, ExecutionPlan,
                           SweepRunner, UnitCache, WorkUnit,
                           backend_names, batch_eligible, make_backend)
+from repro.runner.backends import _execute_group
 from repro.traffic import PatternTraffic, make_pattern
 
 TINY_BUDGET = SimBudget(200, 500, 1500)
@@ -398,6 +404,168 @@ class TestBatchedDifferential:
                  for p in series.points]
                 == [(p.freq_hz, p.delay_ns, p.power_mw)
                     for p in serial.points])
+
+
+class FrequencyForOnly(SteadyStateStrategy):
+    """A search strategy without a probe generator: resolves per unit."""
+
+    name = "dmsd-wrapped"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def frequency_for(self, config, traffic, budget, seed,
+                      engine="reference"):
+        return self.inner.frequency_for(config, traffic, budget, seed,
+                                        engine=engine)
+
+    def spec_key(self):
+        return (self.name,) + self.inner.spec_key()
+
+
+@pytest.fixture
+def probe_batches(monkeypatch):
+    """Record ``(budget, width)`` of every probe-round engine run.
+
+    Probe rounds reach ``run_fixed_batch`` through the batch module's
+    own binding; the measurement batch goes through the backends
+    module's, so only probes are counted here.
+    """
+    calls = []
+    original = batch_module.run_fixed_batch
+
+    def counting(config, points, budget):
+        calls.append((budget, len(points)))
+        return original(config, points, budget)
+
+    monkeypatch.setattr(batch_module, "run_fixed_batch", counting)
+    return calls
+
+
+@pytest.fixture
+def serial_probes(monkeypatch):
+    """Count the probes serial ``frequency_for`` runs."""
+    calls = []
+    original = sweep_module.run_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])               # the probe's budget
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "run_fixed_point", counting)
+    return calls
+
+
+@pytest.mark.parametrize("search_cls",
+                         [DmsdSteadyState, UtilitySteadyState])
+class TestLockstepSearch:
+    """Lockstep searches in ``_execute_group`` == serial
+    ``frequency_for`` per unit: same frequency, same fingerprint, and
+    the same probes in fewer engine runs."""
+
+    def run_both(self, config, factory, strategies, probe_batches,
+                 serial_probes):
+        units = []
+        for strategy in strategies:
+            units.extend(make_units(config, factory,
+                                    rates=(0.05, 0.1, 0.15),
+                                    strategy=strategy))
+        batched = _execute_group(BatchGroup(config, TINY_BUDGET, "fast",
+                                            units))
+        serial = [unit.execute() for unit in units]
+        assert ([fingerprint(r) for r in batched]
+                == [fingerprint(r) for r in serial])
+        assert all(r.elapsed_s > 0 for r in batched)
+        # Every serial probe ran once in lockstep, bucketed by budget.
+        lockstep = Counter()
+        for budget, width in probe_batches:
+            lockstep[budget] += width
+        assert Counter(serial_probes) == lockstep
+        return batched
+
+    def test_search_stops_at_f_min_after_one_probe(
+            self, search_cls, tiny_config, factory, probe_batches,
+            serial_probes):
+        search = search_cls(5000.0, iterations=3,
+                            search_budget=OTHER_BUDGET)
+        out = self.run_both(tiny_config, factory, [search],
+                            probe_batches, serial_probes)
+        assert {r.freq_hz for r in out} == {tiny_config.f_min_hz}
+        assert probe_batches == [(OTHER_BUDGET, 3)]
+
+    def test_target_forces_f_max_after_two_probes(
+            self, search_cls, tiny_config, factory, probe_batches,
+            serial_probes):
+        search = search_cls(5.0, iterations=3, search_budget=OTHER_BUDGET)
+        out = self.run_both(tiny_config, factory, [search],
+                            probe_batches, serial_probes)
+        assert {r.freq_hz for r in out} == {tiny_config.f_max_hz}
+        assert probe_batches == [(OTHER_BUDGET, 3)] * 2
+
+    def test_interior_bisections(self, search_cls, tiny_config, factory,
+                                 probe_batches, serial_probes):
+        searches = [search_cls(target, iterations=3,
+                               search_budget=OTHER_BUDGET)
+                    for target in (31.0, 42.0)]
+        out = self.run_both(tiny_config, factory, searches,
+                            probe_batches, serial_probes)
+        assert any(tiny_config.f_min_hz < r.freq_hz
+                   < tiny_config.f_max_hz for r in out)
+        widths = [width for _, width in probe_batches]
+        assert widths[0] == 6 and len(widths) == 3 + 2
+        assert widths == sorted(widths, reverse=True)
+
+    def test_two_search_budgets_in_one_group(self, search_cls,
+                                             tiny_config, factory,
+                                             probe_batches, serial_probes):
+        searches = [search_cls(31.0, iterations=3,
+                               search_budget=OTHER_BUDGET),
+                    search_cls(31.0, iterations=2,
+                               search_budget=TINY_BUDGET)]
+        self.run_both(tiny_config, factory, searches, probe_batches,
+                      serial_probes)
+        assert {b for b, _ in probe_batches} == {OTHER_BUDGET,
+                                                 TINY_BUDGET}
+
+    def test_mixed_group_with_frequency_for_only_strategy(
+            self, search_cls, tiny_config, factory, probe_batches,
+            serial_probes):
+        search = search_cls(31.0, iterations=3,
+                            search_budget=OTHER_BUDGET)
+        wrapped = FrequencyForOnly(search_cls(42.0, iterations=2,
+                                              search_budget=TINY_BUDGET))
+        units = []
+        for strategy in (NoDvfsSteadyState(),
+                         RmsdSteadyState(lambda_max=0.4), search, wrapped):
+            units.extend(make_units(tiny_config, factory,
+                                    strategy=strategy))
+        batched = _execute_group(BatchGroup(tiny_config, TINY_BUDGET,
+                                            "fast", units))
+        # Only the generator search is batched; the wrapped one ran its
+        # probes one run_fixed_point at a time inside the group.
+        assert {b for b, _ in probe_batches} == {OTHER_BUDGET}
+        assert set(serial_probes) == {TINY_BUDGET}
+        serial = [unit.execute() for unit in units]
+        assert ([fingerprint(r) for r in batched]
+                == [fingerprint(r) for r in serial])
+
+    def test_rounds_per_budget_bucket_bounded(self, search_cls,
+                                              tiny_config, factory,
+                                              probe_batches):
+        searches = [search_cls(target, iterations=iterations,
+                               search_budget=budget)
+                    for target in (31.0, 42.0)
+                    for iterations, budget in ((3, OTHER_BUDGET),
+                                               (4, TINY_BUDGET))]
+        units = []
+        for strategy in searches:
+            units.extend(make_units(tiny_config, factory,
+                                    strategy=strategy))
+        _execute_group(BatchGroup(tiny_config, TINY_BUDGET, "fast",
+                                  units))
+        rounds = Counter(budget for budget, _ in probe_batches)
+        assert 0 < rounds[OTHER_BUDGET] <= 3 + 2
+        assert 0 < rounds[TINY_BUDGET] <= 4 + 2
 
 
 class TestBatchedAccounting:

@@ -4,12 +4,29 @@ import pytest
 
 from repro.analysis import (DmsdSteadyState, FAST, NoDvfsSteadyState,
                             RmsdSteadyState, SimBudget, run_fixed_point,
-                            run_sweep)
-from repro.noc import GHZ
+                            run_sweep, sweep_units)
+from repro.analysis import sweep as sweep_module
+from repro.analysis.sweep import probe_delay_ns
+from repro.noc import GHZ, SimResult
+from repro.noc.fastsim import batch as batch_module
 from repro.power import PowerModel
+from repro.runner import BatchGroup
+from repro.runner.backends import _execute_group
 from repro.traffic import PatternTraffic, make_pattern
 
 TINY_BUDGET = SimBudget(200, 500, 1500)
+
+
+def probe_result(config, created, delivered, complete, delay_ns=None):
+    """A synthetic search-probe result."""
+    return SimResult(
+        config=config, seed=1, offered_node_rate=0.6, warmup_cycles=2000,
+        measure_cycles=50, mean_latency_cycles=delay_ns,
+        mean_delay_ns=delay_ns, p99_delay_ns=delay_ns, mean_hops=None,
+        measured_created=created, measured_delivered=delivered,
+        complete=complete, accepted_node_rate=0.0,
+        measure_duration_ns=150.0, measure_node_cycles=50,
+        backlog_delta_flits=0)
 
 
 @pytest.fixture
@@ -76,6 +93,63 @@ class TestStrategies:
             DmsdSteadyState(target_delay_ns=-1.0)
         with pytest.raises(ValueError):
             DmsdSteadyState(target_delay_ns=10.0, iterations=0)
+
+
+class TestProbeDelay:
+    """A probe that jams completely (no measured packet delivered,
+    saturated) must steer the search up, not read as "target met"."""
+
+    def test_jammed_probe_reads_as_infinite_delay(self, tiny_config):
+        jammed = probe_result(tiny_config, created=103, delivered=0,
+                              complete=False)
+        assert jammed.saturated and jammed.mean_delay_ns is None
+        assert probe_delay_ns(jammed) == float("inf")
+
+    def test_zero_load_probe_reads_as_zero_delay(self, tiny_config):
+        idle = probe_result(tiny_config, created=0, delivered=0,
+                            complete=True)
+        assert not idle.saturated
+        assert probe_delay_ns(idle) == 0.0
+
+    def test_saturated_delay_is_not_trusted(self, tiny_config):
+        backlogged = probe_result(tiny_config, created=103, delivered=40,
+                                  complete=False, delay_ns=20.0)
+        assert probe_delay_ns(backlogged) == float("inf")
+        drained = probe_result(tiny_config, created=103, delivered=103,
+                               complete=True, delay_ns=20.0)
+        assert probe_delay_ns(drained) == 20.0
+
+    def test_search_climbs_past_a_jammed_f_min_probe(self, tiny_config):
+        jammed = probe_result(tiny_config, created=103, delivered=0,
+                              complete=False)
+        strat = DmsdSteadyState(150.0, iterations=5,
+                                search_budget=TINY_BUDGET)
+        search = strat.frequency_search(tiny_config, TINY_BUDGET)
+        assert next(search) == (tiny_config.f_min_hz, TINY_BUDGET)
+        assert search.send(jammed) == (tiny_config.f_max_hz, TINY_BUDGET)
+        with pytest.raises(StopIteration) as done:
+            search.send(jammed)
+        assert done.value.value == tiny_config.f_max_hz
+
+    def test_both_drivers_share_the_mapping(self, tiny_config, factory,
+                                            monkeypatch):
+        jammed = probe_result(tiny_config, created=103, delivered=0,
+                              complete=False)
+        monkeypatch.setattr(sweep_module, "run_fixed_point",
+                            lambda *args, **kwargs: jammed)
+        monkeypatch.setattr(batch_module, "run_fixed_batch",
+                            lambda config, points, budget:
+                            [jammed] * len(points))
+        strat = DmsdSteadyState(150.0, iterations=5,
+                                search_budget=TINY_BUDGET)
+        serial = strat.frequency_for(tiny_config, factory(0.6),
+                                     TINY_BUDGET, 1, engine="fast")
+        units = sweep_units(tiny_config, factory, [0.05, 0.1], strat,
+                            TINY_BUDGET, 1, "fast")
+        lockstep = _execute_group(BatchGroup(tiny_config, TINY_BUDGET,
+                                             "fast", units))
+        assert serial == tiny_config.f_max_hz
+        assert [r.freq_hz for r in lockstep] == [tiny_config.f_max_hz] * 2
 
 
 class TestRunSweep:
