@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import NoDvfsSteadyState, sweep_units
 from repro.noc import NocConfig, PAPER_BASELINE, SimBudget, Simulation
-from repro.runner import SweepRunner
+from repro.runner import ExecutionContext
 from repro.traffic import PatternTraffic, make_pattern
 
 
@@ -76,7 +76,7 @@ def _fingerprint(unit_result):
 def test_perf_runner_serial_throughput(benchmark):
     """Baseline units/second of the runner's in-process path."""
     units = _runner_units()
-    runner = SweepRunner(jobs=1)
+    runner = ExecutionContext(jobs=1, cache=None).runner
     out = benchmark.pedantic(lambda: runner.run(units),
                              rounds=2, iterations=1)
     assert len(out) == len(units)
@@ -92,12 +92,13 @@ def test_perf_runner_parallel_speedup(benchmark):
     units = _runner_units()
     cores = os.cpu_count() or 1
 
-    serial = SweepRunner(jobs=1)
+    serial = ExecutionContext(jobs=1, cache=None).runner
     start = time.perf_counter()
     serial_out = serial.run(units)
     serial_s = time.perf_counter() - start
 
-    parallel = SweepRunner(jobs=min(4, max(2, cores)))
+    parallel = ExecutionContext(jobs=min(4, max(2, cores)),
+                                cache=None).runner
     parallel_out = benchmark.pedantic(lambda: parallel.run(units),
                                       rounds=1, iterations=1)
 
@@ -109,5 +110,5 @@ def test_perf_runner_parallel_speedup(benchmark):
     if cores >= 2 and parallel.last_report.parallel:
         assert parallel.last_report.elapsed_s < 0.9 * serial_s, (
             f"parallel run ({parallel.last_report.elapsed_s:.2f}s, "
-            f"jobs={parallel.jobs}) not faster than serial "
+            f"jobs={parallel.context.jobs}) not faster than serial "
             f"({serial_s:.2f}s) on a {cores}-core host")

@@ -1,4 +1,4 @@
-"""Sweep-level backend benchmark: batched vs pool vs serial.
+"""Sweep-level backend benchmark: batched vs serial.
 
 Where ``test_kernel_bench.py`` measures the raw engines, this measures
 the *execution backends* end to end: the same 8x8-mesh three-policy
@@ -7,9 +7,10 @@ sweep submitted through ``run_sweep`` under three
 
 * ``serial`` — the per-unit fast path (one ``run_fixed_point`` per
   work unit, in process);
-* ``pool`` — the same units fanned out to worker processes;
 * ``batched`` — the whole sweep planned into batch groups and executed
-  through :func:`repro.noc.fastsim.run_fixed_batch`.
+  through :func:`repro.noc.fastsim.run_fixed_batch`;
+* ``batched`` at ``jobs > 1`` ("sharded") — the batch groups split
+  into shards fanned out to worker processes.
 
 A separate case runs the same sweep through the ``distributed``
 backend (shared-directory work queue, self-spawned local workers) for
@@ -144,13 +145,13 @@ def _fingerprint(results):
 
 
 def test_backend_sweep_speedups():
-    """Batched >= 3x over the serial per-unit fast path; pool recorded
-    alongside for the full backend matrix."""
+    """Batched >= 3x over the serial per-unit fast path; batched
+    sharded over worker processes recorded alongside."""
     serial_results, serial_s, _ = _serial_run()
 
-    pool_jobs = min(4, default_jobs())
-    pool_results, pool_s, pool_report = _run_backend("pool",
-                                                     jobs=pool_jobs)
+    sharded_jobs = min(4, default_jobs())
+    sharded_results, sharded_s, _ = _run_backend("batched",
+                                                 jobs=sharded_jobs)
 
     batched_results, batched_s, batched_report = _run_backend("batched")
     assert batched_report.groups >= 1
@@ -160,7 +161,7 @@ def test_backend_sweep_speedups():
     # tests enforce full bit-identity; this keeps the benchmark
     # honest).
     assert _fingerprint(batched_results) == _fingerprint(serial_results)
-    assert _fingerprint(pool_results) == _fingerprint(serial_results)
+    assert _fingerprint(sharded_results) == _fingerprint(serial_results)
 
     batched_speedup = serial_s / batched_s
     _results["sweep"] = {
@@ -174,11 +175,11 @@ def test_backend_sweep_speedups():
         "budget": [BUDGET.warmup_cycles, BUDGET.measure_cycles,
                    BUDGET.drain_cycles],
         "serial_s": round(serial_s, 3),
-        "pool_s": round(pool_s, 3),
-        "pool_jobs": pool_jobs,
+        "sharded_s": round(sharded_s, 3),
+        "sharded_jobs": sharded_jobs,
         "batched_s": round(batched_s, 3),
         "batched_groups": batched_report.groups,
-        "pool_speedup": round(serial_s / pool_s, 2),
+        "sharded_speedup": round(serial_s / sharded_s, 2),
         "batched_speedup": round(batched_speedup, 2),
     }
     assert batched_speedup >= REQUIRED_BATCHED_SPEEDUP, (

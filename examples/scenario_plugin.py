@@ -11,8 +11,8 @@ into the process-wide registries, which makes them reachable from
 every layer that accepts a registry name: ``Simulation``,
 ``ScenarioSpec``, ``Workbench`` sweeps, the figure drivers and the CLI
 (``--register scenario_plugin --policy deadband --pattern diagonal``),
-through any execution backend — serial, pool, batched and the
-distributed work queue.  Nothing in ``repro`` knows these classes
+through any execution backend — serial, batched and the distributed
+work queue.  Nothing in ``repro`` knows these classes
 exist; the registries are the only coupling.
 
 Deployment rule (same as for any user-defined strategy): with

@@ -27,7 +27,6 @@ breakdown.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
@@ -42,7 +41,6 @@ from ..noc.engines import DEFAULT_ENGINE
 from ..noc.simulator import SimResult
 from ..power.model import PowerBreakdown, PowerModel
 from ..runner.context import ExecutionContext
-from ..runner.executor import SweepRunner
 from ..runner.units import UnitResult, WorkUnit
 from ..traffic.injection import TrafficSpec
 
@@ -466,8 +464,6 @@ def run_sweep(config: NocConfig,
               budget: SimBudget = DEFAULT,
               seed: int = 1,
               power_model: PowerModel | None = None,
-              runner: SweepRunner | None = None,
-              engine: str | None = None,
               context: ExecutionContext | None = None,
               scenario: Any = None) -> SweepSeries:
     """Evaluate one policy at every sweep position.
@@ -489,37 +485,15 @@ def run_sweep(config: NocConfig,
     stream derives from ``seed`` and the unit's own spec, never from
     the execution schedule.  The engine is part of each unit's spec,
     so cached results never cross engines.
-
-    ``runner=`` and ``engine=`` are the pre-context spellings; they
-    keep working (mapped onto an equivalent context) but emit a
-    ``DeprecationWarning``.
     """
-    if runner is not None or engine is not None:
-        if context is not None:
-            raise TypeError("pass either context= or the deprecated "
-                            "runner=/engine= keywords, not both")
-        warnings.warn(
-            "run_sweep(runner=..., engine=...) is deprecated; build an "
-            "ExecutionContext once and pass context=... instead",
-            DeprecationWarning, stacklevel=2)
     if context is None:
-        if runner is not None:
-            # The deprecated spelling: keep using the caller's runner
-            # (its cache/jobs/backend), only the unit engine comes
-            # from the engine= keyword.
-            context = runner.context
-        else:
-            context = ExecutionContext(
-                backend="serial", jobs=1, cache=None,
-                engine=engine if engine is not None else DEFAULT_ENGINE)
-    unit_engine = engine if engine is not None else context.engine
+        context = ExecutionContext(backend="serial", cache=None)
     if power_model is None:
         power_model = PowerModel(config)
     if not hasattr(strategy, "frequency_for"):
         strategy = strategy_from_ref(strategy)
-    exec_runner = runner if runner is not None else context.runner
     units = sweep_units(config, traffic_factory, xs, strategy, budget,
-                        seed, unit_engine, scenario=scenario)
+                        seed, context.engine, scenario=scenario)
     points = [point_from_unit(out, power_model)
-              for out in exec_runner.run(units)]
+              for out in context.runner.run(units)]
     return SweepSeries(policy=strategy.name, points=points)

@@ -20,18 +20,6 @@ from .headline import HeadlineReport, headline_report
 from .render import (FigureResult, Series, ascii_chart, render_figure,
                      render_figures)
 
-
-def __getattr__(name: str):
-    if name == "POLICIES":
-        # Deprecated alias; delegated so the warning fires on access,
-        # not on package import.  Deliberately absent from __all__ so
-        # a star import neither warns nor breaks under -W error.
-        from . import common
-        return common.POLICIES
-    raise AttributeError(f"module {__name__!r} has no attribute "
-                         f"{name!r}")
-
-
 __all__ = [
     "FIG7_PATTERNS",
     "FULL",

@@ -321,6 +321,159 @@ def worker_main(argv: list[str]) -> int:
     return 1 if worker.failed else 0
 
 
+def _execution_flags() -> argparse.ArgumentParser:
+    """Parent parser: the execution flags of the figure verb and
+    ``matrix`` (turned into a context by :func:`_execution_context`)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--profile", choices=("quick", "full"),
+                       default="quick",
+                       help="simulation effort (default: quick)")
+    flags.add_argument("--seed", type=int, default=3)
+    flags.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+                       help="worker processes for sweep points "
+                            "(default 1 = serial; 0 = all cores); "
+                            "results are identical for any value")
+    flags.add_argument("--engine", choices=engine_names(),
+                       default=DEFAULT_ENGINE,
+                       help="simulation backend: 'reference' is the "
+                            "object-per-router model, 'fast' the "
+                            "vectorized array engine (default: "
+                            f"{DEFAULT_ENGINE})")
+    flags.add_argument("--backend", choices=backend_names() + ("auto",),
+                       default="auto",
+                       help="execution backend for sweep points: "
+                            "'serial' runs one simulation per unit in "
+                            "process, 'batched' runs whole groups in "
+                            "one fast-engine invocation and fans the "
+                            "rest out over --jobs processes; 'auto' "
+                            "(default) picks batched for the fast "
+                            "engine or --jobs > 1, serial otherwise — "
+                            "results are identical either way")
+    flags.add_argument("--queue", metavar="DIR", default=None,
+                       help="shared work-queue directory for "
+                            "--backend distributed (created if "
+                            "missing; workers on any host sharing it "
+                            "can execute sweep shards)")
+    flags.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="local worker subprocesses to self-spawn "
+                            "for --backend distributed (default 0 = "
+                            "wait for externally started workers)")
+    flags.add_argument("--pool", action="store_true",
+                       help="keep the self-spawned workers warm across "
+                            "every sweep this run submits instead of "
+                            "spawning a fresh fleet per sweep (needs "
+                            "--workers >= 1)")
+    flags.add_argument("--claim-batch", type=int, default=1,
+                       metavar="N",
+                       help="tasks each self-spawned worker claims per "
+                            "queue round-trip (default 1; higher cuts "
+                            "queue chatter on shared filesystems)")
+    flags.add_argument("--register", action="append", metavar="MODULE",
+                       help="import MODULE before anything else (a "
+                            "plugin registering custom policies, "
+                            "patterns or workloads); repeatable.  With "
+                            "--backend distributed the module must "
+                            "also be importable on every worker")
+    flags.add_argument("--no-cache", action="store_true",
+                       help="disable the per-unit result cache (no "
+                            "simulation reuse across different sweep "
+                            "grids or batched submissions)")
+    flags.add_argument("--tiny", action="store_true",
+                       help="run on a tiny 3x3 mesh (smoke runs/CI, "
+                            "not the paper's numbers)")
+    flags.add_argument("--progress", action="store_true",
+                       help="print per-unit progress to stderr")
+    return flags
+
+
+def _execution_context(args, error) -> ExecutionContext:
+    """The :class:`ExecutionContext` the execution flags describe.
+
+    ``error`` is the parser's ``error`` callable: a bad knob or an
+    unusable queue directory exits with a usage message naming the
+    flag, before any simulation runs.
+    """
+    if args.jobs < 0:
+        error("--jobs must be >= 0")
+    if args.workers < 0:
+        error("--workers must be >= 0")
+    if args.claim_batch < 1:
+        error("--claim-batch must be >= 1")
+    if args.backend == "distributed":
+        if not args.queue:
+            error("--backend distributed requires --queue DIR "
+                  "(the shared work-queue directory)")
+        if args.pool and args.workers < 1:
+            error("--pool needs self-spawned workers (--workers >= 1)")
+        from ..runner.distributed import QueueError, WorkQueue
+        try:
+            WorkQueue(args.queue).ensure()
+        except QueueError as exc:
+            error(str(exc))
+    elif args.queue or args.workers or args.pool or args.claim_batch != 1:
+        error("--queue/--workers/--pool/--claim-batch are only "
+              "meaningful with --backend distributed")
+    return ExecutionContext(
+        backend=args.backend, jobs=args.jobs or default_jobs(),
+        cache=None if args.no_cache else UnitCache(),
+        engine=args.engine,
+        progress=print_progress if args.progress else None,
+        queue=args.queue, workers=args.workers,
+        pool=args.pool, claim_batch=args.claim_batch)
+
+
+def _grid_flags() -> argparse.ArgumentParser:
+    """Parent parser: the scenario-grid flags of ``matrix`` and
+    ``submit`` (expanded by :func:`_scenario_grid`)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--policy", action="append", required=True,
+                       metavar="NAME[:k=v,...]",
+                       help="policy to sweep (repeatable; parameters "
+                            "as key=value pairs, e.g. "
+                            "rmsd:lambda_max=0.4)")
+    flags.add_argument("--pattern", action="append",
+                       metavar="NAME[:k=v,...]",
+                       help="traffic pattern(s) to cross with the "
+                            "policies (repeatable; default: uniform)")
+    flags.add_argument("--workload", action="append",
+                       metavar="NAME[:k=v,...]",
+                       help="workload(s) to cross in as a third "
+                            "dimension (repeatable; 'none' = plain "
+                            "constant-rate traffic, the default — see "
+                            "README 'Workloads')")
+    flags.add_argument("--rates", required=True, metavar="R1,R2,...",
+                       help="comma-separated injection rates "
+                            "(flits/node-cycle), the sweep axis of "
+                            "every scenario")
+    return flags
+
+
+def _scenario_grid(args, error):
+    """``(scenarios, rates)``: the policy x pattern x workload cross
+    product on the ``--tiny`` or paper mesh.  Bad values exit through
+    ``error`` naming the offending flag."""
+    from ..scenario import ScenarioSpec
+    from ..traffic.patterns import as_pattern_ref
+
+    policy_refs = _parse_refs(args.policy,
+                              POLICY_REGISTRY.validate_sweep_ref,
+                              "--policy", error)
+    pattern_refs = _parse_refs(args.pattern or ["uniform"],
+                               as_pattern_ref, "--pattern", error)
+    workloads = _parse_workloads(args.workload, error)
+    rates = _parse_rates(args.rates, error)
+    config = TINY_CONFIG if args.tiny else PAPER_BASELINE
+    try:
+        scenarios = [ScenarioSpec.build(policy, pattern, config=config,
+                                        workload=workload)
+                     for policy in policy_refs
+                     for pattern in pattern_refs
+                     for workload in workloads]
+    except ValueError as exc:
+        error(str(exc))
+    return scenarios, rates
+
+
 def _parse_rates(text: str, error) -> tuple[float, ...]:
     try:
         rates = tuple(float(part) for part in text.split(",")
@@ -491,11 +644,10 @@ def submit_main(argv: list[str]) -> int:
     """``python -m repro.experiments submit``: hand the daemon a sweep."""
     from ..runner.distributed import (QueueError, SweepSubmission,
                                       read_status, submit_sweep)
-    from ..scenario import ScenarioSpec
-    from ..traffic.patterns import as_pattern_ref
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments submit",
+        parents=[_grid_flags()],
         description="Submit a scenario sweep (policies x patterns x "
                     "rates) to a sweep-service queue; prints the "
                     "submission id.  Work overlapping other "
@@ -504,24 +656,6 @@ def submit_main(argv: list[str]) -> int:
     parser.add_argument("--queue", required=True, metavar="DIR",
                         help="queue directory a daemon serves (python "
                              "-m repro.experiments serve --queue DIR)")
-    parser.add_argument("--policy", action="append", required=True,
-                        metavar="NAME[:k=v,...]",
-                        help="policy to sweep (repeatable; parameters "
-                             "as key=value pairs, e.g. "
-                             "rmsd:lambda_max=0.4)")
-    parser.add_argument("--pattern", action="append",
-                        metavar="NAME[:k=v,...]",
-                        help="traffic pattern(s) to cross with the "
-                             "policies (repeatable; default: uniform)")
-    parser.add_argument("--workload", action="append",
-                        metavar="NAME[:k=v,...]",
-                        help="workload(s) to cross in as a third "
-                             "dimension (repeatable; 'none' = plain "
-                             "constant-rate traffic, the default — "
-                             "see README 'Workloads')")
-    parser.add_argument("--rates", required=True, metavar="R1,R2,...",
-                        help="comma-separated injection rates "
-                             "(flits/node-cycle), the sweep axis")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--engine", choices=engine_names(),
                         default=DEFAULT_ENGINE,
@@ -551,24 +685,8 @@ def submit_main(argv: list[str]) -> int:
                              "(default 0.2)")
     args = parser.parse_args(argv)
     register_modules(args.register, parser.error)
-    policy_refs = _parse_refs(args.policy,
-                              POLICY_REGISTRY.validate_sweep_ref,
-                              "--policy", parser.error)
-    pattern_refs = _parse_refs(args.pattern or ["uniform"],
-                               as_pattern_ref, "--pattern",
-                               parser.error)
-    workloads = _parse_workloads(args.workload, parser.error)
-    rates = _parse_rates(args.rates, parser.error)
+    scenarios, rates = _scenario_grid(args, parser.error)
     budget = _parse_budget(args.budget, parser.error)
-    config = TINY_CONFIG if args.tiny else PAPER_BASELINE
-    try:
-        scenarios = [ScenarioSpec.build(policy, pattern, config=config,
-                                        workload=workload)
-                     for policy in policy_refs
-                     for pattern in pattern_refs
-                     for workload in workloads]
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
         submission = SweepSubmission.build(
             scenarios, rates, seed=args.seed, engine=args.engine,
@@ -723,11 +841,9 @@ def matrix_main(argv: list[str]) -> int:
     """``python -m repro.experiments matrix``: scenario cross product."""
     import json
 
-    from ..scenario import ScenarioSpec
-    from ..traffic.patterns import as_pattern_ref
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments matrix",
+        parents=[_grid_flags(), _execution_flags()],
         description="Sweep the cross product of policies x patterns x "
                     "workloads over one rate grid as a SINGLE planned "
                     "submission: units shared between cells (or "
@@ -735,109 +851,15 @@ def matrix_main(argv: list[str]) -> int:
                     "execution backend sees the whole matrix at once, "
                     "and the result is a per-cell delay table (plus an "
                     "optional JSON artifact).  See README 'Workloads'.")
-    parser.add_argument("--policy", action="append", required=True,
-                        metavar="NAME[:k=v,...]",
-                        help="policy row(s) of the matrix (repeatable)")
-    parser.add_argument("--pattern", action="append",
-                        metavar="NAME[:k=v,...]",
-                        help="traffic pattern(s) to cross in "
-                             "(repeatable; default: uniform)")
-    parser.add_argument("--workload", action="append",
-                        metavar="NAME[:k=v,...]",
-                        help="workload(s) to cross in (repeatable; "
-                             "'none' = plain constant-rate traffic, "
-                             "the default)")
-    parser.add_argument("--rates", required=True, metavar="R1,R2,...",
-                        help="comma-separated injection rates "
-                             "(flits/node-cycle), the sweep axis of "
-                             "every cell")
-    parser.add_argument("--profile", choices=("quick", "full"),
-                        default="quick",
-                        help="simulation effort (default: quick)")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--engine", choices=engine_names(),
-                        default=DEFAULT_ENGINE,
-                        help=f"simulation engine (default: "
-                             f"{DEFAULT_ENGINE})")
-    parser.add_argument("--backend", choices=backend_names() + ("auto",),
-                        default="auto",
-                        help="execution backend (default: auto)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes (default 1; 0 = all "
-                             "cores); results are identical for any "
-                             "value")
-    parser.add_argument("--queue", metavar="DIR", default=None,
-                        help="work-queue directory for --backend "
-                             "distributed")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="self-spawned workers for --backend "
-                             "distributed (default 0)")
-    parser.add_argument("--pool", action="store_true",
-                        help="keep self-spawned workers warm across "
-                             "the whole matrix (needs --workers >= 1)")
-    parser.add_argument("--claim-batch", type=int, default=1,
-                        metavar="N",
-                        help="tasks per worker claim round-trip "
-                             "(default 1)")
-    parser.add_argument("--register", action="append", metavar="MODULE",
-                        help="import MODULE first (plugin policies/"
-                             "patterns/workloads); repeatable")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the unit cache (cells then run "
-                             "as independent sweeps; no cross-cell "
-                             "dedupe proof)")
-    parser.add_argument("--tiny", action="store_true",
-                        help="run on the tiny 3x3 smoke mesh")
-    parser.add_argument("--progress", action="store_true",
-                        help="print per-unit progress to stderr")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the matrix artifact (per-cell "
                              "points + run report) as JSON to FILE")
     args = parser.parse_args(argv)
     register_modules(args.register, parser.error)
-    policy_refs = _parse_refs(args.policy,
-                              POLICY_REGISTRY.validate_sweep_ref,
-                              "--policy", parser.error)
-    pattern_refs = _parse_refs(args.pattern or ["uniform"],
-                               as_pattern_ref, "--pattern",
-                               parser.error)
-    workloads = _parse_workloads(args.workload, parser.error)
-    rates = _parse_rates(args.rates, parser.error)
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.claim_batch < 1:
-        parser.error("--claim-batch must be >= 1")
-    if args.backend == "distributed":
-        if not args.queue:
-            parser.error("--backend distributed requires --queue DIR")
-        if args.pool and args.workers < 1:
-            parser.error("--pool needs self-spawned workers "
-                         "(--workers >= 1)")
-    elif args.queue or args.workers or args.pool or args.claim_batch != 1:
-        parser.error("--queue/--workers/--pool/--claim-batch are only "
-                     "meaningful with --backend distributed")
-    config = TINY_CONFIG if args.tiny else PAPER_BASELINE
-    try:
-        scenarios = [ScenarioSpec.build(policy, pattern, config=config,
-                                        workload=workload)
-                     for policy in policy_refs
-                     for pattern in pattern_refs
-                     for workload in workloads]
-    except ValueError as exc:
-        parser.error(str(exc))
-    context = ExecutionContext(
-        backend=args.backend, jobs=jobs,
-        cache=None if args.no_cache else UnitCache(),
-        engine=args.engine,
-        progress=print_progress if args.progress else None,
-        queue=args.queue, workers=args.workers,
-        pool=args.pool, claim_batch=args.claim_batch)
+    scenarios, rates = _scenario_grid(args, parser.error)
+    context = _execution_context(args, parser.error)
     bench = Workbench(profile=FULL if args.profile == "full" else QUICK,
-                      seed=args.seed, context=context,
-                      policies=policy_refs)
+                      seed=args.seed, context=context)
     try:
         result = bench.scenario_matrix(scenarios, rates)
     finally:
@@ -1001,54 +1023,11 @@ def main(argv: list[str] | None = None) -> int:
         return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
+        parents=[_execution_flags()],
         description="Regenerate figures of Casu & Giaccone, DATE 2015.")
     parser.add_argument("figures", nargs="+",
                         help=f"figures to regenerate: "
                              f"{', '.join(FIGURES)} or 'all'")
-    parser.add_argument("--profile", choices=("quick", "full"),
-                        default="quick",
-                        help="simulation effort (default: quick)")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        metavar="N",
-                        help="worker processes for sweep points "
-                             "(default 1 = serial; 0 = all cores); "
-                             "results are identical for any value")
-    parser.add_argument("--engine", choices=engine_names(),
-                        default=DEFAULT_ENGINE,
-                        help="simulation backend: 'reference' is the "
-                             "object-per-router model, 'fast' the "
-                             "vectorized array engine (default: "
-                             f"{DEFAULT_ENGINE})")
-    parser.add_argument("--backend", choices=backend_names() + ("auto",),
-                        default="auto",
-                        help="execution backend for sweep points: "
-                             "'serial' and 'pool' run one simulation "
-                             "per unit, 'batched' runs whole groups in "
-                             "one fast-engine invocation; 'auto' "
-                             "(default) picks batched for the fast "
-                             "engine — results are identical either "
-                             "way")
-    parser.add_argument("--queue", metavar="DIR", default=None,
-                        help="shared work-queue directory for "
-                             "--backend distributed (created if "
-                             "missing; workers on any host sharing it "
-                             "can execute sweep shards)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="local worker subprocesses to self-spawn "
-                             "for --backend distributed (default 0 = "
-                             "wait for externally started workers)")
-    parser.add_argument("--pool", action="store_true",
-                        help="keep the self-spawned workers warm "
-                             "across all figures this run generates "
-                             "instead of spawning a fresh fleet per "
-                             "sweep (needs --workers >= 1)")
-    parser.add_argument("--claim-batch", type=int, default=1,
-                        metavar="N",
-                        help="tasks each self-spawned worker claims "
-                             "per queue round-trip (default 1; higher "
-                             "cuts queue chatter on shared "
-                             "filesystems)")
     parser.add_argument("--policy", action="append", metavar="NAME[:k=v,...]",
                         help="sweep this registered policy (repeatable; "
                              "parameters as key=value pairs, e.g. "
@@ -1061,21 +1040,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(repeatable; fig7 sweeps the whole list, "
                              "other figures use the first; default: "
                              "each figure's own)")
-    parser.add_argument("--register", action="append", metavar="MODULE",
-                        help="import MODULE before anything else (a "
-                             "plugin registering custom policies or "
-                             "patterns); repeatable.  With --backend "
-                             "distributed the module must also be "
-                             "importable on every worker")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-unit result cache (no "
-                             "simulation reuse across different sweep "
-                             "grids or batched submissions)")
-    parser.add_argument("--tiny", action="store_true",
-                        help="run on a tiny 3x3 mesh (smoke runs/CI, "
-                             "not the paper's numbers)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print per-unit progress to stderr")
     args = parser.parse_args(argv)
 
     register_modules(args.register, parser.error)
@@ -1098,38 +1062,9 @@ def main(argv: list[str] | None = None) -> int:
         if name not in FIGURES:
             parser.error(f"unknown figure {name!r}; known: "
                          f"{', '.join(FIGURES)} or 'all'")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.claim_batch < 1:
-        parser.error("--claim-batch must be >= 1")
-    if args.backend == "distributed":
-        if not args.queue:
-            parser.error("--backend distributed requires --queue DIR "
-                         "(the shared work-queue directory)")
-        if args.pool and args.workers < 1:
-            parser.error("--pool needs self-spawned workers "
-                         "(--workers >= 1)")
-        from ..runner.distributed import QueueError, WorkQueue
-        try:
-            WorkQueue(args.queue).ensure()
-        except QueueError as exc:
-            parser.error(str(exc))
-    elif args.queue or args.workers or args.pool or args.claim_batch != 1:
-        parser.error("--queue/--workers/--pool/--claim-batch are only "
-                     "meaningful with --backend distributed")
-
-    profile = FULL if args.profile == "full" else QUICK
-    context = ExecutionContext(
-        backend=args.backend, jobs=jobs,
-        cache=None if args.no_cache else UnitCache(),
-        engine=args.engine,
-        progress=print_progress if args.progress else None,
-        queue=args.queue, workers=args.workers,
-        pool=args.pool, claim_batch=args.claim_batch)
-    bench = Workbench(profile=profile, seed=args.seed, context=context,
+    context = _execution_context(args, parser.error)
+    bench = Workbench(profile=FULL if args.profile == "full" else QUICK,
+                      seed=args.seed, context=context,
                       policies=policy_refs)
     config = TINY_CONFIG if args.tiny else PAPER_BASELINE
     try:
@@ -1146,7 +1081,7 @@ def main(argv: list[str] | None = None) -> int:
         context.close()
     totals = bench.runner.totals
     if totals.total_units:
-        print(f"[runner: {totals.render()}, jobs={jobs}]")
+        print(f"[runner: {totals.render()}, jobs={context.jobs}]")
     return 0
 
 

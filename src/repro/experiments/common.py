@@ -14,7 +14,6 @@ Benchmarks can select an effort profile via the environment variable
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,28 +24,11 @@ from ..analysis.sweep import (FAST, SimBudget, StrategyResources,
 from ..core.registry import (POLICY_REGISTRY, Ref, as_policy_ref,
                              default_policies)
 from ..noc.config import NocConfig
-from ..noc.engines import DEFAULT_ENGINE
 from ..power.model import PowerModel
-from ..runner import (ExecutionContext, SweepRunner, UnitCache,
-                      context_from_env)
+from ..runner import ExecutionContext, context_from_env
 from ..scenario import ScenarioSpec, run_scenario_sweep
 from ..traffic.injection import PatternTraffic, TrafficSpec
 from ..traffic.patterns import as_pattern_ref, make_pattern
-
-
-def __getattr__(name: str):
-    if name == "POLICIES":
-        # The old hardwired triple, now a deprecated alias for the
-        # policy registry's default sweep ordering (identical as long
-        # as no plugin policies are registered).
-        warnings.warn(
-            "repro.experiments.common.POLICIES is deprecated; use "
-            "repro.core.registry.default_policies() (the registry's "
-            "default sweep ordering) instead",
-            DeprecationWarning, stacklevel=2)
-        return default_policies()
-    raise AttributeError(f"module {__name__!r} has no attribute "
-                         f"{name!r}")
 
 
 def series_by_policy_name(sweeps: dict[str, SweepSeries]
@@ -97,10 +79,11 @@ class Workbench:
     """Memoizing driver for policy-comparison experiments.
 
     Simulations are submitted as work units through one shared
-    :class:`~repro.runner.ExecutionContext`: its backend decides
-    whether sweep points run serially, on a process pool (``jobs``
-    workers), or batched through the fast engine's
-    :func:`~repro.noc.fastsim.run_fixed_batch`; its unit cache
+    :class:`~repro.runner.ExecutionContext` (default:
+    ``ExecutionContext()``): its backend decides whether sweep points
+    run serially, batched through the fast engine's
+    :func:`~repro.noc.fastsim.run_fixed_batch` (fanning out over
+    ``jobs`` worker processes), or on a work queue; its unit cache
     deduplicates simulations across figures on top of the workbench's
     own series-level memos.  Results are independent of the backend
     and worker count — see :mod:`repro.runner`.
@@ -116,16 +99,9 @@ class Workbench:
     :class:`~repro.core.registry.Ref`s); the default is the policy
     registry's default ordering — the paper's three, plus any plugin
     policies registered with a sweep strategy at construction time.
-
-    ``Workbench(jobs=, unit_cache=, engine=, runner=)`` are the
-    pre-context spellings; they keep working (mapped onto an
-    equivalent context) but emit a ``DeprecationWarning``.
     """
 
     def __init__(self, profile: Profile | None = None, seed: int = 3,
-                 jobs: int | None = None, unit_cache: bool | None = None,
-                 runner: SweepRunner | None = None,
-                 engine: str | None = None,
                  context: ExecutionContext | None = None,
                  policies: Sequence[Ref | str] | None = None) -> None:
         self.profile = profile or active_profile()
@@ -138,32 +114,9 @@ class Workbench:
         # here, not mid-figure.
         self.policies = tuple(POLICY_REGISTRY.validate_sweep_ref(p)
                               for p in policies)
-        legacy = [kw for kw, value in (("jobs", jobs),
-                                       ("unit_cache", unit_cache),
-                                       ("runner", runner),
-                                       ("engine", engine))
-                  if value is not None]
-        if legacy:
-            if context is not None:
-                raise TypeError(
-                    f"pass either context= or the deprecated "
-                    f"{'/'.join(legacy)} keyword(s), not both")
-            warnings.warn(
-                f"Workbench({', '.join(k + '=' for k in legacy)}...) is "
-                f"deprecated; build an ExecutionContext once and pass "
-                f"context=... instead",
-                DeprecationWarning, stacklevel=2)
-        if context is None:
-            if runner is not None:
-                context = runner.context
-            else:
-                context = ExecutionContext(
-                    backend="auto", jobs=jobs if jobs is not None else 1,
-                    cache=(UnitCache() if unit_cache is None or unit_cache
-                           else None),
-                    engine=engine if engine is not None else DEFAULT_ENGINE)
-        self.context = context
-        self.runner = runner if runner is not None else context.runner
+        self.context = (context if context is not None
+                        else ExecutionContext())
+        self.runner = self.context.runner
         self._saturation: dict = {}
         self._target: dict = {}
         self._sweeps: dict = {}

@@ -5,9 +5,9 @@ uniform,transpose --workload none,mmoo --rates 0.05,0.1`` expands the
 cross product of policies x patterns x workloads into
 :class:`~repro.scenario.ScenarioSpec`s, submits *every* sweep unit in
 a single :meth:`~repro.runner.SweepRunner.run` call — so the planner
-deduplicates shared units across cells and the backend (pool, batched
-kernel or distributed queue) sees the whole matrix at once — and
-renders a summary table plus an optional JSON artifact.
+deduplicates shared units across cells and the backend (serial,
+batched kernel or distributed queue) sees the whole matrix at once —
+and renders a summary table plus an optional JSON artifact.
 
 The executed-unit count in the report is the planner's proof of
 dedupe: submitting the same scenario twice (or overlapping rate

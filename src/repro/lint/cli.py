@@ -22,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based determinism-contract analyzer for the "
-                    "repro tree (rules D001-D006; see README 'Static "
-                    "analysis').")
+                    "repro tree (rules D001-D004, D006; see README "
+                    "'Static analysis').")
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src if present, "

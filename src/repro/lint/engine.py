@@ -2,13 +2,13 @@
 
 Everything in this reproduction rests on one invariant: a sweep's
 results are a pure function of each unit's spec digest, so serial,
-pooled, batched and distributed execution are bit-identical (README
+batched and distributed execution are bit-identical (README
 "Determinism guarantee").  The differential tests enforce that
 *dynamically*; this package enforces the contract *statically* — an
 AST pass over the source tree that rejects the nondeterminism classes
 that have actually bitten this codebase (wall-clock reads in
 simulation paths, global RNG use, unsorted directory scans, set-order
-dependence in digest code, deprecated shims, registry hygiene).
+dependence in digest code, registry hygiene).
 
 The engine is deliberately stdlib-only (``ast`` + ``re``): it must be
 able to lint a tree whose imports are broken, and it must run in CI

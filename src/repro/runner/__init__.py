@@ -6,10 +6,10 @@ independent simulations.  This package turns each point into a
 and the unit's spec hash (:mod:`repro.runner.seeding`), caches results
 by that hash (:class:`UnitCache`), plans what must actually run
 (:class:`ExecutionPlan`: cache hits, batch groups, shards) and
-executes the plan on an interchangeable :class:`Backend` (serial,
-process pool, batched through
-:func:`repro.noc.fastsim.run_fixed_batch`, or distributed across
-processes and hosts via a shared-directory work queue —
+executes the plan on an interchangeable :class:`Backend` (serial;
+batched through :func:`repro.noc.fastsim.run_fixed_batch`, with
+per-unit work and shards fanned out on a process pool; or distributed
+across processes and hosts via a shared-directory work queue —
 :mod:`repro.runner.distributed`) — with the guarantee that the
 execution mode can never change a result.  An
 :class:`ExecutionContext` carries the whole configuration (backend,
@@ -18,8 +18,7 @@ to the runner in one object.
 """
 
 from .backends import (BACKENDS, Backend, BackendRun, BatchedBackend,
-                       ProcessPoolBackend, SerialBackend, backend_names,
-                       make_backend)
+                       SerialBackend, backend_names, make_backend)
 from .cache import CacheStats, UnitCache
 from .context import ExecutionContext, context_from_env
 from .executor import (RunReport, RunTotals, SweepRunner, default_jobs,
@@ -63,7 +62,6 @@ __all__ = [
     "FrequencyStrategy",
     "MAX_SHARD_POINTS",
     "MIN_SHARD_POINTS",
-    "ProcessPoolBackend",
     "QueueError",
     "RunReport",
     "RunTotals",

@@ -3,25 +3,24 @@
 A backend takes an :class:`~repro.runner.plan.ExecutionPlan` and
 executes everything the plan says must run, reporting each finished
 :class:`~repro.runner.units.UnitResult` through a callback (the runner
-owns caching, result placement and progress).  Four backends register
+owns caching, result placement and progress).  Three backends register
 here, mirroring how simulation engines register in
 :mod:`repro.noc.engines`:
 
 ``serial``
-    One unit at a time, in process.  No pool, no pickling.
-``pool``
-    Per-unit fan-out onto a ``ProcessPoolExecutor``.  Falls back to
-    serial execution when the host cannot create a pool or the pool
-    dies mid-run.
+    One unit at a time, in process.  No pool, no pickling — the
+    per-unit oracle every other backend is diffed against.
 ``batched``
     Batch groups execute as *one*
     :func:`repro.noc.fastsim.run_fixed_batch` call per shard — the
     fast engine's intended sweep mode — and the per-replica results
     fan back into per-unit results.  The shard's frequency searches
     (DMSD, ``utility``) run before it in lockstep, one batched probe
-    round at a time.  Shards and leftover per-unit work
-    fan out across the pool when ``jobs > 1``, with the same serial
-    fallback.
+    round at a time.  Units that cannot batch (reference engine,
+    heterogeneous clocks) run per unit.  Shards and per-unit work fan
+    out onto a ``ProcessPoolExecutor`` when ``jobs > 1``, falling back
+    to serial execution when the host cannot create a pool or the
+    pool dies mid-run.
 ``distributed``
     Shards publish to a shared-directory work queue
     (:mod:`repro.runner.distributed`) that any number of worker
@@ -214,28 +213,6 @@ class SerialBackend:
         return BackendRun()
 
 
-class ProcessPoolBackend:
-    """Per-unit fan-out onto worker processes."""
-
-    name = "pool"
-
-    def execute(self, plan: ExecutionPlan, jobs: int,
-                finish: FinishFn) -> BackendRun:
-        todo = plan.todo
-        remaining = list(todo)
-        if jobs > 1 and len(todo) > 1:
-            remaining = [
-                arg for _, arg in _run_tasks_on_pool(
-                    [(_execute_unit, unit) for unit in todo],
-                    min(jobs, len(todo)),
-                    lambda fn, result: finish(result))
-            ]
-        ran_parallel = len(remaining) < len(todo)
-        for unit in remaining:      # serial path and pool fallback
-            finish(_execute_unit(unit))
-        return BackendRun(parallel=ran_parallel)
-
-
 class BatchedBackend:
     """Batch groups through ``run_fixed_batch``; the rest per unit."""
 
@@ -271,7 +248,6 @@ class BatchedBackend:
 #: lives in a subpackage that itself imports this module.
 BACKENDS: dict[str, type | str] = {
     "serial": SerialBackend,
-    "pool": ProcessPoolBackend,
     "batched": BatchedBackend,
     "distributed": "repro.runner.distributed.backend:DistributedBackend",
 }

@@ -1,14 +1,11 @@
 """The execution context: one object describing *how* units run.
 
-Before this existed, every layer threaded ``engine=``, ``jobs=`` and
-``cache=`` keywords down to the next one (CLI -> Workbench ->
-run_sweep -> SweepRunner), and adding an execution knob meant touching
-all of them.  An :class:`ExecutionContext` is constructed once at the
-top (CLI flags, benchmark environment variables, or directly in code)
-and passed down whole:
+An :class:`ExecutionContext` is constructed once at the top (CLI
+flags, benchmark environment variables, or directly in code) and
+passed down whole, CLI -> Workbench -> run_sweep -> SweepRunner:
 
 * ``backend`` — execution-backend name (:mod:`repro.runner.backends`):
-  ``serial``, ``pool``, ``batched``, or ``auto``;
+  ``serial``, ``batched``, ``distributed``, or ``auto``;
 * ``jobs`` — worker processes for per-unit fan-out and batch shards;
 * ``cache`` — the shared :class:`~repro.runner.cache.UnitCache`
   (``None`` disables unit caching);
@@ -32,11 +29,12 @@ backend holds external resources; in-process backends make it a no-op.
 
 ``auto`` resolves to ``batched`` when the context's engine is the fast
 engine (its sweeps then execute through
-:func:`repro.noc.fastsim.run_fixed_batch` automatically), to ``pool``
-when ``jobs > 1``, and to ``serial`` otherwise.  The determinism
-contract is backend-independent: any backend, shard size and worker
-count returns bit-identical results (see README "Determinism
-guarantee"), so backend selection is purely a performance choice.
+:func:`repro.noc.fastsim.run_fixed_batch` automatically) or when
+``jobs > 1`` (units fan out onto a process pool), and to ``serial``
+otherwise.  The determinism contract is backend-independent: any
+backend, shard size and worker count returns bit-identical results
+(see README "Determinism guarantee"), so backend selection is purely a
+performance choice.
 """
 
 from __future__ import annotations
@@ -112,9 +110,9 @@ class ExecutionContext:
         """
         if self.backend != "auto":
             return self.backend
-        if self.engine == "fast":
+        if self.engine == "fast" or self.jobs > 1:
             return "batched"
-        return "pool" if self.jobs > 1 else "serial"
+        return "serial"
 
     def backend_options(self) -> dict:
         """Constructor keywords for the resolved backend.
@@ -160,8 +158,7 @@ class ExecutionContext:
 
         Sharing one runner means repeated ``run_sweep`` calls under one
         context share the cache, the accumulated ``RunTotals`` and the
-        progress callback — the behaviour the Workbench had to wire by
-        hand before.
+        progress callback.
         """
         if self._runner is None:
             from .executor import SweepRunner

@@ -24,7 +24,8 @@ Self-spawned workers are babysat from the collector's poll hook: a
 worker that dies while shards remain is respawned (within a bounded,
 per-round budget), and if no subprocess can run at all the driver
 degrades to draining the queue in-process — the same "the runner still
-works, just without the speedup" guarantee the pool backends give.
+works, just without the speedup" guarantee the batched backend's
+process pool gives.
 Teardown is graceful: the driver publishes a shutdown sentinel, idle
 workers exit on their own within the poll cap, and only stragglers are
 terminated.  Results are bit-identical to ``serial`` for any worker

@@ -8,7 +8,7 @@ and returns their results *in submission order*.  Under the hood it
    the remainder groups into batch shards;
 2. hands the plan to the :class:`~repro.runner.backends.Backend`
    selected by its :class:`~repro.runner.context.ExecutionContext`
-   (``serial``, ``pool``, ``batched``, or ``auto``);
+   (``serial``, ``batched``, ``distributed``, or ``auto``);
 3. reports progress and timing through an optional callback and a
    :class:`RunReport`.
 
@@ -20,10 +20,9 @@ serial.  If the host cannot create a process pool (restricted
 sandboxes, missing semaphores) or the pool dies mid-run, execution
 falls back to in-process work with identical results.
 
-``SweepRunner(jobs=N, cache=...)`` remains as constructor sugar for a
-pool/serial context; new code builds an
-:class:`~repro.runner.context.ExecutionContext` once and passes it
-down (``SweepRunner(context=...)``, ``Workbench(context=...)``).
+Callers build an :class:`~repro.runner.context.ExecutionContext` once
+and use its shared runner (``context.runner``); ``Workbench`` and
+``run_sweep`` take the context whole.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cache import UnitCache
-from .context import ExecutionContext, ProgressFn
+from .context import ExecutionContext
 from .plan import ExecutionPlan
 from .units import UnitResult, WorkUnit
 
@@ -76,7 +74,7 @@ class RunReport:
     #: summed single-unit execution time; with ``parallel`` this can
     #: exceed ``elapsed_s`` — the ratio is the realized speedup
     busy_s: float = 0.0
-    #: backend that executed the plan ("serial", "pool", "batched",
+    #: backend that executed the plan ("serial", "batched",
     #: "distributed")
     backend: str = "serial"
     #: batch groups (shards) executed as single engine invocations
@@ -138,22 +136,9 @@ class RunTotals:
 
 
 class SweepRunner:
-    """Executes work units under an :class:`ExecutionContext`.
+    """Executes work units under an :class:`ExecutionContext`."""
 
-    ``SweepRunner(context=ctx)`` is the primary constructor.  The
-    keyword form ``SweepRunner(jobs=N, cache=..., progress=...)``
-    builds an equivalent context with the pre-backend behaviour: a
-    ``pool`` backend for ``jobs > 1``, ``serial`` otherwise, and no
-    cache unless one is passed.
-    """
-
-    def __init__(self, jobs: int = 1, cache: UnitCache | None = None,
-                 progress: ProgressFn | None = None,
-                 context: ExecutionContext | None = None) -> None:
-        if context is None:
-            context = ExecutionContext(
-                backend="pool" if jobs > 1 else "serial",
-                jobs=jobs, cache=cache, progress=progress)
+    def __init__(self, context: ExecutionContext) -> None:
         self.context = context
         if context._runner is None:
             # Make ``context.runner`` resolve to this runner, so code
@@ -162,24 +147,6 @@ class SweepRunner:
         self.last_report: RunReport | None = None
         self.totals = RunTotals()
 
-    # --- context delegation (existing call sites read these) ----------
-    @property
-    def jobs(self) -> int:
-        return self.context.jobs
-
-    @property
-    def cache(self) -> UnitCache | None:
-        return self.context.cache
-
-    @property
-    def progress(self) -> ProgressFn | None:
-        return self.context.progress
-
-    @progress.setter
-    def progress(self, callback: ProgressFn | None) -> None:
-        self.context.progress = callback
-
-    # ------------------------------------------------------------------
     def run(self, units: Sequence[WorkUnit]) -> list[UnitResult]:
         """Execute every unit; results come back in submission order."""
         start = time.perf_counter()

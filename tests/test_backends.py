@@ -3,8 +3,7 @@
 The contract under test: the planner only changes *how* units execute
 (cache service, batch grouping, sharding), never *what* they compute —
 ``backend="batched"`` is bit-identical to serial per-unit execution,
-group accounting is correct, and the pre-context spellings keep
-working.
+group accounting is correct, and the context spellings never warn.
 """
 
 import warnings
@@ -20,7 +19,6 @@ from repro.analysis import (DmsdSteadyState, NoDvfsSteadyState,
 from repro.analysis import sweep as sweep_module
 from repro.analysis.sweep import UtilitySteadyState
 from repro.experiments import Workbench
-from repro.experiments.common import Profile
 from repro.noc import NocConfig, SimBudget
 from repro.noc.fastsim import batch as batch_module
 from repro.runner import (BatchGroup, ExecutionContext, ExecutionPlan,
@@ -69,7 +67,7 @@ def fingerprint(unit_result):
 
 class TestBackendRegistry:
     def test_all_backends_registered(self):
-        assert set(backend_names()) == {"serial", "pool", "batched",
+        assert set(backend_names()) == {"serial", "batched",
                                         "distributed"}
 
     def test_unknown_backend_rejected(self):
@@ -85,7 +83,7 @@ class TestExecutionContext:
                 == "batched")
 
     def test_auto_resolves_pool_then_serial_for_reference(self):
-        assert (ExecutionContext(jobs=4).resolved_backend() == "pool")
+        assert (ExecutionContext(jobs=4).resolved_backend() == "batched")
         assert ExecutionContext().resolved_backend() == "serial"
 
     def test_explicit_backend_wins_over_auto_rule(self):
@@ -625,52 +623,6 @@ class TestBatchedAccounting:
 
 
 class TestBackwardCompatShims:
-    def test_run_sweep_old_and_new_spellings_identical(self, tiny_config,
-                                                       factory):
-        with pytest.warns(DeprecationWarning):
-            old = run_sweep(tiny_config, factory, [0.05, 0.1],
-                            RmsdSteadyState(0.4), TINY_BUDGET, seed=5,
-                            runner=SweepRunner(jobs=1), engine="fast")
-        new = run_sweep(tiny_config, factory, [0.05, 0.1],
-                        RmsdSteadyState(0.4), TINY_BUDGET, seed=5,
-                        context=ExecutionContext(backend="serial",
-                                                 cache=None,
-                                                 engine="fast"))
-        assert ([(p.x, p.freq_hz, p.delay_ns, p.power_mw)
-                 for p in old.points]
-                == [(p.x, p.freq_hz, p.delay_ns, p.power_mw)
-                    for p in new.points])
-
-    def test_run_sweep_rejects_both_spellings(self, tiny_config, factory):
-        with pytest.raises(TypeError):
-            run_sweep(tiny_config, factory, [0.05],
-                      NoDvfsSteadyState(), TINY_BUDGET,
-                      runner=SweepRunner(jobs=1),
-                      context=ExecutionContext())
-
-    def test_workbench_old_spelling_warns_and_matches(self, tiny_config):
-        profile = Profile("tiny", TINY_BUDGET, sweep_points=2,
-                          dmsd_iterations=2, saturation_iterations=2)
-        with pytest.warns(DeprecationWarning):
-            old = Workbench(profile=profile, seed=5, jobs=1,
-                            unit_cache=True, engine="fast")
-        new = Workbench(profile=profile, seed=5,
-                        context=ExecutionContext(engine="fast"))
-        assert old.engine == new.engine == "fast"
-        rates = (0.05, 0.1)
-        old_series = old.pattern_sweep(tiny_config, "uniform", "no-dvfs",
-                                       rates)
-        new_series = new.pattern_sweep(tiny_config, "uniform", "no-dvfs",
-                                       rates)
-        assert ([(p.x, p.freq_hz, p.delay_ns, p.power_mw)
-                 for p in old_series.points]
-                == [(p.x, p.freq_hz, p.delay_ns, p.power_mw)
-                    for p in new_series.points])
-
-    def test_workbench_rejects_both_spellings(self):
-        with pytest.raises(TypeError):
-            Workbench(jobs=2, context=ExecutionContext())
-
     def test_new_spellings_do_not_warn(self, tiny_config, factory):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -43,6 +43,15 @@ class TestCli:
                                 "fig8", "fig10", "headline"}
 
 
+#: Argv builders for the two verbs sharing the execution flags: the
+#: knob checks must reject the same bad values on both.
+EXECUTION_VERBS = (
+    lambda *flags: [*flags, "fig5"],
+    lambda *flags: ["matrix", "--policy", "no-dvfs", "--rates", "0.05",
+                    *flags],
+)
+
+
 class TestBadArgumentDiagnostics:
     """Bad flag values exit through argparse with a clear message —
     never a traceback."""
@@ -68,8 +77,9 @@ class TestBadArgumentDiagnostics:
         assert "invalid int value" in err
 
     def test_negative_jobs(self, capsys):
-        err = self._error_output(["--jobs", "-3", "fig5"], capsys)
-        assert "--jobs must be >= 0" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(argv("--jobs", "-3"), capsys)
+            assert "--jobs must be >= 0" in err
 
     def test_engine_flag_reaches_workbench(self, capsys, monkeypatch):
         """`--engine fast` must reach the Workbench's execution context
@@ -97,9 +107,10 @@ class TestBadArgumentDiagnostics:
         assert "distributed" in err
 
     def test_distributed_requires_queue(self, capsys):
-        err = self._error_output(
-            ["--backend", "distributed", "fig5"], capsys)
-        assert "--backend distributed requires --queue" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--backend", "distributed"), capsys)
+            assert "--backend distributed requires --queue" in err
 
     def test_bad_queue_dir_reports_usable_message(self, capsys,
                                                   tmp_path):
@@ -107,48 +118,54 @@ class TestBadArgumentDiagnostics:
         argparse error, never a traceback."""
         not_a_dir = tmp_path / "occupied"
         not_a_dir.write_text("this is a file")
-        err = self._error_output(
-            ["--backend", "distributed", "--queue", str(not_a_dir),
-             "fig5"], capsys)
-        assert "not a directory" in err
-        err = self._error_output(
-            ["--backend", "distributed", "--queue",
-             str(not_a_dir / "nested"), "fig5"], capsys)
-        assert "cannot initialise work queue" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--backend", "distributed", "--queue",
+                     str(not_a_dir)), capsys)
+            assert "not a directory" in err
+            err = self._error_output(
+                argv("--backend", "distributed", "--queue",
+                     str(not_a_dir / "nested")), capsys)
+            assert "cannot initialise work queue" in err
 
     def test_queue_and_workers_need_distributed_backend(self, capsys,
                                                         tmp_path):
-        err = self._error_output(
-            ["--queue", str(tmp_path / "q"), "fig5"], capsys)
-        assert "only meaningful with --backend distributed" in err
-        err = self._error_output(["--workers", "2", "fig5"], capsys)
-        assert "only meaningful with --backend distributed" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--queue", str(tmp_path / "q")), capsys)
+            assert "only meaningful with --backend distributed" in err
+            err = self._error_output(argv("--workers", "2"), capsys)
+            assert "only meaningful with --backend distributed" in err
 
     def test_negative_workers(self, capsys, tmp_path):
-        err = self._error_output(
-            ["--backend", "distributed", "--queue", str(tmp_path / "q"),
-             "--workers", "-1", "fig5"], capsys)
-        assert "--workers must be >= 0" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--backend", "distributed", "--queue",
+                     str(tmp_path / "q"), "--workers", "-1"), capsys)
+            assert "--workers must be >= 0" in err
 
     def test_pool_and_claim_batch_need_distributed_backend(
             self, capsys):
-        err = self._error_output(["--pool", "fig5"], capsys)
-        assert "only meaningful with --backend distributed" in err
-        err = self._error_output(["--claim-batch", "2", "fig5"],
-                                 capsys)
-        assert "only meaningful with --backend distributed" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(argv("--pool"), capsys)
+            assert "only meaningful with --backend distributed" in err
+            err = self._error_output(argv("--claim-batch", "2"),
+                                     capsys)
+            assert "only meaningful with --backend distributed" in err
 
     def test_pool_needs_self_spawned_workers(self, capsys, tmp_path):
-        err = self._error_output(
-            ["--backend", "distributed", "--queue", str(tmp_path / "q"),
-             "--pool", "fig5"], capsys)
-        assert "--pool needs self-spawned workers" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--backend", "distributed", "--queue",
+                     str(tmp_path / "q"), "--pool"), capsys)
+            assert "--pool needs self-spawned workers" in err
 
     def test_claim_batch_must_be_positive(self, capsys, tmp_path):
-        err = self._error_output(
-            ["--backend", "distributed", "--queue", str(tmp_path / "q"),
-             "--claim-batch", "0", "fig5"], capsys)
-        assert "--claim-batch must be >= 1" in err
+        for argv in EXECUTION_VERBS:
+            err = self._error_output(
+                argv("--backend", "distributed", "--queue",
+                     str(tmp_path / "q"), "--claim-batch", "0"), capsys)
+            assert "--claim-batch must be >= 1" in err
 
 
 class TestScenarioFlags:

@@ -241,7 +241,7 @@ class TestSteadyStateEquivalence:
 
 
 class TestSweepPipelineEquivalence:
-    """`run_sweep(engine="fast")` end to end, through units and cache.
+    """`run_sweep` on each engine end to end, through units and cache.
 
     Here the engines run *different derived seeds* (the engine is part
     of every unit's spec digest by design), so the comparison is

@@ -1,4 +1,4 @@
-"""Fixture tests for every repro-lint rule (D001-D006).
+"""Fixture tests for every repro-lint rule (D001-D004, D006).
 
 Each rule is demonstrated both ways: a violating snippet fires, its
 clean counterpart stays silent.  Snippets lint through the real
@@ -257,43 +257,6 @@ class TestD004SetIter:
 
 
 # ---------------------------------------------------------------------------
-# D005 — deprecated shims inside src/
-class TestD005Shims:
-    VIOLATION = """\
-        def sweep(config, factory, xs, strategy):
-            return run_sweep(config, factory, xs, strategy,
-                             engine="fast")
-        """
-    CLEAN = """\
-        def sweep(config, factory, xs, strategy, context):
-            return run_sweep(config, factory, xs, strategy,
-                             context=context)
-        """
-
-    def test_fires_on_run_sweep_engine_kw(self):
-        report = lint(self.VIOLATION)
-        assert rules_fired(report) == {"D005"}
-        assert "ExecutionContext" in report.findings[0].message
-
-    def test_silent_on_context_spelling(self):
-        assert lint(self.CLEAN).findings == []
-
-    def test_fires_on_workbench_legacy_kwargs(self):
-        report = lint("""\
-            def bench():
-                return Workbench(jobs=4, unit_cache=None)
-            """)
-        assert rules_fired(report) == {"D005"}
-
-    def test_silent_on_workbench_context(self):
-        report = lint("""\
-            def bench(ctx):
-                return Workbench(context=ctx)
-            """)
-        assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
 # D006 — registry hygiene
 class TestD006RegistryHygiene:
     MUTABLE = """\
@@ -455,7 +418,7 @@ class TestEngine:
     def test_every_rule_registered_with_severity(self):
         rules = iter_rules()
         assert [r.id for r in rules] == [
-            "D001", "D002", "D003", "D004", "D005", "D006"]
+            "D001", "D002", "D003", "D004", "D006"]
         assert all(r.severity in ("warning", "error") for r in rules)
 
     def test_select_and_unknown_rule(self):

@@ -147,6 +147,23 @@ class TestMatrixCli:
                   "--rates", "0.05", "--workers", "2"])
         assert excinfo.value.code == 2
 
+    def test_matrix_bad_queue_dir_is_usage_error(self, tmp_path,
+                                                 capsys):
+        """A queue root that is a regular file is a usage error caught
+        before the workbench is built, exactly as on the figure verb —
+        not a QueueError traceback from the first submission."""
+        occupied = tmp_path / "occupied"
+        occupied.write_text("this is a file")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["matrix", "--tiny", "--engine", "fast",
+                  "--policy", "no-dvfs", "--rates", "0.05",
+                  "--backend", "distributed", "--queue", str(occupied),
+                  "--workers", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a directory" in err
+        assert "Traceback" not in err
+
 
 class TestRecordReplayCli:
     def test_record_replay_round_trip(self, tmp_path, capsys):

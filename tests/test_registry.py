@@ -387,31 +387,3 @@ class TestSweepRefValidation:
 
         with pytest.raises(ValueError, match="no steady-state sweep"):
             Workbench(policies=("no-dvfs", "fixed"))
-
-
-class TestDeprecatedPoliciesAlias:
-    def test_policies_alias_warns_and_matches_registry(self):
-        import repro.experiments.common as common
-
-        with pytest.warns(DeprecationWarning, match="POLICIES"):
-            legacy = common.POLICIES
-        assert legacy == default_policies()
-
-    def test_other_missing_attributes_still_raise(self):
-        import repro.experiments.common as common
-
-        with pytest.raises(AttributeError):
-            common.NOT_A_THING
-
-    def test_star_import_does_not_touch_the_alias(self, recwarn):
-        import warnings
-
-        import repro.experiments as experiments
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            namespace = {}
-            exec("from repro.experiments import *", namespace)
-        assert "POLICIES" not in namespace
-        assert "Workbench" in namespace
-        assert "POLICIES" not in experiments.__all__

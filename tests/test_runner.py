@@ -1,9 +1,9 @@
 """Tests for the parallel sweep runner (``repro.runner``).
 
-The contract under test: execution mode (serial, process pool, cache)
-can never change a result.  Seeds derive from the run seed and the
-unit spec only, results are keyed by the spec hash, and a host without
-multiprocessing still completes every unit.
+The contract under test: execution mode (serial, batched fan-out over
+a process pool, cache) can never change a result.  Seeds derive from
+the run seed and the unit spec only, results are keyed by the spec
+hash, and a host without multiprocessing still completes every unit.
 """
 
 import pytest
@@ -11,8 +11,8 @@ import pytest
 from repro.analysis import (DmsdSteadyState, NoDvfsSteadyState,
                             RmsdSteadyState, run_sweep, sweep_units)
 from repro.noc import GHZ, SimBudget
-from repro.runner import (ExecutionContext, SweepRunner, UnitCache,
-                          WorkUnit, derive_unit_seed, unit_generator)
+from repro.runner import (ExecutionContext, UnitCache, WorkUnit,
+                          derive_unit_seed, unit_generator)
 from repro.runner import executor as executor_mod
 from repro.traffic import PatternTraffic, make_pattern
 
@@ -92,20 +92,20 @@ class TestSeedDerivation:
 class TestSerialParallelEquivalence:
     def test_identical_results(self, tiny_config, factory):
         units = make_units(tiny_config, factory)
-        serial = SweepRunner(jobs=1).run(units)
-        parallel = SweepRunner(jobs=3).run(units)
+        serial = ExecutionContext(jobs=1, cache=None).runner.run(units)
+        parallel = ExecutionContext(jobs=3, cache=None).runner.run(units)
         assert ([result_fingerprint(r) for r in serial]
                 == [result_fingerprint(r) for r in parallel])
 
     def test_order_preserved(self, tiny_config, factory):
         units = make_units(tiny_config, factory)
-        out = SweepRunner(jobs=3).run(units)
+        out = ExecutionContext(jobs=3, cache=None).runner.run(units)
         assert [r.x for r in out] == [u.x for u in units]
 
     def test_submission_order_irrelevant(self, tiny_config, factory):
         units = make_units(tiny_config, factory)
-        fwd = SweepRunner(jobs=1).run(units)
-        bwd = SweepRunner(jobs=1).run(units[::-1])
+        fwd = ExecutionContext(jobs=1, cache=None).runner.run(units)
+        bwd = ExecutionContext(jobs=1, cache=None).runner.run(units[::-1])
         assert ([result_fingerprint(r) for r in fwd]
                 == [result_fingerprint(r) for r in bwd][::-1])
 
@@ -119,7 +119,7 @@ class TestSerialParallelEquivalence:
                                backend="serial", jobs=1, cache=None))
         parallel = run_sweep(tiny_config, factory, xs, strat, TINY_BUDGET,
                              seed=9, context=ExecutionContext(
-                                 backend="pool", jobs=2, cache=None))
+                                 backend="batched", jobs=2, cache=None))
         assert ([(p.freq_hz, p.delay_ns, p.latency_cycles)
                  for p in serial.points]
                 == [(p.freq_hz, p.delay_ns, p.latency_cycles)
@@ -129,7 +129,7 @@ class TestSerialParallelEquivalence:
 class TestCache:
     def test_second_run_is_served_from_cache(self, tiny_config, factory):
         cache = UnitCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = ExecutionContext(jobs=1, cache=cache).runner
         units = make_units(tiny_config, factory)
         first = runner.run(units)
         second = runner.run(units)
@@ -142,7 +142,7 @@ class TestCache:
 
     def test_hit_miss_accounting(self, tiny_config, factory):
         cache = UnitCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = ExecutionContext(jobs=1, cache=cache).runner
         units = make_units(tiny_config, factory)
         runner.run(units)
         assert cache.stats.misses == len(units)
@@ -155,7 +155,7 @@ class TestCache:
     def test_duplicate_units_in_one_batch_run_once(self, tiny_config,
                                                    factory):
         cache = UnitCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = ExecutionContext(jobs=1, cache=cache).runner
         units = make_units(tiny_config, factory, rates=(0.1, 0.1, 0.1))
         out = runner.run(units)
         assert runner.last_report.executed == 1
@@ -164,7 +164,7 @@ class TestCache:
     def test_shared_across_equal_specs(self, tiny_config):
         """A rebuilt-but-equal unit hits the cache (cross-figure reuse)."""
         cache = UnitCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = ExecutionContext(jobs=1, cache=cache).runner
 
         def units():
             mesh = tiny_config.make_mesh()
@@ -176,7 +176,7 @@ class TestCache:
         assert all(r.from_cache for r in again)
 
     def test_no_cache_runner_reruns(self, tiny_config, factory):
-        runner = SweepRunner(jobs=1, cache=None)
+        runner = ExecutionContext(jobs=1, cache=None).runner
         units = make_units(tiny_config, factory, rates=(0.05,))
         runner.run(units)
         runner.run(units)
@@ -185,7 +185,7 @@ class TestCache:
 
     def test_clear_resets(self, tiny_config, factory):
         cache = UnitCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = ExecutionContext(jobs=1, cache=cache).runner
         runner.run(make_units(tiny_config, factory, rates=(0.05,)))
         cache.clear()
         assert len(cache) == 0
@@ -198,7 +198,7 @@ class TestSerialFallback:
         def boom(*a, **k):
             raise AssertionError("jobs=1 must not create a pool")
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", boom)
-        runner = SweepRunner(jobs=1)
+        runner = ExecutionContext(jobs=1, cache=None).runner
         out = runner.run(make_units(tiny_config, factory))
         assert len(out) == 3
         assert runner.last_report.parallel is False
@@ -210,21 +210,21 @@ class TestSerialFallback:
             raise OSError("no semaphores here")
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", no_pool)
         units = make_units(tiny_config, factory)
-        degraded = SweepRunner(jobs=4)
+        degraded = ExecutionContext(jobs=4, cache=None).runner
         out = degraded.run(units)
         assert degraded.last_report.parallel is False
-        clean = SweepRunner(jobs=1).run(units)
+        clean = ExecutionContext(jobs=1, cache=None).runner.run(units)
         assert ([result_fingerprint(r) for r in out]
                 == [result_fingerprint(r) for r in clean])
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
-            SweepRunner(jobs=0)
+            ExecutionContext(jobs=0, cache=None).runner
 
 
 class TestReporting:
     def test_report_accounting(self, tiny_config, factory):
-        runner = SweepRunner(jobs=1, cache=UnitCache())
+        runner = ExecutionContext(jobs=1, cache=UnitCache()).runner
         units = make_units(tiny_config, factory)
         runner.run(units)
         rep = runner.last_report
@@ -239,9 +239,10 @@ class TestReporting:
 
     def test_progress_callback_sees_every_unit(self, tiny_config, factory):
         seen = []
-        runner = SweepRunner(
-            jobs=1, progress=lambda done, total, res: seen.append(
-                (done, total, res.x)))
+        runner = ExecutionContext(
+            jobs=1, cache=None,
+            progress=lambda done, total, res: seen.append(
+                (done, total, res.x))).runner
         runner.run(make_units(tiny_config, factory))
         assert [s[0] for s in seen] == [1, 2, 3]
         assert all(s[1] == 3 for s in seen)

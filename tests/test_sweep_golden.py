@@ -80,7 +80,7 @@ class TestDmsdFixedPoint:
 
     def _sweep(self, tiny_config, factory, jobs=1):
         context = ExecutionContext(
-            backend="pool" if jobs > 1 else "serial", jobs=jobs,
+            backend="batched" if jobs > 1 else "serial", jobs=jobs,
             cache=None)
         return run_sweep(tiny_config, factory, list(GOLDEN_RATES),
                          self._strategy(), TINY_BUDGET, seed=GOLDEN_SEED,
