@@ -8,6 +8,11 @@ a rate counts as *saturated* when the sources' backlog diverges, the
 run fails to drain, the accepted throughput falls measurably short of
 the offered load, or the latency explodes past a multiple of the
 zero-load latency (the standard operational definitions).
+
+Each probe is a ``probe=True`` run: one whose backlog has already
+diverged when its measurement window closes stops there, since the
+drain cannot change that verdict.  The search returns the same
+estimate as with full runs.
 """
 
 from __future__ import annotations
@@ -36,9 +41,15 @@ def is_saturated_at(config: NocConfig, traffic: TrafficSpec,
                     latency_factor: float = 8.0,
                     accept_tolerance: float = 0.93,
                     engine: str = DEFAULT_ENGINE) -> bool:
-    """Operational saturation test at one offered load."""
+    """Operational saturation test at one offered load.
+
+    Runs one ``probe=True`` simulation at Fmax.  A run proven saturated
+    when its measurement window closes stops there; this test returns
+    on ``saturated`` before it reads any drain-dependent field, so the
+    answer is the full run's.
+    """
     result = run_fixed_point(config, traffic, config.f_max_hz, budget,
-                             seed, engine=engine)
+                             seed, engine=engine, probe=True)
     if result.saturated:
         return True
     offered = result.offered_node_rate

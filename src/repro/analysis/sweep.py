@@ -16,8 +16,11 @@ each policy at its *steady-state frequency*:
   its probes one ``run_fixed_point`` at a time, while the batched
   backend advances every search of a batch group in lockstep, one
   batched engine run per round.  Batched replicas equal single fast
-  runs bit for bit, so both drivers choose the same frequency.  The
-  transient PI loop itself is validated in tests and the
+  runs bit for bit, so both drivers choose the same frequency.  Both
+  run their probes with ``probe=True``: a probe proven saturated stops
+  when its measurement window closes, and ``probe_delay_ns`` reads
+  only its verdict, so the chosen frequency is the one full runs
+  give.  The transient PI loop itself is validated in tests and the
   ``dvfs_transient`` example.
 
 Each point runs the cycle-level simulator at the chosen frequency and
@@ -232,7 +235,8 @@ class DmsdSteadyState(SteadyStateStrategy):
             except StopIteration as done:
                 return done.value
             result = run_fixed_point(config, traffic, freq_hz,
-                                     probe_budget, seed, engine=engine)
+                                     probe_budget, seed, engine=engine,
+                                     probe=True)
 
 
 class GccSteadyState(SteadyStateStrategy):

@@ -56,8 +56,12 @@ THOROUGH = SimBudget(4000, 10000, 30000)
 def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
                     freq_hz: float, budget: SimBudget,
                     seed: int = 1,
-                    engine: str = DEFAULT_ENGINE) -> SimResult:
+                    engine: str = DEFAULT_ENGINE, *,
+                    probe: bool = False) -> SimResult:
     """One simulation at a pinned network frequency.
+
+    ``probe=True`` is for search probes: a run proven saturated stops
+    when its measurement window closes (see :meth:`Simulation.run`).
 
     Also accepts the scenario spelling ``run_fixed_point(spec, rate,
     ...)``: a :class:`repro.scenario.ScenarioSpec` in the ``config``
@@ -78,4 +82,4 @@ def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
     sim = Simulation(config, traffic, controller=freq_hz, seed=seed,
                      engine=engine)
     return sim.run(budget.warmup_cycles, budget.measure_cycles,
-                   budget.drain_cycles)
+                   budget.drain_cycles, probe=probe)

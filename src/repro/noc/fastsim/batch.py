@@ -19,9 +19,11 @@ its power windows, which integrate per-replica activity counters.
 The moment a replica's measured packets have all drained (where a
 standalone run would terminate) the engine retires it
 (:meth:`FastNetwork.freeze_copy`), so long-running stragglers do not
-pay stepping costs for finished points.  One restriction versus the
-one-run kernel remains: heterogeneous node clocks are not supported
-(those units fall back to per-unit execution).
+pay stepping costs for finished points.  In a probe batch a replica
+already proven saturated when the measurement window closes retires
+there too, as its standalone probe run would.  One restriction versus
+the one-run kernel remains: heterogeneous node clocks are not
+supported (those units fall back to per-unit execution).
 """
 
 from __future__ import annotations
@@ -53,16 +55,20 @@ class BatchPoint:
 
 
 def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
-                    budget: "SimBudget") -> list["SimResult"]:
+                    budget: "SimBudget", *,
+                    probe: bool = False) -> list["SimResult"]:
     """Run every point at its pinned frequency in one batched engine.
 
     Returns one :class:`~repro.noc.simulator.SimResult` per point,
-    equal to ``run_fixed_point(..., engine="fast")`` on the same
-    arguments, per-replica power windows included.
+    equal to ``run_fixed_point(..., engine="fast", probe=probe)`` on
+    the same arguments, per-replica power windows included.  With
+    ``probe=True`` (search probes only) a replica proven saturated
+    when the measurement window closes stops there with
+    ``complete=False`` (:meth:`~repro.noc.simulator.Simulation.run`).
     """
     # Runtime import: repro.noc.simulator imports the engine registry,
     # which imports this package.
-    from ..simulator import SimResult
+    from ..simulator import SimResult, backlog_diverged
 
     if config.node_freqs_hz is not None:
         raise NotImplementedError(
@@ -169,11 +175,18 @@ def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
             still = []
             for i in active:
                 stats = net.stats_by_copy[i]
-                if stats.measured_delivered >= stats.measured_created:
-                    # All of this point's measured packets arrived and
-                    # its statistics are frozen; a standalone run would
-                    # terminate here, so retire the replica.
-                    complete[i] = True
+                complete[i] = (stats.measured_delivered
+                               >= stats.measured_created)
+                if complete[i] or (
+                        probe and cycle == measure_end
+                        and backlog_diverged(
+                            config, points[i].traffic.mean_node_rate(),
+                            max(1, nc_end[i] - nc_start[i]),
+                            bl_end[i] - bl_start[i])):
+                    # All of this point's measured packets arrived (its
+                    # statistics are frozen), or this probe is proven
+                    # saturated; a standalone run would terminate here,
+                    # so retire the replica.
                     if count > 1:
                         net.freeze_copy(i)
                 else:
@@ -225,8 +238,10 @@ def run_probe_round(config: NocConfig,
 
     Each probe is a point and the budget of the search that asked for
     it.  One engine runs one budget, so the probes bucket by budget
-    and each bucket runs as one :func:`run_fixed_batch`.  Results come
-    back in probe order, each equal to the probe's single fast run.
+    and each bucket runs as one ``probe=True`` :func:`run_fixed_batch`:
+    a probe proven saturated stops when its measurement window closes.
+    Results come back in probe order, each equal to the probe's single
+    fast ``probe=True`` run.
     """
     buckets: dict[SimBudget, list[int]] = {}
     for i, (_, budget) in enumerate(probes):
@@ -234,7 +249,7 @@ def run_probe_round(config: NocConfig,
     results: list[SimResult | None] = [None] * len(probes)
     for budget, members in buckets.items():
         sims = run_fixed_batch(config, [probes[i][0] for i in members],
-                               budget)
+                               budget, probe=True)
         for i, sim in zip(members, sims):
             results[i] = sim
     return results

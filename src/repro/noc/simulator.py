@@ -80,6 +80,8 @@ class SimResult:
     mean_hops: float | None
     measured_created: int
     measured_delivered: int
+    # every measured packet arrived; also False for a probe run stopped
+    # at the end of the measurement window (``Simulation.run(probe=)``)
     complete: bool
     # throughput over the measurement phase
     accepted_node_rate: float
@@ -105,19 +107,32 @@ class SimResult:
         """Heuristic saturation flag: tagged packets never drained, or
         the source backlog grew by more than the traffic generated in a
         few hundred node cycles."""
-        if not self.complete:
-            return True
-        threshold = max(
-            4 * self.config.num_nodes * self.config.packet_length,
-            int(0.05 * self.offered_node_rate * self.config.num_nodes
-                * self.measure_node_cycles))
-        return self.backlog_delta_flits > threshold
+        return not self.complete or backlog_diverged(
+            self.config, self.offered_node_rate, self.measure_node_cycles,
+            self.backlog_delta_flits)
 
     @property
     def delivery_ratio(self) -> float:
         if self.measured_created == 0:
             return 1.0
         return self.measured_delivered / self.measured_created
+
+
+def backlog_diverged(config: NocConfig, offered_node_rate: float,
+                     measure_node_cycles: int,
+                     backlog_delta_flits: int) -> bool:
+    """The backlog test of :attr:`SimResult.saturated`.
+
+    True when the source backlog grew over the measurement window by
+    more than the traffic generated in a few hundred node cycles.  Its
+    inputs are final when the window closes, which is where probe runs
+    evaluate it to stop a saturated run early.
+    """
+    threshold = max(
+        4 * config.num_nodes * config.packet_length,
+        int(0.05 * offered_node_rate * config.num_nodes
+            * measure_node_cycles))
+    return backlog_delta_flits > threshold
 
 
 class Simulation:
@@ -177,8 +192,19 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def run(self, warmup_cycles: int = 2000, measure_cycles: int = 5000,
-            drain_cycles: int | None = None) -> SimResult:
-        """Execute warmup, measurement and drain; return the result."""
+            drain_cycles: int | None = None, *,
+            probe: bool = False) -> SimResult:
+        """Execute warmup, measurement and drain; return the result.
+
+        A ``probe`` run serves a search that reads only the saturation
+        verdict of a saturated run.  If, when the measurement window
+        closes, its measured packets have not all arrived but the
+        source backlog has already diverged (:func:`backlog_diverged`),
+        it stops there with ``complete=False`` instead of draining.
+        Its ``saturated`` verdict and measurement-window fields equal
+        the full run's; the drain-dependent ones (delivered count,
+        delays, hops) do not.
+        """
         if drain_cycles is None:
             drain_cycles = max(10_000, 4 * measure_cycles)
         # Delegate range validation to SimBudget (the one place the
@@ -204,6 +230,7 @@ class Simulation:
         last_control_cycle = 0
         last_control_ns = 0.0
 
+        offered = self.traffic.mean_node_rate()
         freq_trace = [(0.0, clock.freq_hz)]
         samples: list[MeasurementSample] = []
         power_windows: list[PowerWindow] = []
@@ -322,11 +349,16 @@ class Simulation:
                 if stats.measured_delivered >= stats.measured_created:
                     complete = True
                     break
-                if clock.cycle >= hard_end:
+                if clock.cycle >= hard_end or (
+                        probe and clock.cycle == measure_end
+                        and backlog_diverged(
+                            config, offered,
+                            max(1, meas_end_node_cycle
+                                - meas_start_node_cycle),
+                            backlog_at_end - backlog_at_start)):
                     complete = False
                     break
 
-        offered = self.traffic.mean_node_rate()
         duration_ns = meas_end_ns - meas_start_ns
         node_cycles_meas = max(1, meas_end_node_cycle
                                - meas_start_node_cycle)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.noc import GHZ, Mesh, NocConfig
+from repro.noc.engines import ENGINES
 from repro.noc.stats import MeasurementSample
 
 
@@ -57,3 +58,16 @@ def small_config() -> NocConfig:
     """4x4 mesh with paper-like knobs scaled down."""
     return NocConfig(width=4, height=4, num_vcs=4, vc_buf_depth=4,
                      packet_length=5)
+
+
+@pytest.fixture
+def step_calls(monkeypatch) -> list[int]:
+    """Count ``step_cycle`` calls on every engine (a one-element list,
+    so a test can read and reset it)."""
+    steps = [0]
+    for cls in ENGINES.values():
+        def counting(self, *args, _step=cls.step_cycle):
+            steps[0] += 1
+            return _step(self, *args)
+        monkeypatch.setattr(cls, "step_cycle", counting)
+    return steps

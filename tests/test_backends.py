@@ -427,14 +427,16 @@ def probe_batches(monkeypatch):
 
     Probe rounds reach ``run_fixed_batch`` through the batch module's
     own binding; the measurement batch goes through the backends
-    module's, so only probes are counted here.
+    module's, so only probes are counted here.  Every probe round is
+    a ``probe=True`` batch.
     """
     calls = []
     original = batch_module.run_fixed_batch
 
-    def counting(config, points, budget):
+    def counting(config, points, budget, **kwargs):
+        assert kwargs == {"probe": True}
         calls.append((budget, len(points)))
-        return original(config, points, budget)
+        return original(config, points, budget, **kwargs)
 
     monkeypatch.setattr(batch_module, "run_fixed_batch", counting)
     return calls

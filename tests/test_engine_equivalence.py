@@ -28,6 +28,8 @@ unsaturated as well as saturated operating points.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (DmsdSteadyState, RmsdSteadyState, run_sweep,
                             sweep_units)
@@ -382,3 +384,98 @@ class TestBatchedEquivalence:
             node_freqs_hz=tuple([1e9] * CONFIG.num_nodes))
         with pytest.raises(NotImplementedError):
             run_fixed_batch(config, self.points(), BUDGET)
+
+
+#: What a probe stopped at the window boundary shares with the full run.
+WINDOW_FIELDS = ("saturated", "backlog_delta_flits", "accepted_node_rate",
+                 "measured_created", "measure_node_cycles")
+
+
+def assert_probe_agrees(full, probe) -> bool:
+    """The probe contract; returns whether the probe stopped early.
+
+    Either the probe run is the full run, or the full run is saturated
+    and the probe stopped with ``complete=False`` and the full run's
+    verdict and measurement-window fields.
+    """
+    if probe == full:
+        return False
+    assert full.saturated and not probe.complete
+    for name in WINDOW_FIELDS:
+        assert getattr(probe, name) == getattr(full, name), name
+    return True
+
+
+class TestProbeRuns:
+    """``probe=True`` stops a run proven saturated when its
+    measurement window closes, on both engines, and changes nothing
+    else."""
+
+    #: (pattern, rate, frequency, stops): below and past saturation.
+    POINTS = [
+        ("uniform", UNSATURATED, CONFIG.f_min_hz, False),
+        ("uniform", UNSATURATED, CONFIG.f_max_hz, False),
+        ("uniform", SATURATED, CONFIG.f_min_hz, True),
+        ("uniform", SATURATED, CONFIG.f_max_hz, True),
+        ("hotspot", 0.3, CONFIG.f_max_hz, True),
+    ]
+
+    @staticmethod
+    def both_runs(pattern, rate, freq_hz, engine, seed=11):
+        args = (CONFIG, traffic_for(pattern, rate), freq_hz, BUDGET, seed)
+        return (run_fixed_point(*args, engine=engine),
+                run_fixed_point(*args, engine=engine, probe=True))
+
+    @pytest.mark.parametrize("engine", [REFERENCE, FAST])
+    @pytest.mark.parametrize("pattern,rate,freq_hz,stops", POINTS)
+    def test_probe_is_the_full_run_or_stops_saturated(
+            self, engine, pattern, rate, freq_hz, stops):
+        full, probe = self.both_runs(pattern, rate, freq_hz, engine)
+        assert assert_probe_agrees(full, probe) == stops
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rate=st.floats(0.02, 0.7),
+           speed=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**16))
+    def test_probe_law_on_the_fast_engine(self, rate, speed, seed):
+        freq_hz = CONFIG.f_min_hz + speed * (CONFIG.f_max_hz
+                                             - CONFIG.f_min_hz)
+        assert_probe_agrees(*self.both_runs("uniform", rate, freq_hz,
+                                            FAST, seed))
+
+    @pytest.mark.parametrize("engine", [REFERENCE, FAST])
+    def test_saturated_probe_steps_only_warmup_and_measure(
+            self, engine, step_calls):
+        args = (CONFIG, traffic_for("uniform", SATURATED),
+                CONFIG.f_min_hz, BUDGET, 11)
+        full = run_fixed_point(*args, engine=engine)
+        full_steps, step_calls[0] = step_calls[0], 0
+        run_fixed_point(*args, engine=engine, probe=True)
+        window = BUDGET.warmup_cycles + BUDGET.measure_cycles
+        # The full run never drains, so it steps to the drain cap.
+        assert not full.complete
+        assert full_steps == window + BUDGET.drain_cycles
+        assert step_calls[0] == window
+
+    def test_mixed_probe_batch(self):
+        """Stopped and unstopped replicas share a probe batch: each
+        replica is its single probe run, and each unstopped one is its
+        single full run, field for field."""
+        points = [
+            BatchPoint(traffic_for("uniform", SATURATED), CONFIG.f_min_hz, 3),
+            BatchPoint(traffic_for("uniform", UNSATURATED), CONFIG.f_max_hz,
+                       4),
+            BatchPoint(traffic_for("hotspot", 0.3), CONFIG.f_max_hz, 5),
+            BatchPoint(traffic_for("transpose", 0.1), CONFIG.f_min_hz, 6),
+        ]
+        batched = run_fixed_batch(CONFIG, points, BUDGET, probe=True)
+        stopped = []
+        for point, from_batch in zip(points, batched):
+            args = (CONFIG, point.traffic, point.freq_hz, BUDGET,
+                    point.seed)
+            full = run_fixed_point(*args, engine=FAST)
+            assert from_batch == run_fixed_point(*args, engine=FAST,
+                                                 probe=True)
+            stopped.append(assert_probe_agrees(full, from_batch))
+        assert stopped == [True, False, True, False]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import SimBudget, find_saturation_rate, is_saturated_at
+from repro.analysis import saturation as saturation_module
 from repro.traffic import PatternTraffic, make_pattern
 
 TINY_BUDGET = SimBudget(200, 500, 1200)
@@ -59,3 +60,32 @@ class TestFindSaturation:
         est = find_saturation_rate(tiny_config, factory, TINY_BUDGET,
                                    seed=1, hi=0.6, iterations=3)
         assert est.saturation_rate <= 0.6
+
+
+class TestProbeStops:
+    """Saturated probes stop when their measurement window closes; the
+    search still returns the estimate full runs give."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_estimate_as_full_runs(self, tiny_config, factory,
+                                        engine, seed, monkeypatch,
+                                        step_calls):
+        def search():
+            step_calls[0] = 0
+            est = find_saturation_rate(tiny_config, factory, TINY_BUDGET,
+                                       seed=seed, iterations=4,
+                                       engine=engine)
+            return est, step_calls[0]
+
+        stopped, stopped_steps = search()
+        original = saturation_module.run_fixed_point
+
+        def full_run(*args, probe, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(saturation_module, "run_fixed_point",
+                            full_run)
+        full, full_steps = search()
+        assert stopped == full
+        assert stopped_steps < full_steps

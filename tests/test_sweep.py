@@ -138,7 +138,7 @@ class TestProbeDelay:
         monkeypatch.setattr(sweep_module, "run_fixed_point",
                             lambda *args, **kwargs: jammed)
         monkeypatch.setattr(batch_module, "run_fixed_batch",
-                            lambda config, points, budget:
+                            lambda config, points, budget, **kwargs:
                             [jammed] * len(points))
         strat = DmsdSteadyState(150.0, iterations=5,
                                 search_budget=TINY_BUDGET)
@@ -150,6 +150,58 @@ class TestProbeDelay:
                                              "fast", units))
         assert serial == tiny_config.f_max_hz
         assert [r.freq_hz for r in lockstep] == [tiny_config.f_max_hz] * 2
+
+
+class TestProbeStopsKeepFrequencies:
+    """Saturated DMSD probes stop when their measurement window closes;
+    the serial and the lockstep search still choose what full-budget
+    probes choose, in fewer engine cycles."""
+
+    RATES = [0.15, 0.4]
+
+    @staticmethod
+    def strategy():
+        return DmsdSteadyState(60.0, iterations=3,
+                               search_budget=TINY_BUDGET)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_serial_search(self, tiny_config, factory, engine,
+                           monkeypatch, step_calls):
+        def frequencies():
+            step_calls[0] = 0
+            freqs = [self.strategy().frequency_for(
+                tiny_config, factory(rate), TINY_BUDGET, 1, engine=engine)
+                for rate in self.RATES]
+            return freqs, step_calls[0]
+
+        stopped, stopped_steps = frequencies()
+        original = sweep_module.run_fixed_point
+        monkeypatch.setattr(sweep_module, "run_fixed_point",
+                            lambda *args, probe, **kwargs:
+                            original(*args, **kwargs))
+        full, full_steps = frequencies()
+        assert stopped == full
+        assert stopped_steps < full_steps
+
+    def test_lockstep_search(self, tiny_config, factory, monkeypatch,
+                             step_calls):
+        units = sweep_units(tiny_config, factory, self.RATES,
+                            self.strategy(), TINY_BUDGET, 1, "fast")
+
+        def execute():
+            step_calls[0] = 0
+            out = _execute_group(BatchGroup(tiny_config, TINY_BUDGET,
+                                            "fast", units))
+            return [(r.freq_hz, r.result) for r in out], step_calls[0]
+
+        stopped, stopped_steps = execute()
+        original = batch_module.run_fixed_batch
+        monkeypatch.setattr(batch_module, "run_fixed_batch",
+                            lambda config, points, budget, *, probe:
+                            original(config, points, budget))
+        full, full_steps = execute()
+        assert stopped == full
+        assert stopped_steps < full_steps
 
 
 class TestRunSweep:
