@@ -34,6 +34,18 @@ def render(payload: dict) -> str:
          f"| {single['fast']['cycles_per_s']:,.0f} "
          f"| {single['fast']['cycles_per_s'] / single['reference']['cycles_per_s']:.1f}x |"),
     ]
+    step = payload.get("step_cost")
+    if step and step["compiled"]:
+        lines += [
+            "",
+            f"| fast-engine step ({step['mesh']} replicas) "
+            "| NumPy step | compiled step | speedup |",
+            "|---|---|---|---|",
+        ]
+        lines += [
+            (f"| {row['replicas']} | {row['numpy_us']:,.0f} us "
+             f"| {row['compiled_us']:,.1f} us | {row['speedup']:.1f}x |")
+            for row in step["widths"]]
     return "\n".join(lines)
 
 

@@ -1,4 +1,5 @@
-"""Kernel throughput benchmark: reference vs fast engine.
+"""Kernel throughput benchmark: reference vs fast engine, and the fast
+engine's compiled cycle step vs its NumPy step.
 
 Measures the two simulation engines on the paper-adjacent workload
 where engine speed actually matters — a full 8x8-mesh sweep of
@@ -8,34 +9,43 @@ fixed-frequency operating points (the raw material of every figure):
   ``run_fixed_point`` per unit;
 * the **fast** engine runs the same points as one
   :func:`repro.noc.fastsim.run_fixed_batch` call — its intended sweep
-  execution mode, where the batched struct-of-arrays step amortizes
-  the NumPy dispatch across all points.
+  execution mode, where one cycle step advances every point.
 
 Also records single-run stepping throughput for both engines at a
 saturated operating point, so per-run regressions are visible
-independently of batching.
+independently of batching, and the fast engine's per-cycle step cost
+on both of its paths (compiled kernel and NumPy fallback) on the 5x5
+paper baseline at 1, 18 and 72 replicas: the batch-width curve.
 
 Results land in ``BENCH_kernel.json`` at the repository root (CI
-uploads it as a workflow artifact), so the perf trajectory of the hot
-path is recorded per commit.  The sweep assertion enforces the
-engine-selection rollout's headline: the fast engine is at least 5x
-faster than the reference on this sweep.
+uploads it as a workflow artifact) with the host's core count and git
+revision, so the perf trajectory of the hot path is recorded per
+commit.  Two gates: the fast engine is at least ``REQUIRED_SPEEDUP``
+(4x) faster than the reference on the sweep, and, whenever the kernel
+loads, the compiled step is at least ``REQUIRED_STEP_SPEEDUP`` (3x)
+faster than the NumPy step at 18 replicas.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.core import rmsd_frequency
 from repro.noc import (PAPER_BASELINE, SimBudget, Simulation,
                        run_fixed_point)
-from repro.noc.fastsim import BatchPoint, run_fixed_batch
+from repro.noc.fastsim import (BatchPoint, FastNetwork, kernel,
+                               run_fixed_batch)
 from repro.traffic import PatternTraffic, make_pattern
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_PATH = ROOT / "BENCH_kernel.json"
 
 CONFIG = PAPER_BASELINE.with_(width=8, height=8)
 BUDGET = SimBudget(150, 400, 800)
@@ -44,11 +54,19 @@ BUDGET = SimBudget(150, 400, 800)
 RATES = tuple(round(0.04 + 0.04 * i, 3) for i in range(12))
 LAMBDA_MAX = 0.42
 
-#: CI-safe floor for the sweep speedup assertion.  The documented
-#: (and repeatedly measured) value is ~5.5-5.9x — see README and the
-#: recorded BENCH_kernel.json — but shared CI runners add noise, so
-#: the hard gate keeps ~25% headroom below the real ratio.
+#: CI-safe floor for the sweep speedup assertion.  It was set with
+#: ~25% headroom below the ~5.5-5.9x the NumPy step measured; the
+#: compiled step measures 13-18x (README, BENCH_kernel.json).
 REQUIRED_SPEEDUP = 4.0
+
+#: Floor for the compiled step over the NumPy step at 18 replicas
+#: (measured 5.4-7.4x over four runs on a 2-vCPU x86_64 host).
+REQUIRED_STEP_SPEEDUP = 3.0
+
+#: The width curve: replicas of the 5x5 baseline in one engine, with
+#: mixed patterns, rates and frequencies, for up to 900 cycles.
+WIDTHS = (1, 18, 72)
+STEP_BUDGET = SimBudget(150, 400, 350)
 
 _results: dict = {}
 
@@ -86,7 +104,7 @@ def _single_run_throughput(engine: str, rate: float = 0.35) -> dict:
 
 
 def test_kernel_sweep_speedup():
-    """The headline claim: fast engine >= 5x on the 8x8 sweep."""
+    """The headline claim: fast engine >= 4x on the 8x8 sweep."""
     points = _sweep_points()
 
     start = time.perf_counter()
@@ -121,6 +139,75 @@ def test_kernel_sweep_speedup():
         f"the engine contract requires >= {REQUIRED_SPEEDUP}x")
 
 
+def _width_points(width: int) -> list[BatchPoint]:
+    config = PAPER_BASELINE
+    mesh = config.make_mesh()
+    patterns = ("uniform", "transpose", "hotspot")
+    freqs = (config.f_max_hz, (config.f_min_hz + config.f_max_hz) / 2,
+             config.f_min_hz)
+    return [BatchPoint(PatternTraffic(make_pattern(patterns[i % 3], mesh),
+                                      0.30 - 0.05 * (i % 6)),
+                       freqs[i // 6 % 3], 500 + i)
+            for i in range(width)]
+
+
+def _step_cost_us(monkeypatch, width: int) -> tuple[float, int]:
+    """Mean wall time of one ``step_cycle`` over a batched run."""
+    spent = [0.0, 0]
+    step = FastNetwork.step_cycle
+
+    def timed(self, *args):
+        start = time.perf_counter()
+        step(self, *args)
+        spent[0] += time.perf_counter() - start
+        spent[1] += 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FastNetwork, "step_cycle", timed)
+        run_fixed_batch(PAPER_BASELINE, _width_points(width), STEP_BUDGET)
+    return spent[0] / spent[1] * 1e6, spent[1]
+
+
+def test_step_cost_width_curve(monkeypatch):
+    """Per-cycle step cost of both paths at each batch width."""
+    compiled = kernel.load_kernel() is not None
+    curve = []
+    for width in WIDTHS:
+        row = {"replicas": width}
+        if compiled:
+            compiled_us, row["cycles"] = _step_cost_us(monkeypatch, width)
+            row["compiled_us"] = round(compiled_us, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "load_kernel", lambda: None)
+            numpy_us, row["cycles"] = _step_cost_us(monkeypatch, width)
+        row["numpy_us"] = round(numpy_us, 1)
+        if compiled:
+            row["speedup"] = round(numpy_us / row["compiled_us"], 2)
+        curve.append(row)
+    _results["step_cost"] = {"mesh": "5x5", "compiled": compiled,
+                             "budget": [STEP_BUDGET.warmup_cycles,
+                                        STEP_BUDGET.measure_cycles,
+                                        STEP_BUDGET.drain_cycles],
+                             "widths": curve}
+    if not compiled:
+        pytest.skip("compiled step unavailable; NumPy costs recorded")
+    at_18 = next(row for row in curve if row["replicas"] == 18)
+    assert at_18["speedup"] >= REQUIRED_STEP_SPEEDUP, (
+        f"compiled step {at_18['speedup']:.2f}x over the NumPy step at "
+        f"18 replicas; the kernel contract requires "
+        f">= {REQUIRED_STEP_SPEEDUP}x")
+
+
+def _git_revision() -> str | None:
+    try:
+        proc = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return proc.stdout.strip() or None
+
+
 def test_single_run_throughput():
     """Per-run stepping speed of both engines (no batching)."""
     _results["single_run"] = {
@@ -135,12 +222,14 @@ def test_single_run_throughput():
 
 def test_write_bench_kernel_json():
     """Persist the numbers (runs last: depends on the tests above)."""
-    assert "sweep" in _results and "single_run" in _results, (
+    assert {"sweep", "single_run", "step_cost"} <= set(_results), (
         "run the whole module: earlier benchmarks fill _results")
     payload = {
         "benchmark": "kernel-engine-throughput",
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cores": os.cpu_count(),
+        "git_sha": _git_revision(),
         **_results,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -2,9 +2,9 @@
 
 The struct-of-arrays engine is size-agnostic: ``B`` independent sweep
 points become ``B`` disjoint replicas of the mesh inside one
-:class:`FastNetwork` (block-diagonal topology tables), so the per-cycle
-NumPy dispatch overhead — the fast engine's dominant remaining cost —
-is amortized over the whole batch.  This is the engine's intended
+:class:`FastNetwork` (block-diagonal topology tables), so one cycle
+step advances the whole batch and its fixed per-cycle overhead is
+shared by every point.  This is the engine's intended
 execution mode for sweeps: the batched execution backend
 (:mod:`repro.runner.backends`) routes eligible work-unit groups here,
 runs its lockstep frequency searches here round by round

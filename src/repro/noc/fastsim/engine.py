@@ -6,10 +6,13 @@ VC and flit, every piece of state lives in flat NumPy arrays indexed by
 the *VC line* ``line = node * (ports * vcs) + port * vcs + vc``, and
 every router pipeline stage (route computation, VC allocation, switch
 allocation, link traversal, credit return) advances for *all* routers
-at once with batched array operations.  Per-cycle cost is therefore a
-nearly fixed number of NumPy calls, independent of how many flits are
-in flight — the regime where the interpreted reference engine is
-slowest.
+at once.  The cycle step exists twice over the same arrays: compiled
+(``kernel.c``, loaded by :mod:`repro.noc.fastsim.kernel`) and as NumPy
+array operations (the ``_step_*`` methods below).  The compiled step
+runs whenever the kernel loaded; the NumPy step is the fallback on
+hosts without a C compiler and the oracle the tests compare it to.
+Both leave every array bit-identical, and the packet bookkeeping after
+a step (``Packet`` fields, statistics hooks, ``delivered``) is shared.
 
 The implementation mirrors the reference semantics decision-for-
 decision (same separable input-first allocation, same line-indexed
@@ -19,7 +22,7 @@ schedule for the same arrival sequence; only float accumulation order
 differs.  ``tests/test_engine_equivalence.py`` enforces this
 differentially.
 
-Layout notes (all hot state is flat, int64, and preallocated):
+Layout notes (all state is flat, integer and preallocated):
 
 * ``credits[line]`` counts credits *toward the downstream input VC*
   behind output ``(port, vc)`` of ``node`` — the same line indexing as
@@ -31,8 +34,15 @@ Layout notes (all hot state is flat, int64, and preallocated):
   router's mirror port; it addresses both flit delivery (downstream
   input VC) and credit return (upstream output credit), which are the
   same line by mesh symmetry.
-* Event "calendars" are rings of length ``latency + 1`` holding one
-  batch of arrays per future cycle.
+* Source queues are linked FIFOs over the packet store
+  (``q_head``/``q_tail`` per node, ``pkt_next`` per packet).
+* Event calendars have one slot per future cycle (``latency + 1``),
+  each ``nodes * ports`` entries long plus a count: a cycle sends at
+  most one flit per output port and frees at most one buffer slot per
+  input port.
+* ``counters`` holds the activity totals (``ACTIVITY_FIELDS`` order)
+  and the flit accounting
+  (:data:`repro.noc.fastsim.kernel.COUNTERS`).
 * Round-robin winners are found with a ``minimum.at`` scoreboard over
   rotated priorities rather than sorting; priorities are unique within
   a group, so each group gets exactly one champion.
@@ -40,22 +50,52 @@ Layout notes (all hot state is flat, int64, and preallocated):
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
 from ..config import NocConfig
 from ..flit import Packet
 from ..routing import get_routing_function
-from ..stats import ActivityCounters, StatsCollector
+from ..stats import ACTIVITY_FIELDS, ActivityCounters, StatsCollector
 from ..topology import LOCAL, NUM_PORTS, OPPOSITE
+from . import kernel
+from .kernel import COUNTERS
 
 #: Credit count used for ejection (local) ports — an infinite sink.
 _SINK_CREDITS = 1 << 30
 
 #: Larger than any rotated arbiter priority (scoreboard fill value).
 _NO_REQUEST = 1 << 30
+
+#: ``counters`` slots, looked up by name in the one layout definition.
+(_WRITES, _READS, _XBAR, _LINK_FLITS, _VC_ALLOCS, _SA_GRANTS, _CREDITS,
+ _BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _INJECTED,
+ _EJECTED) = map(COUNTERS.index, (
+     "buffer_writes", "buffer_reads", "xbar_traversals", "link_flits",
+     "vc_allocs", "sa_grants", "credit_transfers", "buffered", "in_link",
+     "src_backlog", "queued_packets", "injected_flits", "ejected_flits"))
+_NUM_ACTIVITY = len(ACTIVITY_FIELDS)
+
+#: Initial packet-store capacity (doubles on demand).
+_PACKET_STORE = 1024
+
+
+def _counter(index: int) -> property:
+    return property(
+        lambda self: int(self._counters[index]),
+        lambda self, value: self._counters.__setitem__(index, value))
+
+
+class _EngineStats(StatsCollector):
+    """Statistics whose lifetime flit counters are slots of the engine's
+    ``counters``, which the cycle step updates in place."""
+
+    injected_flits = _counter(_INJECTED)
+    ejected_flits = _counter(_EJECTED)
+
+    def __init__(self, counters: np.ndarray) -> None:
+        self._counters = counters
+        super().__init__()
 
 
 class FastNetwork:
@@ -64,10 +104,9 @@ class FastNetwork:
     ``copies`` instantiates that many *disjoint* replicas of the mesh
     inside one engine (block-diagonal topology tables): replica ``c``
     owns global nodes ``c*N .. (c+1)*N - 1``.  Replicas share nothing
-    but the batched NumPy dispatch, so each behaves exactly like a
-    ``copies=1`` engine while the per-cycle interpreter overhead is
-    amortized across the batch — the substrate of
-    :func:`repro.noc.fastsim.run_fixed_batch`.
+    but the cycle step, so each behaves exactly like a ``copies=1``
+    engine while the per-cycle overhead is amortized across the batch
+    — the substrate of :func:`repro.noc.fastsim.run_fixed_batch`.
     """
 
     def __init__(self, config: NocConfig, copies: int = 1) -> None:
@@ -76,7 +115,8 @@ class FastNetwork:
         self.config = config
         self.copies = copies
         self.mesh = config.make_mesh()
-        self.stats = StatsCollector()
+        self.counters = np.zeros(len(COUNTERS), dtype=np.int64)
+        self.stats = _EngineStats(self.counters)
         #: per-replica statistics; aliases ``stats`` when copies == 1
         self.stats_by_copy = ([self.stats] if copies == 1 else
                               [StatsCollector() for _ in range(copies)])
@@ -97,10 +137,14 @@ class FastNetwork:
         self._PV = self._P * self._V
         self._L = num_nodes * self._PV
         self._NP = num_nodes * self._P
+        self._CL = local_nodes * self._PV  # lines per replica
+        self._multi = copies > 1
         self._route_latency = config.route_latency
         self._va_latency = config.va_latency
         self._link_latency = config.link_latency
         self._credit_latency = config.credit_latency
+        self._flit_horizon = config.link_latency + 1
+        self._credit_horizon = config.credit_latency + 1
 
         lines = np.arange(self._L, dtype=np.int64)
         self.line_node = lines // self._PV
@@ -114,7 +158,7 @@ class FastNetwork:
             for dst in range(local_nodes):
                 route[src * local_nodes + dst] = routing(self.mesh, src,
                                                          dst)
-        self._route_flat = np.tile(route, copies)
+        self.route = np.tile(route, copies)
 
         link_base = np.full(local_nodes * self._P, -1, dtype=np.int64)
         for node in range(local_nodes):
@@ -123,9 +167,8 @@ class FastNetwork:
                 if nbr is not None:
                     link_base[node * self._P + port] = (nbr * self._PV
                                                         + opp * self._V)
-        local_lines = local_nodes * self._PV
-        self._link_base = np.concatenate(
-            [np.where(link_base >= 0, link_base + c * local_lines, -1)
+        self.link_base = np.concatenate(
+            [np.where(link_base >= 0, link_base + c * self._CL, -1)
              for c in range(copies)])
 
         # --- per-VC state, struct-of-arrays over all L lines ----------
@@ -160,12 +203,12 @@ class FastNetwork:
         # Invariant: all _NO_REQUEST between arbitration rounds; each
         # round restores only the entries it touched (O(requests)
         # instead of an O(N*P) refill — copies scale N, requests don't).
-        self._scoreboard = np.full(self._NP, _NO_REQUEST, dtype=np.int64)
-        self._group_counts = np.zeros(self._NP, dtype=np.int64)
+        self.scoreboard = np.full(self._NP, _NO_REQUEST, dtype=np.int64)
+        self.group_counts = np.zeros(self._NP, dtype=np.int64)
 
         # --- sources --------------------------------------------------
-        self.queues: list[deque[int]] = [deque() for _ in range(num_nodes)]
-        self.queue_ready = np.zeros(num_nodes, dtype=bool)
+        self.q_head = np.full(num_nodes, -1, dtype=np.int64)
+        self.q_tail = np.full(num_nodes, -1, dtype=np.int64)
         self.cur_lid = np.full(num_nodes, -1, dtype=np.int64)
         self.cur_len = np.zeros(num_nodes, dtype=np.int64)
         self.cur_sent = np.zeros(num_nodes, dtype=np.int64)
@@ -174,103 +217,168 @@ class FastNetwork:
         self.src_credits = np.full(num_nodes * self._V, self._D,
                                    dtype=np.int64)
         self.node_base = np.arange(num_nodes, dtype=np.int64) * self._PV
-        self._queued_packets = 0
 
         # --- packet store (amortized-doubling arrays + object list) ---
         self.packets: list[Packet] = []
-        self.pkt_dst = np.zeros(1024, dtype=np.int64)
-        self.pkt_len = np.zeros(1024, dtype=np.int64)
-        self.pkt_hops = np.zeros(1024, dtype=np.int64)
+        self.pkt_dst = np.zeros(_PACKET_STORE, dtype=np.int64)
+        self.pkt_len = np.zeros(_PACKET_STORE, dtype=np.int64)
+        self.pkt_hops = np.zeros(_PACKET_STORE, dtype=np.int64)
+        self.pkt_next = np.full(_PACKET_STORE, -1, dtype=np.int64)
 
-        # --- event rings ----------------------------------------------
-        self._flit_horizon = config.link_latency + 1
-        self._credit_horizon = config.credit_latency + 1
-        self._flit_ring: list[tuple | None] = [None] * self._flit_horizon
-        self._credit_ring: list[tuple | None] = [None] * self._credit_horizon
+        # --- event calendars ------------------------------------------
+        self.flit_line = np.zeros((self._flit_horizon, self._NP),
+                                  dtype=np.int64)
+        self.flit_pid = np.zeros_like(self.flit_line)
+        self.flit_fidx = np.zeros_like(self.flit_line)
+        self.flit_count = np.zeros(self._flit_horizon, dtype=np.int64)
+        self.credit_line = np.zeros((self._credit_horizon, self._NP),
+                                    dtype=np.int64)
+        self.credit_count = np.zeros(self._credit_horizon, dtype=np.int64)
+        self.credit_src = np.zeros((self._credit_horizon, num_nodes),
+                                   dtype=np.int64)
+        self.credit_src_count = np.zeros(self._credit_horizon,
+                                         dtype=np.int64)
 
-        # incremental accounting (avoids O(L) scans in hot properties)
-        self._buffered = 0
-        self._in_link = 0
-        self._src_backlog = 0
-        self._multi = copies > 1
-        self._CL = local_nodes * self._PV  # lines per replica
-        self._ejected_by_copy = np.zeros(copies, dtype=np.int64)
-        # plain ints: updated per packet in enqueue_packet's hot path
-        self._backlog_by_copy = [0] * copies
-        # activity counters (plain ints; see aggregate_activity)
-        self._act_buffer_writes = 0
-        self._act_buffer_reads = 0
-        self._act_xbar = 0
-        self._act_link_flits = 0
-        self._act_vc_allocs = 0
-        self._act_sa_grants = 0
-        self._act_credits = 0
+        # --- per-replica tallies --------------------------------------
+        self.ejected_by_copy = np.zeros(copies, dtype=np.int64)
+        self.backlog_by_copy = np.zeros(copies, dtype=np.int64)
         # Per-replica activity (batched runs attribute power per copy).
         # ``attribute_activity`` gates the per-event attribution; the
         # batch kernel enables it only inside the measurement window —
         # window deltas are all that power models consume, so warmup
         # and drain cycles skip the bookkeeping.
         self.attribute_activity = True
-        self._actc_buffer_writes = np.zeros(copies, dtype=np.int64)
-        self._actc_buffer_reads = np.zeros(copies, dtype=np.int64)
-        self._actc_xbar = np.zeros(copies, dtype=np.int64)
-        self._actc_link_flits = np.zeros(copies, dtype=np.int64)
-        self._actc_vc_allocs = np.zeros(copies, dtype=np.int64)
-        self._actc_sa_grants = np.zeros(copies, dtype=np.int64)
-        self._actc_credits = np.zeros(copies, dtype=np.int64)
+        self.activity_by_copy = np.zeros((copies, _NUM_ACTIVITY),
+                                         dtype=np.int64)
+
+        # --- the compiled step's outputs, scratch and view ------------
+        #: injected heads, delivered tails and their hop counts
+        self.events = np.zeros((3, num_nodes), dtype=np.int64)
+        #: VC-allocation and switch-allocation candidate lists
+        self.scratch = np.zeros(2 * self._L, dtype=np.int64)
+        self._kernel = kernel.load_kernel()
+        self._layout = None
+        if self._kernel is not None:
+            self._bind_kernel()
+
+    def _bind_kernel(self) -> None:
+        """Point the compiled step at the current state arrays."""
+        self._layout = self._kernel.bind(
+            dict(nodes=self._N, local_nodes=self._NL, ports=self._P,
+                 vcs=self._V, depth=self._D, lines=self._L,
+                 lines_per_copy=self._CL,
+                 route_latency=self._route_latency,
+                 va_latency=self._va_latency,
+                 link_latency=self._link_latency,
+                 credit_latency=self._credit_latency,
+                 flit_horizon=self._flit_horizon,
+                 credit_horizon=self._credit_horizon,
+                 multi=self._multi),
+            self)
+
+    @property
+    def compiled(self) -> bool:
+        """True when the compiled cycle step runs this engine."""
+        return self._kernel is not None
 
     # --- packet entry -----------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
         """Hand a freshly generated packet to its source queue."""
         lid = len(self.packets)
-        if lid >= len(self.pkt_dst):
+        if lid == len(self.pkt_dst):
             self._grow_packet_store()
         self.packets.append(packet)
-        copy = packet.src // self._NL
+        src = packet.src
+        copy = src // self._NL
         self.pkt_dst[lid] = packet.dst - copy * self._NL
         self.pkt_len[lid] = packet.length
-        self.pkt_hops[lid] = 0
         self.stats_by_copy[copy].on_packet_generated(packet)
-        self.queues[packet.src].append(lid)
-        self.queue_ready[packet.src] = True
-        self._queued_packets += 1
-        self._src_backlog += packet.length
+        tail = self.q_tail[src]
+        if tail < 0:
+            self.q_head[src] = lid
+        else:
+            self.pkt_next[tail] = lid
+        self.q_tail[src] = lid
+        counters = self.counters
+        counters[_QUEUED] += 1
+        counters[_SRC_BACKLOG] += packet.length
         if self._multi:
-            self._backlog_by_copy[copy] += packet.length
+            self.backlog_by_copy[copy] += packet.length
 
     def _grow_packet_store(self) -> None:
         cap = 2 * len(self.pkt_dst)
-        for name in ("pkt_dst", "pkt_len", "pkt_hops"):
+        for name in ("pkt_dst", "pkt_len", "pkt_hops", "pkt_next"):
             old = getattr(self, name)
-            grown = np.zeros(cap, dtype=np.int64)
+            grown = np.full(cap, -1 if name == "pkt_next" else 0,
+                            dtype=np.int64)
             grown[:len(old)] = old
             setattr(self, name, grown)
+        if self._kernel is not None:
+            self._bind_kernel()
 
     # --- cycle advance ------------------------------------------------------
     def step_cycle(self, cycle: int, time_ns: float) -> None:
         """Advance every component by one network clock cycle."""
         self.current_time_ns = time_ns
+        if self._kernel is None:
+            heads, tails, hops = self._step_numpy(cycle)
+        else:
+            events = self._kernel.step(self._layout, cycle,
+                                       self.attribute_activity)
+            if not events:
+                return
+            num_tails = events >> 32
+            heads = self.events[0, :events & 0xFFFFFFFF].tolist()
+            tails = self.events[1, :num_tails].tolist()
+            hops = self.events[2, :num_tails].tolist()
+        packets = self.packets
+        for lid in heads:
+            packets[lid].injected_cycle = cycle
+        if tails:
+            self._deliver(cycle, tails, hops)
 
-        batch = self._credit_ring[cycle % self._credit_horizon]
-        if batch is not None:
-            self._credit_ring[cycle % self._credit_horizon] = None
-            router_lines, src_slots = batch
-            if router_lines.size:
-                self.credits[router_lines] += 1
-            if src_slots.size:
-                self.src_credits[src_slots] += 1
+    def _deliver(self, cycle: int, tails: list[int],
+                 hops: list[int]) -> None:
+        """Bookkeeping for the packets whose tails ejected this cycle."""
+        now_ns = self.current_time_ns
+        times = self.time_by_copy
+        time_of = None if times is None else times.tolist()
+        for lid, hop_count in zip(tails, hops):
+            packet = self.packets[lid]
+            copy = packet.src // self._NL
+            packet.ejected_cycle = cycle
+            packet.ejected_ns = now_ns if time_of is None else time_of[copy]
+            packet.hops = hop_count
+            self.stats_by_copy[copy].on_packet_delivered(packet)
+            self.delivered.append(packet)
 
-        batch = self._flit_ring[cycle % self._flit_horizon]
-        if batch is not None:
-            self._flit_ring[cycle % self._flit_horizon] = None
-            lines, pids, fidxs = batch
-            self._push_flits(lines, pids, fidxs)
-            self._in_link -= lines.size
+    def _step_numpy(self, cycle: int) -> tuple[list, list, list]:
+        """The NumPy cycle step; returns the injected head packet ids,
+        the delivered tail packet ids and their hop counts."""
+        counters = self.counters
+        slot = cycle % self._credit_horizon
+        count = self.credit_count[slot]
+        if count:
+            self.credits[self.credit_line[slot, :count]] += 1
+            self.credit_count[slot] = 0
+        count = self.credit_src_count[slot]
+        if count:
+            self.src_credits[self.credit_src[slot, :count]] += 1
+            self.credit_src_count[slot] = 0
 
-        if self._src_backlog:
-            self._step_sources(cycle)
-        if self._buffered:
-            self._step_routers(cycle)
+        slot = cycle % self._flit_horizon
+        count = self.flit_count[slot]
+        if count:
+            self.flit_count[slot] = 0
+            self._push_flits(self.flit_line[slot, :count],
+                             self.flit_pid[slot, :count],
+                             self.flit_fidx[slot, :count])
+            counters[_IN_LINK] -= count
+
+        heads = self._step_sources() if counters[_SRC_BACKLOG] else []
+        if counters[_BUFFERED]:
+            return (heads, *self._step_routers(cycle))
+        return heads, [], []
 
     def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
                     fidxs: np.ndarray) -> None:
@@ -280,24 +388,26 @@ class FastNetwork:
         self.buf_pid[pos] = pids
         self.buf_fidx[pos] = fidxs
         self.fifo_len[lines] += 1
-        self._buffered += lines.size
-        self._act_buffer_writes += lines.size
+        self.counters[_BUFFERED] += lines.size
+        self.counters[_WRITES] += lines.size
         if self._multi and self.attribute_activity:
-            self._actc_buffer_writes += np.bincount(
+            self.activity_by_copy[:, _WRITES] += np.bincount(
                 lines // self._CL, minlength=self.copies)
 
     # --- sources ------------------------------------------------------------
-    def _step_sources(self, cycle: int) -> None:
-        """All sources try to inject one flit (the reference Source)."""
+    def _step_sources(self) -> list[int]:
+        """All sources try to inject one flit (the reference Source);
+        returns the packet ids of the injected heads."""
         cur_lid = self.cur_lid
-        if self._queued_packets:
-            need = (cur_lid < 0) & self.queue_ready
-            for node in np.nonzero(need)[0].tolist():
-                queue = self.queues[node]
-                lid = queue.popleft()
-                if not queue:
-                    self.queue_ready[node] = False
-                self._queued_packets -= 1
+        counters = self.counters
+        if counters[_QUEUED]:
+            need = (cur_lid < 0) & (self.q_head >= 0)
+            for node in np.flatnonzero(need).tolist():
+                lid = self.q_head[node]
+                self.q_head[node] = self.pkt_next[lid]
+                if self.q_head[node] < 0:
+                    self.q_tail[node] = -1
+                counters[_QUEUED] -= 1
                 cur_lid[node] = lid
                 self.cur_len[node] = self.pkt_len[lid]
                 self.cur_sent[node] = 0
@@ -307,14 +417,14 @@ class FastNetwork:
 
         active = np.flatnonzero(cur_lid >= 0)
         if not active.size:
-            return
+            return []
         vcs = self.cur_vc.take(active)
         slots = active * self._V + vcs
         can = self.src_credits.take(slots) > 0
         if not can.all():
             active = active[can]
             if not active.size:
-                return
+                return []
             vcs = vcs[can]
             slots = slots[can]
         lids = cur_lid.take(active)
@@ -323,29 +433,24 @@ class FastNetwork:
         self.src_credits[slots] -= 1
         lines = self.node_base.take(active) + vcs     # LOCAL port is 0
         self._push_flits(lines, lids, sent)
-        self._src_backlog -= active.size
-        self.stats.injected_flits += active.size
+        counters[_SRC_BACKLOG] -= active.size
+        counters[_INJECTED] += active.size
         if self._multi:
-            backlog = self._backlog_by_copy
-            injected = np.bincount(active // self._NL,
-                                   minlength=self.copies).tolist()
-            for copy, flits in enumerate(injected):
-                if flits:
-                    backlog[copy] -= flits
+            self.backlog_by_copy -= np.bincount(active // self._NL,
+                                                minlength=self.copies)
 
-        heads = sent == 0
-        if heads.any():
-            for lid in lids[heads].tolist():
-                self.packets[lid].injected_cycle = cycle
+        heads = lids[sent == 0].tolist()
         sent = sent + 1
         self.cur_sent[active] = sent
         finished = sent >= self.cur_len.take(active)
         if finished.any():
             cur_lid[active[finished]] = -1
+        return heads
 
     # --- router pipeline ----------------------------------------------------
-    def _step_routers(self, cycle: int) -> None:
-        """One cycle of every router's pipeline.
+    def _step_routers(self, cycle: int) -> tuple[list, list]:
+        """One cycle of every router's pipeline; returns the delivered
+        tail packet ids and their hop counts.
 
         All phase sets derive from the lines that hold flits (``wf``):
         ROUTING and VC_ALLOC lines have their head flit buffered by
@@ -357,7 +462,7 @@ class FastNetwork:
         state = self.state
         wf = np.flatnonzero(self.fifo_len)
         if not wf.size:
-            return
+            return [], []
         st = state.take(wf)
 
         # Phase A: per-VC state advance (IDLE -> ROUTING -> VC_ALLOC).
@@ -379,7 +484,7 @@ class FastNetwork:
             front = idle * self._D + self.fifo_head.take(idle)
             dsts = self.pkt_dst.take(self.buf_pid.take(front))
             nodes = self.line_node.take(idle)
-            ports = self._route_flat.take(nodes * self._NL + dsts)
+            ports = self.route.take(nodes * self._NL + dsts)
             self.out_port[idle] = ports
             self.out_group[idle] = nodes * self._P + ports
             if self._route_latency:
@@ -411,7 +516,8 @@ class FastNetwork:
         if va.size:
             self._vc_allocate(va, cycle)
         if act.size:
-            self._switch_allocate(act, out_lines, cycle)
+            return self._switch_allocate(act, out_lines, cycle)
+        return [], []
 
     def _vc_allocate(self, va: np.ndarray, cycle: int) -> None:
         """Phase B: VC allocation, one grant round per free output VC.
@@ -424,7 +530,7 @@ class FastNetwork:
         pv = self._PV
         group = self.out_group.take(va)
         lane = va % pv
-        scoreboard = self._scoreboard
+        scoreboard = self.scoreboard
 
         while True:
             prio = (lane - self.va_ptr.take(group)) % pv
@@ -451,9 +557,9 @@ class FastNetwork:
             self.state[winners] = ACTIVE
             self.ready[winners] = cycle + self._va_latency
             self.va_ptr[groups] = (lane.take(champs) + 1) % pv
-            self._act_vc_allocs += winners.size
+            self.counters[_VC_ALLOCS] += winners.size
             if self._multi and self.attribute_activity:
-                self._actc_vc_allocs += np.bincount(
+                self.activity_by_copy[:, _VC_ALLOCS] += np.bincount(
                     winners // self._CL, minlength=self.copies)
 
             if champs.size == va.size:
@@ -465,7 +571,7 @@ class FastNetwork:
             lane = lane[keep]
 
     def _switch_allocate(self, act: np.ndarray, out_lines: np.ndarray,
-                         cycle: int) -> None:
+                         cycle: int) -> tuple[list, list]:
         """Phase C: separable input-first switch allocation.
 
         As in the reference, an arbiter is only consulted (and its
@@ -484,7 +590,7 @@ class FastNetwork:
             if champs is not None:
                 act = act.take(champs)
                 out_lines = out_lines.take(champs)
-        self._send(act, out_lines, cycle)
+        return self._send(act, out_lines, cycle)
 
     def _arbitrate(self, group: np.ndarray, lane: np.ndarray,
                    size: int, pointers: np.ndarray) -> np.ndarray | None:
@@ -495,14 +601,14 @@ class FastNetwork:
         the winner only for groups that actually arbitrated (>= 2
         candidates), matching the reference's single-candidate path.
         """
-        scoreboard = self._scoreboard
+        scoreboard = self.scoreboard
         prio = (lane - pointers.take(group)) % size
         np.minimum.at(scoreboard, group, prio)
         champs = np.flatnonzero(prio == scoreboard.take(group))
         scoreboard[group] = _NO_REQUEST
         if champs.size == group.size:
             return None                     # all groups uncontested
-        counts = self._group_counts
+        counts = self.group_counts
         np.add.at(counts, group, 1)
         contested = counts.take(group.take(champs)) >= 2
         counts[group] = 0
@@ -511,9 +617,11 @@ class FastNetwork:
         return champs
 
     def _send(self, winners: np.ndarray, out_lines: np.ndarray,
-              cycle: int) -> None:
+              cycle: int) -> tuple[list, list]:
         """Phase D: winners traverse switch and link (the reference's
-        ``_send_flit``, batched)."""
+        ``_send_flit``, batched); returns the delivered tail packet ids
+        and their hop counts."""
+        counters = self.counters
         count = winners.size
         front = self.fifo_head.take(winners)
         slots = winners * self._D + front
@@ -521,18 +629,19 @@ class FastNetwork:
         fidxs = self.buf_fidx.take(slots)
         self.fifo_head[winners] = (front + 1) % self._D
         self.fifo_len[winners] -= 1
-        self._buffered -= count
-        self._act_buffer_reads += count
-        self._act_xbar += count
-        self._act_sa_grants += count
+        counters[_BUFFERED] -= count
+        counters[_READS] += count
+        counters[_XBAR] += count
+        counters[_SA_GRANTS] += count
+        by_copy = self.activity_by_copy
         win_by_copy = None
         if self._multi and self.attribute_activity:
             win_by_copy = np.bincount(winners // self._CL,
                                       minlength=self.copies)
-            self._actc_buffer_reads += win_by_copy
-            self._actc_xbar += win_by_copy
-            self._actc_sa_grants += win_by_copy
-            self._actc_credits += win_by_copy
+            by_copy[:, _READS] += win_by_copy
+            by_copy[:, _XBAR] += win_by_copy
+            by_copy[:, _SA_GRANTS] += win_by_copy
+            by_copy[:, _CREDITS] += win_by_copy
 
         self.pkt_hops[pids[fidxs == 0]] += 1
         tails = fidxs == self.pkt_len.take(pids) - 1
@@ -540,29 +649,20 @@ class FastNetwork:
 
         ejected = int(np.count_nonzero(local))
         ej_by_copy = None
+        done_lids: list[int] = []
+        done_hops: list[int] = []
         if ejected:
             # Ejection: the sink consumes the flit; no credit needed.
-            self.stats.ejected_flits += ejected
+            counters[_EJECTED] += ejected
             if self._multi:
                 ej_by_copy = np.bincount(winners[local] // self._CL,
                                          minlength=self.copies)
-                self._ejected_by_copy += ej_by_copy
+                self.ejected_by_copy += ej_by_copy
             eject_tails = local & tails
             if eject_tails.any():
-                now_ns = self.current_time_ns
-                times = self.time_by_copy
-                time_of = None if times is None else times.tolist()
-                done_pids = pids[eject_tails]
-                done_hops = self.pkt_hops.take(done_pids).tolist()
-                for lid, hops in zip(done_pids.tolist(), done_hops):
-                    packet = self.packets[lid]
-                    copy = packet.src // self._NL
-                    packet.ejected_cycle = cycle
-                    packet.ejected_ns = (now_ns if time_of is None
-                                         else time_of[copy])
-                    packet.hops = hops
-                    self.stats_by_copy[copy].on_packet_delivered(packet)
-                    self.delivered.append(packet)
+                done = pids[eject_tails]
+                done_lids = done.tolist()
+                done_hops = self.pkt_hops.take(done).tolist()
         if ejected != count:
             if ejected:
                 network = ~local
@@ -572,16 +672,20 @@ class FastNetwork:
             else:
                 sent_lines, sent_pids, sent_fidxs = out_lines, pids, fidxs
             self.credits[sent_lines] -= 1
+            sent = sent_lines.size
+            slot = (cycle + self._link_latency) % self._flit_horizon
             # ``out_line = (node*P + out_port) * V + out_vc`` decomposes
             # back into the link table group and the output VC.
-            dests = (self._link_base.take(sent_lines // self._V)
-                     + sent_lines % self._V)
-            slot = (cycle + self._link_latency) % self._flit_horizon
-            self._flit_ring[slot] = (dests, sent_pids, sent_fidxs)
-            self._in_link += sent_lines.size
-            self._act_link_flits += sent_lines.size
+            self.flit_line[slot, :sent] = (
+                self.link_base.take(sent_lines // self._V)
+                + sent_lines % self._V)
+            self.flit_pid[slot, :sent] = sent_pids
+            self.flit_fidx[slot, :sent] = sent_fidxs
+            self.flit_count[slot] = sent
+            counters[_IN_LINK] += sent
+            counters[_LINK_FLITS] += sent
             if win_by_copy is not None:
-                self._actc_link_flits += (
+                by_copy[:, _LINK_FLITS] += (
                     win_by_copy if ej_by_copy is None
                     else win_by_copy - ej_by_copy)
 
@@ -592,34 +696,33 @@ class FastNetwork:
         from_source = self.line_port.take(winners) == LOCAL
         if from_source.any():
             routed = ~from_source
-            router_credits = (self._link_base.take(in_groups[routed])
+            router_credits = (self.link_base.take(in_groups[routed])
                               + winners[routed] % self._V)
             src_slots = (winners[from_source] // self._PV * self._V
                          + winners[from_source] % self._V)
         else:
-            router_credits = (self._link_base.take(in_groups)
+            router_credits = (self.link_base.take(in_groups)
                               + winners % self._V)
             src_slots = np.empty(0, dtype=np.int64)
         slot = (cycle + self._credit_latency) % self._credit_horizon
-        self._credit_ring[slot] = (router_credits, src_slots)
-        self._act_credits += count
+        self.credit_line[slot, :router_credits.size] = router_credits
+        self.credit_count[slot] = router_credits.size
+        self.credit_src[slot, :src_slots.size] = src_slots
+        self.credit_src_count[slot] = src_slots.size
+        counters[_CREDITS] += count
 
         if tails.any():
             released = winners[tails]
             self.owner[out_lines[tails]] = -1
             self.state[released] = IDLE
+        return done_lids, done_hops
 
     # --- introspection -----------------------------------------------------
     def aggregate_activity(self) -> ActivityCounters:
         """Sum of all event counters (for power windows)."""
+        totals = self.counters[:_NUM_ACTIVITY].tolist()
         return self.stats.activity + ActivityCounters(
-            buffer_writes=self._act_buffer_writes,
-            buffer_reads=self._act_buffer_reads,
-            xbar_traversals=self._act_xbar,
-            link_flits=self._act_link_flits,
-            vc_allocs=self._act_vc_allocs,
-            sa_grants=self._act_sa_grants,
-            credit_transfers=self._act_credits)
+            **dict(zip(ACTIVITY_FIELDS, totals)))
 
     def activity_of(self, copy: int) -> ActivityCounters:
         """Cumulative event counters of one replica.
@@ -634,14 +737,8 @@ class FastNetwork:
         """
         if not self._multi:
             return self.aggregate_activity()
-        return ActivityCounters(
-            buffer_writes=int(self._actc_buffer_writes[copy]),
-            buffer_reads=int(self._actc_buffer_reads[copy]),
-            xbar_traversals=int(self._actc_xbar[copy]),
-            link_flits=int(self._actc_link_flits[copy]),
-            vc_allocs=int(self._actc_vc_allocs[copy]),
-            sa_grants=int(self._actc_sa_grants[copy]),
-            credit_transfers=int(self._actc_credits[copy]))
+        return ActivityCounters(**dict(zip(
+            ACTIVITY_FIELDS, self.activity_by_copy[copy].tolist())))
 
     def freeze_copy(self, copy: int) -> None:
         """Retire one replica: drop every flit it still owns.
@@ -657,53 +754,54 @@ class FastNetwork:
         """
         if not self._multi:
             raise ValueError("freeze_copy needs a multi-replica engine")
+        counters = self.counters
         lo, hi = copy * self._CL, (copy + 1) * self._CL
         node_lo, node_hi = copy * self._NL, (copy + 1) * self._NL
 
         # Sources: forget queued and half-sent packets.
-        for node in range(node_lo, node_hi):
-            queue = self.queues[node]
-            self._queued_packets -= len(queue)
-            queue.clear()
-        self.queue_ready[node_lo:node_hi] = False
+        queued = 0
+        for lid in self.q_head[node_lo:node_hi].tolist():
+            while lid >= 0:
+                queued += 1
+                lid = int(self.pkt_next[lid])
+        counters[_QUEUED] -= queued
+        self.q_head[node_lo:node_hi] = -1
+        self.q_tail[node_lo:node_hi] = -1
         self.cur_lid[node_lo:node_hi] = -1
-        self._src_backlog -= self._backlog_by_copy[copy]
-        self._backlog_by_copy[copy] = 0
+        counters[_SRC_BACKLOG] -= self.backlog_by_copy[copy]
+        self.backlog_by_copy[copy] = 0
 
         # Router lines: empty FIFOs and release allocations.
-        self._buffered -= int(self.fifo_len[lo:hi].sum())
+        counters[_BUFFERED] -= int(self.fifo_len[lo:hi].sum())
         self.fifo_len[lo:hi] = 0
         self.fifo_head[lo:hi] = 0
         self.state[lo:hi] = IDLE
         self.owner[lo:hi] = -1
 
-        # Event rings: drop flits and credits addressed into the
-        # replica (its lines are never looked at again).
-        for slot, batch in enumerate(self._flit_ring):
-            if batch is None:
-                continue
-            lines, pids, fidxs = batch
+        # Calendars: drop flits and credits addressed into the replica
+        # (its lines are never looked at again), keeping entry order.
+        for slot, count in enumerate(self.flit_count.tolist()):
+            lines = self.flit_line[slot, :count]
             keep = (lines < lo) | (lines >= hi)
-            if keep.all():
-                continue
-            self._in_link -= int(np.count_nonzero(~keep))
-            self._flit_ring[slot] = (
-                (lines[keep], pids[keep], fidxs[keep])
-                if keep.any() else None)
+            kept = int(np.count_nonzero(keep))
+            if kept < count:
+                counters[_IN_LINK] -= count - kept
+                for calendar in (self.flit_line, self.flit_pid,
+                                 self.flit_fidx):
+                    calendar[slot, :kept] = calendar[slot, :count][keep]
+                self.flit_count[slot] = kept
         slot_lo, slot_hi = node_lo * self._V, node_hi * self._V
-        for slot, batch in enumerate(self._credit_ring):
-            if batch is None:
-                continue
-            router_lines, src_slots = batch
-            keep_r = (router_lines < lo) | (router_lines >= hi)
-            keep_s = (src_slots < slot_lo) | (src_slots >= slot_hi)
-            if keep_r.all() and keep_s.all():
-                continue
-            router_lines = router_lines[keep_r]
-            src_slots = src_slots[keep_s]
-            self._credit_ring[slot] = (
-                (router_lines, src_slots)
-                if router_lines.size or src_slots.size else None)
+        for calendar, counts, first, last in (
+                (self.credit_line, self.credit_count, lo, hi),
+                (self.credit_src, self.credit_src_count, slot_lo,
+                 slot_hi)):
+            for slot, count in enumerate(counts.tolist()):
+                entries = calendar[slot, :count]
+                keep = (entries < first) | (entries >= last)
+                kept = int(np.count_nonzero(keep))
+                if kept < count:
+                    calendar[slot, :kept] = entries[keep]
+                    counts[slot] = kept
 
     def router_activity_map(self) -> list:
         raise NotImplementedError(
@@ -717,28 +815,29 @@ class FastNetwork:
 
     def in_flight_flits(self) -> int:
         """Flits buffered in routers or traversing links right now."""
-        return self._buffered + self._in_link
+        return int(self.counters[_BUFFERED] + self.counters[_IN_LINK])
 
     def source_backlog_flits(self) -> int:
         """Flits stuck in source queues (grows without bound past
         saturation)."""
-        return self._src_backlog
+        return int(self.counters[_SRC_BACKLOG])
 
     def ejected_flits_of(self, copy: int) -> int:
         """Cumulative ejected flits of one replica."""
         if not self._multi:
             return self.stats.ejected_flits
-        return int(self._ejected_by_copy[copy])
+        return int(self.ejected_by_copy[copy])
 
     def backlog_of(self, copy: int) -> int:
         """Source-queue backlog flits of one replica."""
         if not self._multi:
-            return self._src_backlog
-        return self._backlog_by_copy[copy]
+            return self.source_backlog_flits()
+        return int(self.backlog_by_copy[copy])
 
     def is_drained(self) -> bool:
         """True when no flit remains anywhere in the system."""
-        return self.in_flight_flits() == 0 and self._src_backlog == 0
+        return (self.in_flight_flits() == 0
+                and self.source_backlog_flits() == 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"FastNetwork({self.mesh.width}x{self.mesh.height}, "

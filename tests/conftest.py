@@ -12,6 +12,7 @@ import pytest
 
 from repro.noc import GHZ, Mesh, NocConfig
 from repro.noc.engines import ENGINES
+from repro.noc.fastsim import kernel
 from repro.noc.stats import MeasurementSample
 
 
@@ -71,3 +72,26 @@ def step_calls(monkeypatch) -> list[int]:
             return _step(self, *args)
         monkeypatch.setattr(cls, "step_cycle", counting)
     return steps
+
+
+@pytest.fixture
+def numpy_step(monkeypatch) -> None:
+    """Run every fast engine built in the test on the NumPy step, the
+    compiled kernel's fallback, as on a host without a C compiler."""
+    monkeypatch.setattr(kernel, "load_kernel", lambda: None)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Deselect ``numpy_step`` cases parametrized to the reference
+    engine: the fixture changes only fast engines, so each would repeat
+    its plain run."""
+    kept, repeats = [], []
+    for item in items:
+        callspec = getattr(item, "callspec", None)
+        repeat = ("numpy_step" in getattr(item, "fixturenames", ())
+                  and callspec is not None
+                  and callspec.params.get("engine") == "reference")
+        (repeats if repeat else kept).append(item)
+    if repeats:
+        config.hook.pytest_deselected(items=repeats)
+        items[:] = kept

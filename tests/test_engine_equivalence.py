@@ -406,6 +406,15 @@ def assert_probe_agrees(full, probe) -> bool:
     return True
 
 
+#: The probe law's Hypothesis settings and inputs, shared with its
+#: NumPy-step rerun in ``test_engine_numpy_step``.
+PROBE_LAW_SETTINGS = settings(max_examples=12, deadline=None,
+                              suppress_health_check=[HealthCheck.too_slow])
+PROBE_LAW_INPUTS = dict(rate=st.floats(0.02, 0.7),
+                        speed=st.floats(0.0, 1.0),
+                        seed=st.integers(0, 2**16))
+
+
 class TestProbeRuns:
     """``probe=True`` stops a run proven saturated when its
     measurement window closes, on both engines, and changes nothing
@@ -433,11 +442,8 @@ class TestProbeRuns:
         full, probe = self.both_runs(pattern, rate, freq_hz, engine)
         assert assert_probe_agrees(full, probe) == stops
 
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(rate=st.floats(0.02, 0.7),
-           speed=st.floats(0.0, 1.0),
-           seed=st.integers(0, 2**16))
+    @PROBE_LAW_SETTINGS
+    @given(**PROBE_LAW_INPUTS)
     def test_probe_law_on_the_fast_engine(self, rate, speed, seed):
         freq_hz = CONFIG.f_min_hz + speed * (CONFIG.f_max_hz
                                              - CONFIG.f_min_hz)
