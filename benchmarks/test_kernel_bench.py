@@ -15,7 +15,11 @@ Also records single-run stepping throughput for both engines at a
 saturated operating point, so per-run regressions are visible
 independently of batching, and the fast engine's per-cycle step cost
 on both of its paths (compiled kernel and NumPy fallback) on the 5x5
-paper baseline at 1, 18 and 72 replicas: the batch-width curve.
+paper baseline at 1, 18 and 72 replicas: the batch-width curve.  A
+timed step of a batched run includes drawing and queueing that
+cycle's arrivals, on both paths: the compiled step draws them itself,
+and the NumPy step calls ``InjectionProcess.arrivals`` inside
+``step_cycle``.
 
 Results land in ``BENCH_kernel.json`` at the repository root (CI
 uploads it as a workflow artifact) with the host's core count and git

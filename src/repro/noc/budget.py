@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..traffic.injection import TrafficSpec
 from .config import NocConfig
 from .engines import DEFAULT_ENGINE
+from .fastsim import batch
 from .simulator import SimResult, Simulation
 
 
@@ -63,6 +64,12 @@ def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
     ``probe=True`` is for search probes: a run proven saturated stops
     when its measurement window closes (see :meth:`Simulation.run`).
 
+    On the fast engine with homogeneous node clocks this is the
+    one-replica case of the batched driver
+    (:func:`repro.noc.fastsim.batch.drive`): the same result as
+    :meth:`Simulation.run` without control ``samples``, which a
+    fixed-frequency run never reads.
+
     Also accepts the scenario spelling ``run_fixed_point(spec, rate,
     ...)``: a :class:`repro.scenario.ScenarioSpec` in the ``config``
     slot with the injection rate in the ``traffic`` slot (detected
@@ -79,6 +86,9 @@ def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
         spec = config
         config, traffic = spec.config, spec.traffic_factory()(
             float(traffic))
+    if engine == "fast" and config.node_freqs_hz is None:
+        point = batch.BatchPoint(traffic, freq_hz, seed)
+        return batch.drive(config, [point], budget, probe)[0]
     sim = Simulation(config, traffic, controller=freq_hz, seed=seed,
                      engine=engine)
     return sim.run(budget.warmup_cycles, budget.measure_cycles,

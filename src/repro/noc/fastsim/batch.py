@@ -11,11 +11,16 @@ runs its lockstep frequency searches here round by round
 (:func:`run_probe_round`), and it is what
 ``BENCH_kernel.json``/``BENCH_sweep.json`` benchmark.
 
-Every point keeps its own network clock, node-clock bridge, RNG and
+Every point keeps its own network clock, node-clock cursor, RNG and
 injection process, and the replicas share no simulation state, so each
 per-point result is *identical* to running that point alone with
 ``engine="fast"`` (the equivalence suite enforces this) — including
 its power windows, which integrate per-replica activity counters.
+The engine draws, queues and accounts every packet inside its step
+(:meth:`FastNetwork.bind_sources`; compiled for uniform and
+permutation patterns, optionally under rate steps), and the results
+are built from its packet records once the run ends.  A lone fast
+``run_fixed_point`` is this driver's one-replica case.
 The moment a replica's measured packets have all drained (where a
 standalone run would terminate) the engine retires it
 (:meth:`FastNetwork.freeze_copy`), so long-running stragglers do not
@@ -34,9 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ...traffic.injection import InjectionProcess, TrafficSpec
-from ..clock import NetworkClock, NodeClockBridge
+from ..clock import NetworkClock
 from ..config import NocConfig
-from ..flit import Packet
 from ..stats import PowerWindow
 from .engine import FastNetwork
 
@@ -66,6 +70,20 @@ def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
     when the measurement window closes stops there with
     ``complete=False`` (:meth:`~repro.noc.simulator.Simulation.run`).
     """
+    return drive(config, points, budget, probe)
+
+
+def drive(config: NocConfig, points: list[BatchPoint],
+          budget: "SimBudget", probe: bool = False) -> list["SimResult"]:
+    """The fixed-frequency driver behind :func:`run_fixed_batch` and
+    fast ``run_fixed_point`` (its one-replica case).
+
+    The engine draws, queues and accounts every packet itself
+    (:meth:`FastNetwork.bind_sources`), so the loop below makes one
+    engine call per cycle; each result is built once, at the end, from
+    the packet records.  Fixed-frequency results carry no control
+    ``samples``.
+    """
     # Runtime import: repro.noc.simulator imports the engine registry,
     # which imports this package.
     from ..simulator import SimResult, backlog_diverged
@@ -77,134 +95,72 @@ def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
     if not count:
         return []
 
-    local_nodes = config.num_nodes
-    packet_length = config.packet_length
     net = FastNetwork(config, copies=count)
     clocks = [NetworkClock(p.freq_hz, config.f_min_hz, config.f_max_hz)
               for p in points]
-    injections = [InjectionProcess(p.traffic, packet_length,
-                                   np.random.default_rng(p.seed))
-                  for p in points]
-    # All replicas share the node clock, so one NodeClockBridge worth
-    # of state is kept as arrays/lists and advanced for all copies at
-    # once (element-wise identical to per-replica bridges).
-    node_period = NodeClockBridge(config.f_node_hz).period_ns
-    next_node_cycle = [0] * count
+    net.bind_sources([InjectionProcess(p.traffic, config.packet_length,
+                                       np.random.default_rng(p.seed))
+                      for p in points],
+                     [clock.period_ns for clock in clocks])
 
-    # Budget validity is SimBudget.__post_init__'s job; ad-hoc range
-    # checks used to live here.
+    # Budget validity is SimBudget.__post_init__'s job.
     warmup = budget.warmup_cycles
     measure = budget.measure_cycles
-    measure_start = warmup
     measure_end = warmup + measure
     hard_end = measure_end + budget.drain_cycles
 
-    # All clocks are fixed-frequency, so absolute time advances by one
-    # per-replica vector add per cycle — element-wise this accumulates
-    # bit-identically to each replica's own ``NetworkClock.tick``.
-    periods = np.array([1e9 / c.freq_hz for c in clocks])
-    times = np.zeros(count)
-    net.time_by_copy = times
-    # Per-copy activity attribution costs a few bincounts per cycle;
+    # Per-copy activity attribution costs a few tallies per event;
     # power windows only need measurement-phase deltas.
     net.attribute_activity = False
-    sims = range(count)
-    tagging = False
-    closed = False
     complete = [False] * count
-    active = list(sims)                 # replicas still simulating
-    meas_start_ns = [0.0] * count
-    meas_end_ns = [0.0] * count
-    nc_start = [0] * count
-    nc_end = [0] * count
-    ej_start = [0] * count
-    ej_end = [0] * count
-    bl_start = [0] * count
-    bl_end = [0] * count
-    act_start = [None] * count
-    act_end = [None] * count
-
+    active = list(range(count))         # replicas still simulating
+    step = net.step_cycle
     cycle = 0
     while True:
-        if cycle == measure_start:
+        if cycle == warmup:
             # Same boundary placement as Simulation.run: snapshots are
             # taken before this cycle's arrivals and network step.
-            tagging = True
-            net.attribute_activity = True
-            for i in sims:
-                meas_start_ns[i] = times[i]
-                nc_start[i] = next_node_cycle[i]
-                ej_start[i] = net.ejected_flits_of(i)
-                bl_start[i] = net.backlog_of(i)
-                act_start[i] = net.activity_of(i)
-
-        # Node cycles completed per replica, all copies in one pass
-        # (NodeClockBridge.elapsed_node_cycles, vectorized: same
-        # division, same epsilon, same truncation).
-        completed = (times / node_period + 1e-9).astype(np.int64).tolist()
-        for i in active:
-            start = next_node_cycle[i]
-            num_cycles = completed[i] + 1 - start
-            if num_cycles > 0:
-                next_node_cycle[i] = completed[i] + 1
-                offset_node = i * local_nodes
-                for offset, src, dst in \
-                        injections[i].arrivals(num_cycles):
-                    packet = Packet(
-                        offset_node + src, offset_node + dst,
-                        packet_length, created_cycle=cycle,
-                        created_ns=(start + offset) * node_period,
-                        measured=tagging)
-                    net.enqueue_packet(packet)
-
-        net.step_cycle(cycle, 0.0)
-        times += periods
+            net.measuring = net.attribute_activity = True
+            start = _snapshot(net)
+        step(cycle, 0.0)
         cycle += 1
-
-        if cycle >= measure_end:
-            if not closed:
-                closed = True
-                tagging = False
-                net.attribute_activity = False
-                for i in sims:
-                    meas_end_ns[i] = times[i]
-                    nc_end[i] = next_node_cycle[i]
-                    ej_end[i] = net.ejected_flits_of(i)
-                    bl_end[i] = net.backlog_of(i)
-                    act_end[i] = net.activity_of(i)
-            still = []
-            for i in active:
-                stats = net.stats_by_copy[i]
-                complete[i] = (stats.measured_delivered
-                               >= stats.measured_created)
-                if complete[i] or (
-                        probe and cycle == measure_end
-                        and backlog_diverged(
-                            config, points[i].traffic.mean_node_rate(),
-                            max(1, nc_end[i] - nc_start[i]),
-                            bl_end[i] - bl_start[i])):
-                    # All of this point's measured packets arrived (its
-                    # statistics are frozen), or this probe is proven
-                    # saturated; a standalone run would terminate here,
-                    # so retire the replica.
-                    if count > 1:
-                        net.freeze_copy(i)
-                else:
-                    still.append(i)
-            active = still
-            if not active or cycle >= hard_end:
-                break
+        if cycle < measure_end:
+            continue
+        if cycle == measure_end:
+            net.measuring = net.attribute_activity = False
+            end = _snapshot(net)
+            saturated = [probe and backlog_diverged(
+                config, point.traffic.mean_node_rate(),
+                max(1, end[i][1] - start[i][1]), end[i][3] - start[i][3])
+                for i, point in enumerate(points)]
+        delivered = net.measured_delivered_by_copy.tolist()
+        created = net.measured_created_by_copy.tolist()
+        still = []
+        for i in active:
+            complete[i] = delivered[i] >= created[i]
+            if complete[i] or (cycle == measure_end and saturated[i]):
+                # All of this point's measured packets arrived, or this
+                # probe is proven saturated; a standalone run would
+                # terminate here, so retire the replica.
+                if count > 1:
+                    net.freeze_copy(i)
+            else:
+                still.append(i)
+        active = still
+        if not active or cycle >= hard_end:
+            break
 
     results = []
-    for i, point in enumerate(points):
-        stats = net.stats_by_copy[i]
+    for i, (point, stats) in enumerate(zip(points, net.measured_stats())):
+        t_start, nc_start, ej_start, bl_start, act_start = start[i]
+        t_end, nc_end, ej_end, bl_end, act_end = end[i]
         delays = stats.measured_delays_ns
-        node_cycles_meas = max(1, nc_end[i] - nc_start[i])
+        node_cycles_meas = max(1, nc_end - nc_start)
         window = PowerWindow(
-            duration_ns=meas_end_ns[i] - meas_start_ns[i],
+            duration_ns=t_end - t_start,
             cycles=measure,
             freq_hz=clocks[i].freq_hz,
-            activity=act_end[i] - act_start[i])
+            activity=act_end - act_start)
         results.append(SimResult(
             config=config,
             seed=point.seed,
@@ -220,15 +176,24 @@ def run_fixed_batch(config: NocConfig, points: list[BatchPoint],
             measured_created=stats.measured_created,
             measured_delivered=stats.measured_delivered,
             complete=complete[i],
-            accepted_node_rate=((ej_end[i] - ej_start[i])
-                                / (node_cycles_meas * local_nodes)),
-            measure_duration_ns=meas_end_ns[i] - meas_start_ns[i],
+            accepted_node_rate=((ej_end - ej_start)
+                                / (node_cycles_meas * config.num_nodes)),
+            measure_duration_ns=t_end - t_start,
             measure_node_cycles=node_cycles_meas,
-            backlog_delta_flits=bl_end[i] - bl_start[i],
+            backlog_delta_flits=bl_end - bl_start,
             freq_trace=[(0.0, clocks[i].freq_hz)],
             power_windows=[window],
         ))
     return results
+
+
+def _snapshot(net: FastNetwork) -> list[tuple]:
+    """Per replica: time, next node cycle, ejected flits, source
+    backlog and activity, as of now."""
+    return [(time_ns, node_cycle, net.ejected_flits_of(i),
+             net.backlog_of(i), net.activity_of(i))
+            for i, (time_ns, node_cycle) in enumerate(zip(
+                net.time_by_copy.tolist(), net.next_node_cycle.tolist()))]
 
 
 def run_probe_round(config: NocConfig,

@@ -11,8 +11,15 @@ at once.  The cycle step exists twice over the same arrays: compiled
 array operations (the ``_step_*`` methods below).  The compiled step
 runs whenever the kernel loaded; the NumPy step is the fallback on
 hosts without a C compiler and the oracle the tests compare it to.
-Both leave every array bit-identical, and the packet bookkeeping after
-a step (``Packet`` fields, statistics hooks, ``delivered``) is shared.
+Both leave every array bit-identical.
+
+Every packet is a record in the packet store, and every delivery is
+logged.  An engine either takes ``Packet`` objects
+(:meth:`~FastNetwork.enqueue_packet`, as :class:`repro.noc.Simulation`
+drives it), whose fields and statistics it updates from the records
+after each step, or draws its replicas' arrivals itself
+(:meth:`~FastNetwork.bind_sources`, as the fixed-frequency driver in
+:mod:`repro.noc.fastsim.batch` does) and keeps only records.
 
 The implementation mirrors the reference semantics decision-for-
 decision (same separable input-first allocation, same line-indexed
@@ -35,7 +42,10 @@ Layout notes (all state is flat, integer and preallocated):
   input VC) and credit return (upstream output credit), which are the
   same line by mesh symmetry.
 * Source queues are linked FIFOs over the packet store
-  (``q_head``/``q_tail`` per node, ``pkt_next`` per packet).
+  (``q_head``/``q_tail`` per node, ``pkt_next`` per packet).  The
+  store's arrays (:data:`repro.noc.fastsim.kernel.STORE`) are indexed
+  by packet id and grow by doubling; ``delivery_log`` lists delivered
+  packet ids in delivery order.
 * Event calendars have one slot per future cycle (``latency + 1``),
   each ``nodes * ports`` entries long plus a count: a cycle sends at
   most one flit per output port and frees at most one buffer slot per
@@ -50,16 +60,20 @@ Layout notes (all state is flat, integer and preallocated):
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from ...traffic.injection import InjectionProcess
 from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
+from ..clock import NodeClockBridge
 from ..config import NocConfig
 from ..flit import Packet
 from ..routing import get_routing_function
 from ..stats import ACTIVITY_FIELDS, ActivityCounters, StatsCollector
 from ..topology import LOCAL, NUM_PORTS, OPPOSITE
 from . import kernel
-from .kernel import COUNTERS
+from .kernel import COUNTERS, LAWS
 
 #: Credit count used for ejection (local) ports — an infinite sink.
 _SINK_CREDITS = 1 << 30
@@ -69,15 +83,30 @@ _NO_REQUEST = 1 << 30
 
 #: ``counters`` slots, looked up by name in the one layout definition.
 (_WRITES, _READS, _XBAR, _LINK_FLITS, _VC_ALLOCS, _SA_GRANTS, _CREDITS,
- _BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _INJECTED,
- _EJECTED) = map(COUNTERS.index, (
+ _BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _INJECTED, _EJECTED,
+ _STORED, _LOGGED) = map(COUNTERS.index, (
      "buffer_writes", "buffer_reads", "xbar_traversals", "link_flits",
      "vc_allocs", "sa_grants", "credit_transfers", "buffered", "in_link",
-     "src_backlog", "queued_packets", "injected_flits", "ejected_flits"))
+     "src_backlog", "queued_packets", "injected_flits", "ejected_flits",
+     "stored_packets", "logged_deliveries"))
 _NUM_ACTIVITY = len(ACTIVITY_FIELDS)
 
 #: Initial packet-store capacity (doubles on demand).
 _PACKET_STORE = 1024
+
+
+def _store_array(name: str, capacity: int,
+                 old: np.ndarray | None = None) -> np.ndarray:
+    """A packet-store array of ``capacity``, holding ``old`` first."""
+    array = np.full(capacity, -1 if name == "pkt_next" else 0,
+                    dtype=kernel.DTYPES.get(name, np.int64))
+    if old is not None:
+        array[:old.size] = old
+    return array
+
+
+def _address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
 
 
 def _counter(index: int) -> property:
@@ -116,14 +145,10 @@ class FastNetwork:
         self.copies = copies
         self.mesh = config.make_mesh()
         self.counters = np.zeros(len(COUNTERS), dtype=np.int64)
+        #: the ``Packet`` statistics, over all replicas
         self.stats = _EngineStats(self.counters)
-        #: per-replica statistics; aliases ``stats`` when copies == 1
-        self.stats_by_copy = ([self.stats] if copies == 1 else
-                              [StatsCollector() for _ in range(copies)])
-        #: per-cycle hook set by the kernel to timestamp deliveries
+        #: the network time of the current step (Packet engines)
         self.current_time_ns = 0.0
-        #: per-replica delivery timestamps (batched runs only)
-        self.time_by_copy: np.ndarray | None = None
         #: packets delivered this run (kernel reads + clears)
         self.delivered: list[Packet] = []
 
@@ -218,12 +243,40 @@ class FastNetwork:
                                    dtype=np.int64)
         self.node_base = np.arange(num_nodes, dtype=np.int64) * self._PV
 
-        # --- packet store (amortized-doubling arrays + object list) ---
+        # --- packet store: routing fields and records, by packet id --
+        #: the Packet objects of the store (enqueue_packet engines)
         self.packets: list[Packet] = []
-        self.pkt_dst = np.zeros(_PACKET_STORE, dtype=np.int64)
-        self.pkt_len = np.zeros(_PACKET_STORE, dtype=np.int64)
-        self.pkt_hops = np.zeros(_PACKET_STORE, dtype=np.int64)
-        self.pkt_next = np.full(_PACKET_STORE, -1, dtype=np.int64)
+        for name in kernel.STORE:
+            setattr(self, name, _store_array(name, _PACKET_STORE))
+
+        # --- per-replica clocks and sources (bind_sources) -------------
+        #: each replica's network time; a Packet engine's step sets it
+        self.time_by_copy = np.zeros(copies)
+        self.period_by_copy = np.zeros(copies)
+        self.next_node_cycle = np.zeros(copies, dtype=np.int64)
+        self.measured_created_by_copy = np.zeros(copies, dtype=np.int64)
+        self.measured_delivered_by_copy = np.zeros(copies, dtype=np.int64)
+        #: tags new packets as measured (bound sources)
+        self.measuring = False
+        # The compiled step's arrival laws (kernel.LAWS) per replica:
+        # replica c's rate steps are step_first[c]:step_first[c + 1] of
+        # step_cycles/step_factors, and rng_* address its generator.
+        self.law_by_copy = np.zeros(copies, dtype=np.int64)
+        self.step_first = np.zeros(copies + 1, dtype=np.int64)
+        self.step_pos = np.zeros(copies, dtype=np.int64)
+        self.step_cycles = np.zeros(0, dtype=np.int64)
+        self.step_factors = np.zeros(0)
+        self.pkt_prob = np.zeros(num_nodes)
+        self.dest_table = np.zeros(num_nodes, dtype=np.int64)
+        self.rng_state = np.zeros(copies, dtype=np.uint64)
+        self.rng_double = np.zeros(copies, dtype=np.uint64)
+        self.rng_uint32 = np.zeros(copies, dtype=np.uint64)
+        self._node_period = NodeClockBridge(config.f_node_hz).period_ns
+        self._bound = False
+        #: (replica, injection process) drawn by step_cycle in Python
+        self._python_sources: list[tuple[int, InjectionProcess]] = []
+        #: packets one step can add at most (bound sources)
+        self._max_arrivals = 0
 
         # --- event calendars ------------------------------------------
         self.flit_line = np.zeros((self._flit_horizon, self._NP),
@@ -252,8 +305,8 @@ class FastNetwork:
                                          dtype=np.int64)
 
         # --- the compiled step's outputs, scratch and view ------------
-        #: injected heads, delivered tails and their hop counts
-        self.events = np.zeros((3, num_nodes), dtype=np.int64)
+        #: packet ids of the heads injected by the last compiled step
+        self.heads = np.zeros(num_nodes, dtype=np.int64)
         #: VC-allocation and switch-allocation candidate lists
         self.scratch = np.zeros(2 * self._L, dtype=np.int64)
         self._kernel = kernel.load_kernel()
@@ -273,7 +326,10 @@ class FastNetwork:
                  credit_latency=self._credit_latency,
                  flit_horizon=self._flit_horizon,
                  credit_horizon=self._credit_horizon,
-                 multi=self._multi),
+                 multi=self._multi, copies=self.copies,
+                 packet_length=self.config.packet_length,
+                 capacity=self.pkt_dst.size,
+                 node_period=self._node_period),
             self)
 
     @property
@@ -284,77 +340,200 @@ class FastNetwork:
     # --- packet entry -----------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
         """Hand a freshly generated packet to its source queue."""
-        lid = len(self.packets)
-        if lid == len(self.pkt_dst):
-            self._grow_packet_store()
+        self._store_packet(packet.src, packet.dst % self._NL,
+                           packet.length, packet.created_cycle,
+                           packet.created_ns, packet.measured)
         self.packets.append(packet)
-        src = packet.src
+        self.stats.on_packet_generated(packet)
+
+    def _store_packet(self, src: int, dst: int, length: int,
+                      created_cycle: int, created_ns: float,
+                      measured: bool) -> None:
+        """Append one packet record and queue it at global node ``src``
+        (``dst`` is local to the replica)."""
+        counters = self.counters
+        lid = int(counters[_STORED])
+        if lid == self.pkt_dst.size:
+            self._grow_packet_store(lid + 1)
         copy = src // self._NL
-        self.pkt_dst[lid] = packet.dst - copy * self._NL
-        self.pkt_len[lid] = packet.length
-        self.stats_by_copy[copy].on_packet_generated(packet)
+        self.pkt_dst[lid] = dst
+        self.pkt_len[lid] = length
+        self.pkt_copy[lid] = copy
+        self.pkt_created_cycle[lid] = created_cycle
+        self.pkt_created_ns[lid] = created_ns
+        self.pkt_measured[lid] = measured
         tail = self.q_tail[src]
         if tail < 0:
             self.q_head[src] = lid
         else:
             self.pkt_next[tail] = lid
         self.q_tail[src] = lid
-        counters = self.counters
+        counters[_STORED] = lid + 1
         counters[_QUEUED] += 1
-        counters[_SRC_BACKLOG] += packet.length
+        counters[_SRC_BACKLOG] += length
+        self.measured_created_by_copy[copy] += measured
         if self._multi:
-            self.backlog_by_copy[copy] += packet.length
+            self.backlog_by_copy[copy] += length
 
-    def _grow_packet_store(self) -> None:
-        cap = 2 * len(self.pkt_dst)
-        for name in ("pkt_dst", "pkt_len", "pkt_hops", "pkt_next"):
-            old = getattr(self, name)
-            grown = np.full(cap, -1 if name == "pkt_next" else 0,
-                            dtype=np.int64)
-            grown[:len(old)] = old
-            setattr(self, name, grown)
+    def _grow_packet_store(self, need: int) -> None:
+        cap = self.pkt_dst.size
+        while cap < need:
+            cap *= 2
+        for name in kernel.STORE:
+            setattr(self, name, _store_array(name, cap, getattr(self, name)))
+        if self._kernel is not None:
+            self._bind_kernel()
+
+    def bind_sources(self, injections: list[InjectionProcess],
+                     periods_ns: list[float]) -> None:
+        """Let the engine draw every replica's arrivals in its step.
+
+        Replica ``c`` ticks its own network clock of period
+        ``periods_ns[c]`` from time 0, and draws from ``injections[c]``
+        in the node cycles that clock completes, one draw per step, as
+        :class:`repro.noc.Simulation` does.  The engine then keeps no
+        ``Packet`` objects: it records each packet in the packet store
+        and logs each delivery, and :meth:`step_cycle`'s ``time_ns`` is
+        unused.  The compiled step draws the replicas whose law
+        compiles (:meth:`InjectionProcess.compiled_law`);
+        :meth:`step_cycle` draws the others, and all of them on the
+        NumPy step, with :meth:`InjectionProcess.arrivals`, the
+        Python-drawn ones first.
+        """
+        if self._bound or int(self.counters[_STORED]):
+            raise ValueError("bind sources once, to an engine without "
+                             "packets")
+        if len(injections) != self.copies or len(periods_ns) != self.copies:
+            raise ValueError(f"need {self.copies} injection processes "
+                             f"and periods")
+        self._bound = True
+        self._injections = injections   # keeps the generators alive
+        self.period_by_copy[:] = periods_ns
+        local = self._NL
+        python, compiled, cycles, factors = [], [], [], []
+        for copy, injection in enumerate(injections):
+            base = copy * local
+            self.pkt_prob[base:base + local] = injection.packet_prob
+            law = injection.compiled_law()
+            if law is None:
+                python.append((copy, injection))
+            else:
+                compiled.append((copy, injection))
+                self.law_by_copy[copy] = LAWS.index(
+                    "uniform" if law.dests is None else "table")
+                if law.dests is not None:
+                    self.dest_table[base:base + local] = law.dests
+                if law.step_cycles is not None:
+                    cycles.append(law.step_cycles)
+                    factors.append(law.step_factors)
+                # The step calls the generator without NumPy's lock:
+                # the generator is private to this replica, and PyDLL
+                # holds the interpreter lock through the call.
+                iface = injection.rng.bit_generator.ctypes
+                self.rng_state[copy] = iface.state_address
+                self.rng_double[copy] = _address(iface.next_double)
+                self.rng_uint32[copy] = _address(iface.next_uint32)
+            self.step_first[copy + 1] = sum(map(len, cycles))
+        self.step_pos[:] = self.step_first[:-1]
+        if cycles:
+            self.step_cycles = np.concatenate(cycles).astype(np.int64)
+            self.step_factors = np.concatenate(factors).astype(np.float64)
+        self._python_sources = (python if self._kernel is not None
+                                else python + compiled)
+        # A step draws at most the node cycles its clock period spans,
+        # plus one for rounding, at every node.
+        elapsed = int(max(periods_ns) / self._node_period) + 2
+        self._max_arrivals = elapsed * self._N
         if self._kernel is not None:
             self._bind_kernel()
 
     # --- cycle advance ------------------------------------------------------
     def step_cycle(self, cycle: int, time_ns: float) -> None:
-        """Advance every component by one network clock cycle."""
-        self.current_time_ns = time_ns
-        if self._kernel is None:
-            heads, tails, hops = self._step_numpy(cycle)
-        else:
-            events = self._kernel.step(self._layout, cycle,
-                                       self.attribute_activity)
-            if not events:
-                return
-            num_tails = events >> 32
-            heads = self.events[0, :events & 0xFFFFFFFF].tolist()
-            tails = self.events[1, :num_tails].tolist()
-            hops = self.events[2, :num_tails].tolist()
-        packets = self.packets
-        for lid in heads:
-            packets[lid].injected_cycle = cycle
-        if tails:
-            self._deliver(cycle, tails, hops)
+        """Advance every component by one network clock cycle.
 
-    def _deliver(self, cycle: int, tails: list[int],
-                 hops: list[int]) -> None:
-        """Bookkeeping for the packets whose tails ejected this cycle."""
-        now_ns = self.current_time_ns
-        times = self.time_by_copy
-        time_of = None if times is None else times.tolist()
-        for lid, hop_count in zip(tails, hops):
+        With bound sources the step first draws each live replica's
+        arrivals, timestamps by the replicas' own clocks and advances
+        them; otherwise it timestamps at ``time_ns`` and then updates
+        the ``Packet`` objects it injected and delivered.
+        """
+        self.current_time_ns = time_ns
+        counters = self.counters
+        if self._bound:
+            need = counters[_STORED] + self._max_arrivals
+            if need > self.pkt_dst.size:
+                self._grow_packet_store(need)
+            if self._python_sources:
+                self._draw_arrivals(cycle)
+        else:
+            self.time_by_copy.fill(time_ns)
+            logged = int(counters[_LOGGED])
+        if self._kernel is None:
+            heads = self._step_numpy(cycle)
+            self.time_by_copy += self.period_by_copy
+        else:
+            heads = self._kernel.step(self._layout, cycle,
+                                      self.attribute_activity,
+                                      self.measuring)
+            if heads < 0:
+                raise RuntimeError("fast engine: the packet store is "
+                                   "too small for this cycle's arrivals")
+        if self._bound:
+            return
+        if heads:
+            packets = self.packets
+            for lid in self.heads[:heads].tolist():
+                packets[lid].injected_cycle = cycle
+        if counters[_LOGGED] > logged:
+            self._deliver(cycle, logged)
+
+    def _draw_arrivals(self, cycle: int) -> None:
+        """Draw and queue the arrivals of the Python-drawn replicas, as
+        the compiled step draws its own (``kernel.c``)."""
+        times = self.time_by_copy.tolist()
+        node_period = self._node_period
+        length = self.config.packet_length
+        for copy, injection in self._python_sources:
+            completed = int(times[copy] / node_period + 1e-9)
+            start = int(self.next_node_cycle[copy])
+            if completed < start:
+                continue
+            self.next_node_cycle[copy] = completed + 1
+            base = copy * self._NL
+            for offset, src, dst in injection.arrivals(completed + 1
+                                                       - start):
+                self._store_packet(base + src, dst, length, cycle,
+                                   (start + offset) * node_period,
+                                   self.measuring)
+
+    def _deliver(self, cycle: int, first: int) -> None:
+        """Update the ``Packet`` objects of the deliveries logged from
+        ``first`` on, and feed them to the statistics."""
+        lids = self.delivery_log[first:self.counters[_LOGGED]]
+        for lid, ejected_ns, hops in zip(
+                lids.tolist(), self.pkt_ejected_ns[lids].tolist(),
+                self.pkt_hops[lids].tolist()):
             packet = self.packets[lid]
-            copy = packet.src // self._NL
             packet.ejected_cycle = cycle
-            packet.ejected_ns = now_ns if time_of is None else time_of[copy]
-            packet.hops = hop_count
-            self.stats_by_copy[copy].on_packet_delivered(packet)
+            packet.ejected_ns = ejected_ns
+            packet.hops = hops
+            self.stats.on_packet_delivered(packet)
             self.delivered.append(packet)
 
-    def _step_numpy(self, cycle: int) -> tuple[list, list, list]:
-        """The NumPy cycle step; returns the injected head packet ids,
-        the delivered tail packet ids and their hop counts."""
+    def _log_deliveries(self, cycle: int, lids: np.ndarray) -> None:
+        """Record the delivery of packets ``lids``, in order
+        (``kernel.c``: deliver)."""
+        first = int(self.counters[_LOGGED])
+        self.delivery_log[first:first + lids.size] = lids
+        self.counters[_LOGGED] = first + lids.size
+        copies = self.pkt_copy.take(lids)
+        self.pkt_ejected_cycle[lids] = cycle
+        self.pkt_ejected_ns[lids] = self.time_by_copy.take(copies)
+        np.add.at(self.measured_delivered_by_copy, copies,
+                  self.pkt_measured.take(lids))
+
+    def _step_numpy(self, cycle: int) -> int:
+        """The NumPy cycle step; writes the injected head packet ids to
+        ``heads`` and returns their count, as the compiled step does."""
         counters = self.counters
         slot = cycle % self._credit_horizon
         count = self.credit_count[slot]
@@ -375,10 +554,16 @@ class FastNetwork:
                              self.flit_fidx[slot, :count])
             counters[_IN_LINK] -= count
 
-        heads = self._step_sources() if counters[_SRC_BACKLOG] else []
+        heads = 0
+        if counters[_SRC_BACKLOG]:
+            injected = self._step_sources()
+            heads = injected.size
+            self.heads[:heads] = injected
         if counters[_BUFFERED]:
-            return (heads, *self._step_routers(cycle))
-        return heads, [], []
+            done = self._step_routers(cycle)
+            if done.size:
+                self._log_deliveries(cycle, done)
+        return heads
 
     def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
                     fidxs: np.ndarray) -> None:
@@ -395,7 +580,7 @@ class FastNetwork:
                 lines // self._CL, minlength=self.copies)
 
     # --- sources ------------------------------------------------------------
-    def _step_sources(self) -> list[int]:
+    def _step_sources(self) -> np.ndarray:
         """All sources try to inject one flit (the reference Source);
         returns the packet ids of the injected heads."""
         cur_lid = self.cur_lid
@@ -417,14 +602,14 @@ class FastNetwork:
 
         active = np.flatnonzero(cur_lid >= 0)
         if not active.size:
-            return []
+            return active
         vcs = self.cur_vc.take(active)
         slots = active * self._V + vcs
         can = self.src_credits.take(slots) > 0
         if not can.all():
             active = active[can]
             if not active.size:
-                return []
+                return active
             vcs = vcs[can]
             slots = slots[can]
         lids = cur_lid.take(active)
@@ -439,7 +624,7 @@ class FastNetwork:
             self.backlog_by_copy -= np.bincount(active // self._NL,
                                                 minlength=self.copies)
 
-        heads = lids[sent == 0].tolist()
+        heads = lids[sent == 0]
         sent = sent + 1
         self.cur_sent[active] = sent
         finished = sent >= self.cur_len.take(active)
@@ -448,9 +633,9 @@ class FastNetwork:
         return heads
 
     # --- router pipeline ----------------------------------------------------
-    def _step_routers(self, cycle: int) -> tuple[list, list]:
-        """One cycle of every router's pipeline; returns the delivered
-        tail packet ids and their hop counts.
+    def _step_routers(self, cycle: int) -> np.ndarray:
+        """One cycle of every router's pipeline; returns the packet ids
+        of the delivered tails, in delivery order.
 
         All phase sets derive from the lines that hold flits (``wf``):
         ROUTING and VC_ALLOC lines have their head flit buffered by
@@ -462,7 +647,7 @@ class FastNetwork:
         state = self.state
         wf = np.flatnonzero(self.fifo_len)
         if not wf.size:
-            return [], []
+            return wf
         st = state.take(wf)
 
         # Phase A: per-VC state advance (IDLE -> ROUTING -> VC_ALLOC).
@@ -517,7 +702,7 @@ class FastNetwork:
             self._vc_allocate(va, cycle)
         if act.size:
             return self._switch_allocate(act, out_lines, cycle)
-        return [], []
+        return act
 
     def _vc_allocate(self, va: np.ndarray, cycle: int) -> None:
         """Phase B: VC allocation, one grant round per free output VC.
@@ -571,7 +756,7 @@ class FastNetwork:
             lane = lane[keep]
 
     def _switch_allocate(self, act: np.ndarray, out_lines: np.ndarray,
-                         cycle: int) -> tuple[list, list]:
+                         cycle: int) -> np.ndarray:
         """Phase C: separable input-first switch allocation.
 
         As in the reference, an arbiter is only consulted (and its
@@ -617,10 +802,10 @@ class FastNetwork:
         return champs
 
     def _send(self, winners: np.ndarray, out_lines: np.ndarray,
-              cycle: int) -> tuple[list, list]:
+              cycle: int) -> np.ndarray:
         """Phase D: winners traverse switch and link (the reference's
-        ``_send_flit``, batched); returns the delivered tail packet ids
-        and their hop counts."""
+        ``_send_flit``, batched); returns the delivered tail packet
+        ids."""
         counters = self.counters
         count = winners.size
         front = self.fifo_head.take(winners)
@@ -649,8 +834,7 @@ class FastNetwork:
 
         ejected = int(np.count_nonzero(local))
         ej_by_copy = None
-        done_lids: list[int] = []
-        done_hops: list[int] = []
+        done = pids[:0]
         if ejected:
             # Ejection: the sink consumes the flit; no credit needed.
             counters[_EJECTED] += ejected
@@ -658,11 +842,7 @@ class FastNetwork:
                 ej_by_copy = np.bincount(winners[local] // self._CL,
                                          minlength=self.copies)
                 self.ejected_by_copy += ej_by_copy
-            eject_tails = local & tails
-            if eject_tails.any():
-                done = pids[eject_tails]
-                done_lids = done.tolist()
-                done_hops = self.pkt_hops.take(done).tolist()
+            done = pids[local & tails]
         if ejected != count:
             if ejected:
                 network = ~local
@@ -715,7 +895,7 @@ class FastNetwork:
             released = winners[tails]
             self.owner[out_lines[tails]] = -1
             self.state[released] = IDLE
-        return done_lids, done_hops
+        return done
 
     # --- introspection -----------------------------------------------------
     def aggregate_activity(self) -> ActivityCounters:
@@ -750,13 +930,18 @@ class FastNetwork:
         link/credit events shrinks every subsequent cycle's active
         sets, so stragglers no longer pay for finished replicas.
         Replicas share no state, so the remaining copies' schedules are
-        untouched (the equivalence suite enforces this).
+        untouched (the equivalence suite enforces this).  A bound
+        source stops drawing.
         """
         if not self._multi:
             raise ValueError("freeze_copy needs a multi-replica engine")
         counters = self.counters
         lo, hi = copy * self._CL, (copy + 1) * self._CL
         node_lo, node_hi = copy * self._NL, (copy + 1) * self._NL
+
+        self.law_by_copy[copy] = LAWS.index("none")
+        self._python_sources = [source for source in self._python_sources
+                                if source[0] != copy]
 
         # Sources: forget queued and half-sent packets.
         queued = 0
@@ -802,6 +987,33 @@ class FastNetwork:
                 if kept < count:
                     calendar[slot, :kept] = entries[keep]
                     counts[slot] = kept
+
+    def measured_stats(self) -> list[StatsCollector]:
+        """Each replica's measured packets as statistics, from the
+        records: delays, latencies and hops in delivery order, and the
+        count created."""
+        log = self.delivery_log[:self.counters[_LOGGED]]
+        log = log[self.pkt_measured.take(log) != 0]
+        copies = self.pkt_copy.take(log)
+        order = np.argsort(copies, kind="stable")
+        log = log.take(order)
+        bounds = np.searchsorted(copies.take(order),
+                                 np.arange(self.copies + 1)).tolist()
+        latencies = (self.pkt_ejected_cycle.take(log)
+                     - self.pkt_created_cycle.take(log))
+        delays = self.pkt_ejected_ns.take(log) - self.pkt_created_ns.take(log)
+        hops = self.pkt_hops.take(log)
+        out = []
+        for copy in range(self.copies):
+            part = slice(bounds[copy], bounds[copy + 1])
+            stats = StatsCollector()
+            stats.measured_latencies = latencies[part].tolist()
+            stats.measured_delays_ns = delays[part].tolist()
+            stats.measured_hops = hops[part].tolist()
+            stats.measured_created = int(
+                self.measured_created_by_copy[copy])
+            out.append(stats)
+        return out
 
     def router_activity_map(self) -> list:
         raise NotImplementedError(

@@ -8,17 +8,28 @@
  * line scans, the same line-indexed round-robin arbiters and the same
  * credit/flit calendar timing, so the two produce bit-identical state.
  *
- * Packet objects and statistics stay in Python: the step reports the
- * packet ids of the heads it injected and the tails it delivered in
- * `events`, and its return value says how many of each there are.
+ * Packets live in the packet store, one record per packet id: created
+ * and ejected cycle and ns, measured flag and replica beside the
+ * routing fields.  A replica whose arrival law compiles (law_by_copy)
+ * has its arrivals drawn here, from its own NumPy generator, and
+ * appended to the store and its source FIFOs; every tail ejection
+ * writes its record and appends the packet id to the delivery log.
+ * The step reports the packet ids of the heads it injected in `heads`,
+ * for engines that keep Packet objects.
  *
  * The hot loops avoid integer division: a line's node and port come
  * from the line_node/line_port tables, and its VC from
  * line - (node * ports + port) * vcs.
  *
- * fs_net mirrors kernel.py's SCALARS and ARRAYS, field for field.
+ * fs_net mirrors kernel.py's SCALARS, REALS and ARRAYS, field for
+ * field.
  */
 #include <stdint.h>
+
+/* A NumPy bit generator's next_double and next_uint32
+ * (Generator.bit_generator.ctypes), called on its state pointer. */
+typedef double (*next_double_fn)(void *);
+typedef uint32_t (*next_uint32_fn)(void *);
 
 /* VC states (repro.noc.buffer) and the local port (repro.noc.topology). */
 #define IDLE 0
@@ -36,14 +47,19 @@ enum {
     BUFFER_WRITES, BUFFER_READS, XBAR_TRAVERSALS, LINK_FLITS, VC_ALLOCS,
     SA_GRANTS, CREDIT_TRANSFERS, NUM_ACTIVITY,
     BUFFERED = NUM_ACTIVITY, IN_LINK, SRC_BACKLOG, QUEUED_PACKETS,
-    INJECTED_FLITS, EJECTED_FLITS
+    INJECTED_FLITS, EJECTED_FLITS, STORED_PACKETS, LOGGED_DELIVERIES
 };
+
+/* law_by_copy[]: how a replica's arrivals are drawn (kernel.py LAWS). */
+enum { LAW_NONE, LAW_UNIFORM, LAW_TABLE };
 
 typedef struct {
     /* geometry and timing */
     int64_t nodes, local_nodes, ports, vcs, depth, lines, lines_per_copy;
     int64_t route_latency, va_latency, link_latency, credit_latency;
     int64_t flit_horizon, credit_horizon, multi;
+    int64_t copies, packet_length, capacity;
+    double node_period;
     /* flit accounting and per-replica tallies */
     int64_t *counters, *activity_by_copy, *backlog_by_copy, *ejected_by_copy;
     /* topology tables */
@@ -58,13 +74,28 @@ typedef struct {
     /* sources: linked packet FIFOs and the packet being injected */
     int64_t *q_head, *q_tail, *cur_lid, *cur_len, *cur_sent, *cur_vc;
     int64_t *src_rr, *src_credits;
-    /* packet store */
-    int64_t *pkt_dst, *pkt_len, *pkt_hops, *pkt_next;
+    /* packet store: routing fields, then the records */
+    int64_t *pkt_dst, *pkt_len, *pkt_hops, *pkt_next, *pkt_copy;
+    int64_t *pkt_created_cycle, *pkt_ejected_cycle;
+    double *pkt_created_ns, *pkt_ejected_ns;
+    int8_t *pkt_measured;
+    int64_t *delivery_log;
+    /* per replica: clock, node-clock cursor, measured tallies */
+    double *time_by_copy, *period_by_copy;
+    int64_t *next_node_cycle, *measured_created_by_copy;
+    int64_t *measured_delivered_by_copy;
+    /* per replica: the arrival law, its step table and generator */
+    int64_t *law_by_copy, *step_first, *step_pos, *step_cycles;
+    double *step_factors, *pkt_prob;
+    int64_t *dest_table;
+    void **rng_state;
+    next_double_fn *rng_double;
+    next_uint32_fn *rng_uint32;
     /* calendars: one slot of nodes * ports entries per future cycle */
     int64_t *flit_line, *flit_pid, *flit_fidx, *flit_count;
     int64_t *credit_line, *credit_count, *credit_src, *credit_src_count;
     /* outputs and scratch */
-    int64_t *events, *scratch;
+    int64_t *heads, *scratch;
 } fs_net;
 
 int64_t fs_layout_size(void)
@@ -257,11 +288,19 @@ static int64_t arbitrate(fs_net *n, int64_t *cand, int64_t count,
     return kept;
 }
 
-/* Phase D: the winners traverse switch and link (engine.py: _send).
- * Writes delivered tail packet ids to tails[0..] and their hop counts
- * to tails[nodes..]; returns their count. */
-static int64_t send(fs_net *n, const int64_t *win, int64_t count,
-                    int64_t cycle, int attribute, int64_t *tails)
+/* A tail ejected: write its packet's record and log the delivery
+ * (engine.py: _log_deliveries). */
+static void deliver(fs_net *n, int64_t pid, int64_t copy, int64_t cycle)
+{
+    n->pkt_ejected_cycle[pid] = cycle;
+    n->pkt_ejected_ns[pid] = n->time_by_copy[copy];
+    n->delivery_log[n->counters[LOGGED_DELIVERIES]++] = pid;
+    n->measured_delivered_by_copy[copy] += n->pkt_measured[pid];
+}
+
+/* Phase D: the winners traverse switch and link (engine.py: _send). */
+static void send(fs_net *n, const int64_t *win, int64_t count,
+                 int64_t cycle, int attribute)
 {
     const int64_t vcs = n->vcs, ports = n->ports, depth = n->depth;
     const int64_t groups = n->nodes * ports;
@@ -274,7 +313,7 @@ static int64_t send(fs_net *n, const int64_t *win, int64_t count,
     int64_t *flit_fidx = n->flit_fidx + fslot * groups;
     int64_t *credit_line = n->credit_line + cslot * groups;
     int64_t *credit_src = n->credit_src + cslot * n->nodes;
-    int64_t sent = 0, routed = 0, sourced = 0, ejected = 0, done = 0;
+    int64_t sent = 0, routed = 0, sourced = 0, ejected = 0;
 
     for (int64_t i = 0; i < count; i++) {
         int64_t line = win[i], out = n->out_line[line];
@@ -302,11 +341,8 @@ static int64_t send(fs_net *n, const int64_t *win, int64_t count,
             ejected++;
             if (n->multi)
                 n->ejected_by_copy[copy] += 1;
-            if (tail) {
-                tails[done] = pid;
-                tails[n->nodes + done] = n->pkt_hops[pid];
-                done++;
-            }
+            if (tail)
+                deliver(n, pid, copy, cycle);
         } else {
             n->credits[out] -= 1;
             flit_line[sent] = link_base[n->out_group[line]] + n->out_vc[line];
@@ -340,13 +376,10 @@ static int64_t send(fs_net *n, const int64_t *win, int64_t count,
     n->counters[EJECTED_FLITS] += ejected;
     n->counters[IN_LINK] += sent;
     n->counters[LINK_FLITS] += sent;
-    return done;
 }
 
-/* One cycle of every router's pipeline (engine.py: _step_routers).
- * Returns the number of delivered tails written to `tails`. */
-static int64_t step_routers(fs_net *n, int64_t cycle, int attribute,
-                            int64_t *tails)
+/* One cycle of every router's pipeline (engine.py: _step_routers). */
+static void step_routers(fs_net *n, int64_t cycle, int attribute)
 {
     const int64_t lines = n->lines, depth = n->depth;
     const int16_t *fifo_len = n->fifo_len;
@@ -404,25 +437,141 @@ static int64_t step_routers(fs_net *n, int64_t cycle, int attribute,
     if (num_va)
         vc_allocate(n, va, num_va, cycle, attribute);
     if (!num_act)
-        return 0;
+        return;
     /* Phase C: separable input-first switch allocation. */
     if (num_act > 1)
         num_act = arbitrate(n, act, num_act, 0);
     if (num_act > 1)
         num_act = arbitrate(n, act, num_act, 1);
-    return send(n, act, num_act, cycle, attribute, tails);
+    send(n, act, num_act, cycle, attribute);
 }
 
-/* Advance the whole mesh by one cycle.  `attribute_activity` mirrors
- * FastNetwork.attribute_activity.  Returns the number of injected
- * heads (low 32 bits) and delivered tails (high 32 bits) written to
- * `events`: heads at [0, nodes), tails at [nodes, 2*nodes) with their
- * hop counts at [2*nodes, 3*nodes). */
-int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity)
+/* NumPy's Generator.integers(0, rng + 1) for 0 < rng < 2**32 - 1:
+ * buffered_bounded_lemire_uint32 of numpy/random/src/distributions,
+ * whose 32-bit draws take no buffer. */
+static uint32_t bounded_uint32(void *state, next_uint32_fn next,
+                               uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)next(state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next(state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* The rate factor of `copy`'s step table at node cycle `node_cycle`
+ * (PiecewiseRateTraffic.rate_factors).  Node cycles only grow, so a
+ * cursor replaces the search. */
+static double factor_at(fs_net *n, int64_t copy, int64_t node_cycle)
+{
+    int64_t pos = n->step_pos[copy], last = n->step_first[copy + 1] - 1;
+    while (pos < last && n->step_cycles[pos + 1] <= node_cycle)
+        pos++;
+    n->step_pos[copy] = pos;
+    return n->step_factors[pos];
+}
+
+/* Draw the arrivals of `copy`'s node cycles elapsed by its clock and
+ * queue them, exactly as one InjectionProcess.arrivals(k) call on the
+ * replica's generator: first all k * nodes Bernoulli trials, row-major
+ * (node cycle, then node), then one destination per hit in the same
+ * order.  How many node cycles one call covers depends on the network
+ * clock (1 per network cycle at Fmax, up to 3 at Fmin), so the
+ * arrival sequence does too.  Returns -1 if the store is too small. */
+static int draw_arrivals(fs_net *n, int64_t copy, int64_t cycle,
+                         int measuring)
+{
+    int64_t completed = (int64_t)(n->time_by_copy[copy] / n->node_period
+                                  + 1e-9);
+    int64_t start = n->next_node_cycle[copy];
+    int64_t cycles = completed + 1 - start;
+    if (cycles <= 0)
+        return 0;
+    n->next_node_cycle[copy] = completed + 1;
+    const int64_t local = n->local_nodes, base = copy * local;
+    int64_t first = n->counters[STORED_PACKETS], lid = first;
+    if (first + cycles * local > n->capacity)
+        return -1;
+    void *state = n->rng_state[copy];
+    next_double_fn next_double = n->rng_double[copy];
+    const double *prob = n->pkt_prob + base;
+    int steps = n->step_first[copy + 1] > n->step_first[copy];
+    for (int64_t k = 0; k < cycles; k++) {
+        int64_t node_cycle = start + k;
+        double factor = steps ? factor_at(n, copy, node_cycle) : 1.0;
+        for (int64_t src = 0; src < local; src++) {
+            double u = next_double(state);
+            if (!(steps ? u < factor * prob[src] : u < prob[src]))
+                continue;
+            /* pkt_dst holds the source until its destination is drawn. */
+            n->pkt_dst[lid] = src;
+            n->pkt_created_cycle[lid] = cycle;
+            n->pkt_created_ns[lid] = (double)node_cycle * n->node_period;
+            lid++;
+        }
+    }
+
+    /* Destinations, then the records and the source FIFOs. */
+    int uniform = n->law_by_copy[copy] == LAW_UNIFORM;
+    uint32_t rng = (uint32_t)(local - 2);   /* integers(0, local - 1) */
+    next_uint32_fn next_uint32 = n->rng_uint32[copy];
+    for (int64_t pid = first; pid < lid; pid++) {
+        int64_t src = n->pkt_dst[pid], dst;
+        if (uniform) {
+            /* NumPy draws nothing for an empty range (2 nodes). */
+            dst = rng ? (int64_t)bounded_uint32(state, next_uint32, rng) : 0;
+            if (dst >= src)
+                dst++;
+        } else {
+            dst = n->dest_table[base + src];
+        }
+        int64_t node = base + src;
+        n->pkt_dst[pid] = dst;
+        n->pkt_len[pid] = n->packet_length;
+        n->pkt_copy[pid] = copy;
+        n->pkt_measured[pid] = (int8_t)measuring;
+        int64_t tail = n->q_tail[node];
+        if (tail < 0)
+            n->q_head[node] = pid;
+        else
+            n->pkt_next[tail] = pid;
+        n->q_tail[node] = pid;
+    }
+    int64_t added = lid - first;
+    n->counters[STORED_PACKETS] = lid;
+    n->counters[QUEUED_PACKETS] += added;
+    n->counters[SRC_BACKLOG] += added * n->packet_length;
+    if (n->multi)
+        n->backlog_by_copy[copy] += added * n->packet_length;
+    n->measured_created_by_copy[copy] += measuring ? added : 0;
+    return 0;
+}
+
+/* Advance the whole mesh by one cycle: draw the arrivals of every
+ * replica whose law compiles, step the calendars, sources and
+ * routers, and advance each replica's clock by its period.
+ * `attribute_activity` mirrors FastNetwork.attribute_activity and
+ * `measuring` tags new packets as measured.  Returns the number of
+ * injected head packet ids written to `heads`, or -1, leaving the
+ * cycle unfinished, when the packet store is too small for the
+ * arrivals (FastNetwork.step_cycle grows it beforehand). */
+int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
+                int32_t measuring)
 {
     int attribute = n->multi && attribute_activity;
     int64_t groups = n->nodes * n->ports;
-    int64_t heads = 0, tails = 0;
+    int64_t heads = 0;
+
+    for (int64_t copy = 0; copy < n->copies; copy++)
+        if (n->law_by_copy[copy] != LAW_NONE
+                && draw_arrivals(n, copy, cycle, measuring) < 0)
+            return -1;
 
     int64_t cslot = cycle % n->credit_horizon;
     for (int64_t i = 0; i < n->credit_count[cslot]; i++)
@@ -442,8 +591,10 @@ int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity)
     n->flit_count[fslot] = 0;
 
     if (n->counters[SRC_BACKLOG])
-        heads = step_sources(n, attribute, n->events);
+        heads = step_sources(n, attribute, n->heads);
     if (n->counters[BUFFERED])
-        tails = step_routers(n, cycle, attribute, n->events + n->nodes);
-    return heads | (tails << 32);
+        step_routers(n, cycle, attribute);
+    for (int64_t copy = 0; copy < n->copies; copy++)
+        n->time_by_copy[copy] += n->period_by_copy[copy];
+    return heads;
 }

@@ -35,21 +35,27 @@ from ..stats import ACTIVITY_FIELDS
 
 SOURCE = Path(__file__).with_name("kernel.c")
 
-#: The compile command; ``-o LIBRARY SOURCE`` is appended.
-COMPILER = ("gcc", "-O2", "-shared", "-fPIC")
+#: The compile command; ``-o LIBRARY SOURCE`` is appended.  The step
+#: does float arithmetic (arrival thresholds, timestamps), and
+#: ``-ffp-contract=off`` keeps it free of fused multiply-adds, so its
+#: results do not depend on the target's FMA support.
+COMPILER = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: Compiler stderr lines quoted in the fallback warning.
 STDERR_TAIL_LINES = 12
 
-#: ``fs_net``'s scalar fields, in ``kernel.c`` order.
+#: ``fs_net``'s int64 scalar fields, in ``kernel.c`` order.
 SCALARS = ("nodes", "local_nodes", "ports", "vcs", "depth", "lines",
            "lines_per_copy", "route_latency", "va_latency",
            "link_latency", "credit_latency", "flit_horizon",
-           "credit_horizon", "multi")
+           "credit_horizon", "multi", "copies", "packet_length",
+           "capacity")
+
+#: ``fs_net``'s double scalar fields, after :data:`SCALARS`.
+REALS = ("node_period",)
 
 #: ``fs_net``'s array fields, in ``kernel.c`` order: every array the
-#: cycle step reads or writes, named as the engine's attributes.  All
-#: are int64 except ``state`` (int8) and ``fifo_len`` (int16).
+#: cycle step reads or writes, named as the engine's attributes.
 ARRAYS = ("counters", "activity_by_copy", "backlog_by_copy",
           "ejected_by_copy", "route", "link_base", "line_node",
           "line_port", "state", "fifo_len", "fifo_head", "buf_pid",
@@ -58,25 +64,53 @@ ARRAYS = ("counters", "activity_by_copy", "backlog_by_copy",
           "sa_out_ptr", "scoreboard", "group_counts", "q_head", "q_tail",
           "cur_lid", "cur_len", "cur_sent", "cur_vc", "src_rr",
           "src_credits", "pkt_dst", "pkt_len", "pkt_hops", "pkt_next",
+          "pkt_copy", "pkt_created_cycle", "pkt_ejected_cycle",
+          "pkt_created_ns", "pkt_ejected_ns", "pkt_measured",
+          "delivery_log", "time_by_copy", "period_by_copy",
+          "next_node_cycle", "measured_created_by_copy",
+          "measured_delivered_by_copy", "law_by_copy", "step_first",
+          "step_pos", "step_cycles", "step_factors", "pkt_prob",
+          "dest_table", "rng_state", "rng_double", "rng_uint32",
           "flit_line", "flit_pid", "flit_fidx", "flit_count",
           "credit_line", "credit_count", "credit_src",
-          "credit_src_count", "events", "scratch")
+          "credit_src_count", "heads", "scratch")
+
+#: The packet store: arrays indexed by packet id, all of the engine's
+#: ``capacity``.  The delivery log lists packet ids in delivery order.
+STORE = ("pkt_dst", "pkt_len", "pkt_hops", "pkt_next", "pkt_copy",
+         "pkt_created_cycle", "pkt_ejected_cycle", "pkt_created_ns",
+         "pkt_ejected_ns", "pkt_measured", "delivery_log")
 
 #: ``counters`` layout (``kernel.c``'s enum): the activity totals in
-#: ``ACTIVITY_FIELDS`` order, then the flit accounting.
+#: ``ACTIVITY_FIELDS`` order, then the flit accounting, then the fill
+#: of the packet store and of the delivery log.
 COUNTERS = ACTIVITY_FIELDS + ("buffered", "in_link", "src_backlog",
                               "queued_packets", "injected_flits",
-                              "ejected_flits")
+                              "ejected_flits", "stored_packets",
+                              "logged_deliveries")
 
-_DTYPES = {"state": np.dtype(np.int8), "fifo_len": np.dtype(np.int16)}
+#: ``law_by_copy`` codes (``kernel.c``'s enum): the replica's arrivals
+#: are not drawn by the step, drawn uniform over the other nodes, or
+#: drawn to the fixed destinations of ``dest_table``.
+LAWS = ("none", "uniform", "table")
+
+#: Arrays that are not int64; the ``rng_*`` arrays hold addresses.
+DTYPES = {"state": np.dtype(np.int8), "fifo_len": np.dtype(np.int16),
+          "pkt_measured": np.dtype(np.int8),
+          **dict.fromkeys(("pkt_created_ns", "pkt_ejected_ns",
+                           "time_by_copy", "period_by_copy",
+                           "step_factors", "pkt_prob"),
+                          np.dtype(np.float64)),
+          **dict.fromkeys(("rng_state", "rng_double", "rng_uint32"),
+                          np.dtype(np.uint64))}
 
 
 def _lengths(scalars: dict[str, int]) -> dict[str, int]:
-    """The element count ``kernel.c`` assumes for each array; the
-    packet store, indexed by packet id, grows with the engine."""
+    """The element count ``kernel.c`` assumes for each array; the step
+    tables (``step_cycles``, ``step_factors``) may have any length."""
     lines, nodes, depth = (scalars[k] for k in ("lines", "nodes", "depth"))
     groups = nodes * scalars["ports"]
-    copies = nodes // scalars["local_nodes"]
+    copies = scalars["copies"]
     flit, credit = scalars["flit_horizon"], scalars["credit_horizon"]
     lengths = dict(
         counters=len(COUNTERS),
@@ -88,7 +122,7 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
         flit_fidx=flit * groups, flit_count=flit,
         credit_line=credit * groups, credit_count=credit,
         credit_src=credit * nodes, credit_src_count=credit,
-        events=3 * nodes, scratch=2 * lines)
+        step_first=copies + 1, scratch=2 * lines)
     for size, names in (
             (lines, ("line_node", "line_port", "state", "fifo_len",
                      "fifo_head", "out_port", "out_vc", "out_group",
@@ -96,8 +130,15 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
             (groups, ("link_base", "va_ptr", "sa_in_ptr", "sa_out_ptr",
                       "scoreboard", "group_counts")),
             (nodes, ("q_head", "q_tail", "cur_lid", "cur_len", "cur_sent",
-                     "cur_vc", "src_rr")),
-            (copies, ("backlog_by_copy", "ejected_by_copy"))):
+                     "cur_vc", "src_rr", "pkt_prob", "dest_table",
+                     "heads")),
+            (copies, ("backlog_by_copy", "ejected_by_copy",
+                      "time_by_copy", "period_by_copy", "next_node_cycle",
+                      "measured_created_by_copy",
+                      "measured_delivered_by_copy", "law_by_copy",
+                      "step_pos", "rng_state", "rng_double",
+                      "rng_uint32")),
+            (scalars["capacity"], STORE)):
         lengths.update(dict.fromkeys(names, size))
     return lengths
 
@@ -108,6 +149,7 @@ class KernelBuildError(RuntimeError):
 
 class _Layout(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_int64) for name in SCALARS]
+                + [(name, ctypes.c_double) for name in REALS]
                 + [(name, ctypes.c_void_p) for name in ARRAYS])
 
 
@@ -126,14 +168,15 @@ class Kernel:
                 f"{path.name}: fs_net does not match kernel.py's layout")
         step = lib.fs_step
         step.argtypes = (ctypes.POINTER(_Layout), ctypes.c_int64,
-                         ctypes.c_int32)
+                         ctypes.c_int32, ctypes.c_int32)
         step.restype = ctypes.c_int64
         self._lib = lib
-        #: ``step(layout, cycle, attribute_activity)`` -> event counts
+        #: ``step(layout, cycle, attribute_activity, measuring)`` ->
+        #: injected heads, or -1 when the packet store is too small
         self.step = step
 
     @staticmethod
-    def bind(scalars: dict[str, int], engine) -> ctypes.Structure:
+    def bind(scalars: dict, engine) -> ctypes.Structure:
         """The ``fs_net`` struct over ``engine``'s :data:`ARRAYS`.
 
         The caller keeps the struct and the arrays alive while it
@@ -142,10 +185,12 @@ class Kernel:
         layout = _Layout()
         for name in SCALARS:
             setattr(layout, name, int(scalars[name]))
+        for name in REALS:
+            setattr(layout, name, float(scalars[name]))
         lengths = _lengths(scalars)
         for name in ARRAYS:
             array = getattr(engine, name)
-            dtype = _DTYPES.get(name, np.dtype(np.int64))
+            dtype = DTYPES.get(name, np.dtype(np.int64))
             length = lengths.get(name, array.size)
             if (array.dtype != dtype or array.size != length
                     or not array.flags.c_contiguous):

@@ -7,12 +7,17 @@ arrivals are Bernoulli per node cycle with probability
 ``node_rate / packet_length`` — the standard Booksim injection process —
 and they happen in the node clock domain, so the offered load is
 independent of the DVFS state of the network (Sec. III).
+
+A spec may also declare an :class:`ArrivalLaw` that the fast engine's
+compiled step draws itself, from the same generator and in the same
+order as :meth:`InjectionProcess.arrivals`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +72,10 @@ class TrafficSpec(ABC):
         """Peak rate multiplier over all node cycles (1.0 = constant).
 
         Part of the base contract so the injection process can validate
-        ``peak rate <= one packet per node cycle`` for *any* spec: a
-        time-varying subclass that forgets to override this inherits a
-        conservative constant-rate answer only if it also leaves
-        :meth:`rate_factors` at the default — overriding one without
-        the other is caught by the injection process's validation.
+        ``peak rate <= one packet per node cycle`` for *any* spec.  A
+        subclass that overrides :meth:`rate_factors` without this is
+        caught when it draws: the injection process raises
+        ``ValueError`` when factors exceed ``max_factor()``.
         """
         return 1.0
 
@@ -97,6 +101,48 @@ class TrafficSpec(ABC):
         bit-identical on every backend by construction.
         """
         return None
+
+    def arrival_law(self) -> "ArrivalLaw | None":
+        """The law the fast engine's compiled step may draw, or ``None``
+        (the default): the arrivals are drawn by
+        :meth:`InjectionProcess.arrivals`.
+
+        An explicit opt-in per class, never inherited: the law is used
+        only when the spec's own class defines this method, so a
+        subclass that changes how arrivals are drawn falls back to the
+        Python draw.
+        """
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class ArrivalLaw:
+    """An arrival law the fast engine's compiled step draws itself.
+
+    The Bernoulli trials of :meth:`InjectionProcess.arrivals` against
+    the constant per-node packet probabilities, optionally scaled by a
+    step table of rate factors (``step_cycles``/``step_factors``, as
+    :class:`PiecewiseRateTraffic` holds them), then one destination per
+    hit: uniform over the other nodes (``dests is None``, drawn as
+    :class:`~repro.traffic.patterns.UniformTraffic` draws it) or the
+    fixed ``dests[src]``, which draws nothing.
+    """
+
+    dests: np.ndarray | None = None
+    step_cycles: np.ndarray | None = None
+    step_factors: np.ndarray | None = None
+
+
+def _declared(obj, name: str):
+    """``obj``'s attribute ``name`` when ``obj``'s own class defines
+    it, else ``None``: how compiled arrival laws opt in per class."""
+    return getattr(obj, name) if name in type(obj).__dict__ else None
+
+
+def _compiled_law(spec: TrafficSpec) -> ArrivalLaw | None:
+    """``spec.arrival_law()`` if ``spec``'s own class defines it."""
+    arrival_law = _declared(spec, "arrival_law")
+    return arrival_law() if arrival_law is not None else None
 
 
 class PiecewiseRateTraffic(TrafficSpec):
@@ -171,6 +217,15 @@ class PiecewiseRateTraffic(TrafficSpec):
         return ("piecewise", self.base.spec_key(),
                 tuple((c, repr(f)) for c, f in self.steps))
 
+    def arrival_law(self) -> ArrivalLaw | None:
+        """The base's compiled law under this step table (a base that
+        steps itself is drawn in Python)."""
+        base = _compiled_law(self.base)
+        if base is None or base.step_cycles is not None:
+            return None
+        return ArrivalLaw(base.dests, self._step_cycles,
+                          self._step_factors)
+
     def scaled(self, factor: float) -> "PiecewiseRateTraffic":
         return PiecewiseRateTraffic(self.base.scaled(factor), self.steps)
 
@@ -210,6 +265,21 @@ class PatternTraffic(TrafficSpec):
         return (("pattern",) + tuple(self.pattern.spec_key())
                 + (repr(float(self.node_rate)),))
 
+    def arrival_law(self) -> ArrivalLaw | None:
+        """Uniform or a destination table, as the pattern's own class
+        declares (``TrafficPattern.compiled_law``)."""
+        law = _declared(self.pattern, "compiled_law")
+        n = self.pattern.mesh.num_nodes
+        if law == "uniform" and n >= 2:
+            return ArrivalLaw()
+        if law == "table":
+            # Permutation patterns never draw from the generator.
+            rng = np.random.default_rng(0)
+            return ArrivalLaw(np.array([self.pattern.dest(src, rng)
+                                        for src in range(n)],
+                                       dtype=np.int64))
+        return None
+
     def scaled(self, factor: float) -> "PatternTraffic":
         return PatternTraffic(self.pattern, self.node_rate * factor)
 
@@ -239,9 +309,13 @@ class InjectionProcess:
 
     Vectorized: one call covers a contiguous range of node cycles for
     every node at once, which keeps the Python overhead of the hot loop
-    low.  Arrivals are reproducible for a given seed regardless of the
-    network's DVFS trajectory, because the draws depend only on node
-    cycles, never on network state.
+    low.  A call draws from the one generator every Bernoulli trial of
+    its node cycles first (row-major: node cycle, then node), then one
+    destination per hit in the same order.  The simulation makes one
+    call per network cycle, covering the node cycles that elapsed in
+    it: 1 at Fmax, up to 3 at Fmin.  So the arrivals of a seed depend
+    on that grouping, and with it on the network's frequency: the same
+    seed at two frequencies offers the same load but different packets.
     """
 
     def __init__(self, spec: TrafficSpec, packet_length: int,
@@ -262,8 +336,29 @@ class InjectionProcess:
             raise ValueError(
                 f"offered rate {bad:.3f} flits/cycle exceeds one packet "
                 f"per node cycle for packet length {packet_length}")
+        self._peak_factor = peak_factor
         self.num_nodes = len(rates)
         self._cursor = 0  # next node cycle to be drawn
+
+    def _check_factors(self, factors: np.ndarray) -> None:
+        """Rate factors above the spec's ``max_factor()`` would bypass
+        the peak-rate check above (and be capped at one packet per
+        node cycle), so they are an error."""
+        if factors.size and float(factors.max()) > self._peak_factor:
+            name = type(self.spec).__name__
+            raise ValueError(
+                f"{name} rate factor {float(factors.max())!r} exceeds "
+                f"its max_factor() {self._peak_factor!r}; override "
+                f"{name}.max_factor() to return the peak factor")
+
+    def compiled_law(self) -> ArrivalLaw | None:
+        """The spec's compiled arrival law (``None`` unless the spec's
+        own class declares one), its step table checked against
+        ``max_factor()``."""
+        law = _compiled_law(self.spec)
+        if law is not None and law.step_factors is not None:
+            self._check_factors(law.step_factors)
+        return law
 
     def arrivals(self, num_node_cycles: int) -> list[tuple[int, int, int]]:
         """Draw arrivals for the next ``num_node_cycles`` node cycles.
@@ -285,8 +380,9 @@ class InjectionProcess:
         draws = self.rng.random((num_node_cycles, self.num_nodes))
         factors = self.spec.rate_factors(self._cursor, num_node_cycles)
         if factors is not None:
-            threshold = np.asarray(factors)[:, None] \
-                * self.packet_prob[None, :]
+            factors = np.asarray(factors)
+            self._check_factors(factors)
+            threshold = factors[:, None] * self.packet_prob[None, :]
         else:
             threshold = self.packet_prob
         self._cursor += num_node_cycles

@@ -67,6 +67,14 @@ class TrafficPattern(ABC):
     #: at construction and surface at ``ScenarioSpec`` validation.
     requires: str | None = None
 
+    #: How the fast engine's compiled step may draw this pattern's
+    #: destinations (``PatternTraffic.arrival_law``): ``"uniform"``,
+    #: exactly as :class:`UniformTraffic` draws; ``"table"``, a fixed
+    #: destination per source whose :meth:`dest` never draws; or None,
+    #: :meth:`dest` is called in Python.  Only the class that sets it
+    #: opts in: subclasses do not inherit it.
+    compiled_law: str | None = None
+
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
 
@@ -101,6 +109,7 @@ class UniformTraffic(TrafficPattern):
     """Uniform random: each packet targets a uniformly random other node."""
 
     name = "uniform"
+    compiled_law = "uniform"
 
     @property
     def is_deterministic(self) -> bool:
@@ -118,6 +127,7 @@ class ComplementTraffic(TrafficPattern):
     """Bit-complement, generalized to coordinate complement."""
 
     name = "bitcomp"
+    compiled_law = "table"
 
     def dest(self, src: int, rng: np.random.Generator) -> int:
         c = self.mesh.coord(src)
@@ -130,6 +140,7 @@ class TransposeTraffic(TrafficPattern):
     """Matrix transpose: ``(x, y) -> (y, x)``.  Requires a square mesh."""
 
     name = "transpose"
+    compiled_law = "table"
     requires = "square mesh"
 
     def __init__(self, mesh: Mesh) -> None:
@@ -147,6 +158,7 @@ class TornadoTraffic(TrafficPattern):
     """Tornado: shift each coordinate halfway around its dimension."""
 
     name = "tornado"
+    compiled_law = "table"
 
     def dest(self, src: int, rng: np.random.Generator) -> int:
         c = self.mesh.coord(src)
@@ -161,6 +173,7 @@ class NeighborTraffic(TrafficPattern):
     """Nearest-neighbor: send one hop east (with wrap in the index)."""
 
     name = "neighbor"
+    compiled_law = "table"
 
     def dest(self, src: int, rng: np.random.Generator) -> int:
         c = self.mesh.coord(src)
@@ -172,6 +185,7 @@ class BitReverseTraffic(TrafficPattern):
     """Bit-reversal of the node index (power-of-two node counts only)."""
 
     name = "bitrev"
+    compiled_law = "table"
     requires = "power-of-two node count"
 
     def __init__(self, mesh: Mesh) -> None:
@@ -195,6 +209,7 @@ class ShuffleTraffic(TrafficPattern):
     """Perfect shuffle: rotate the index bits left by one."""
 
     name = "shuffle"
+    compiled_law = "table"
     requires = "power-of-two node count"
 
     def __init__(self, mesh: Mesh) -> None:

@@ -2,10 +2,15 @@
 
 ``FastNetwork`` steps its arrays with the compiled kernel
 (``repro/noc/fastsim/kernel.c``) when it loads, and with the NumPy
-phase methods otherwise.  Both must leave every state array equal
-after every cycle; the lockstep test below drives one engine of each
-side by side on random small configurations and compares all of them,
-plus every packet's timestamps and the delivery order.
+phase methods otherwise.  Both must leave every state and record array
+equal after every cycle.  The lockstep tests below drive one engine of
+each side by side on random small configurations and compare all of
+them: once fed ``Packet`` objects (plus every packet's timestamps and
+the delivery order), and once drawing their own arrivals from bound
+sources, with mixed arrival laws per replica (compiled uniform, a
+permutation table and rate steps, and hotspot drawn in Python), a
+replica retired mid-run and a packet store that grows from one entry.
+Each generator must end in the same state on both sides.
 
 The loader tests cover the fallback (a failing build warns once, quotes
 the compiler, and the NumPy step gives the same results), two
@@ -30,16 +35,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc import NocConfig, Packet, SimBudget, run_fixed_point
-from repro.noc.fastsim import FastNetwork, kernel
-from repro.traffic import PatternTraffic, make_pattern
+from repro.noc import (NocConfig, Packet, SimBudget, Simulation,
+                       run_fixed_point, topology)
+from repro.noc.clock import NetworkClock
+from repro.noc.fastsim import (BatchPoint, FastNetwork, engine, kernel,
+                               run_fixed_batch)
+from repro.traffic import (InjectionProcess, PatternTraffic,
+                           PiecewiseRateTraffic, make_pattern)
 
 HAVE_COMPILER = shutil.which(kernel.COMPILER[0]) is not None
+needs_compiler = pytest.mark.skipif(
+    not HAVE_COMPILER, reason=f"no {kernel.COMPILER[0]} on PATH")
 
 SRC = Path(kernel.__file__).resolve().parents[3]
 
-#: Arrays the step writes as outputs or scratch, not state.
-NOT_STATE = {"events", "scratch"}
+#: Arrays that are not simulation state: the step's outputs and
+#: scratch, the addresses of each engine's own generators, and the
+#: compiled step's cursor into its step tables (the NumPy step
+#: searches them instead).
+NOT_STATE = {"heads", "scratch", "rng_state", "rng_double", "rng_uint32",
+             "step_pos"}
 
 TINY = NocConfig(width=3, height=3, num_vcs=2, vc_buf_depth=2,
                  packet_length=3)
@@ -67,9 +82,8 @@ def tiny_run(seed: int = 4):
                            engine="fast")
 
 
+@needs_compiler
 def test_kernel_loads_when_a_compiler_is_present():
-    if not HAVE_COMPILER:
-        pytest.skip(f"no {kernel.COMPILER[0]} on PATH")
     assert kernel.load_kernel() is not None
     assert FastNetwork(TINY).compiled
 
@@ -115,21 +129,16 @@ def assert_same_state(compiled: FastNetwork, fallback: FastNetwork,
     assert compiled.in_flight_flits() == fallback.in_flight_flits()
 
 
+@needs_compiler
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios())
 def test_compiled_step_matches_numpy_step_every_cycle(scenario):
-    if not HAVE_COMPILER:
-        pytest.skip(f"no {kernel.COMPILER[0]} on PATH")
     config, copies = scenario["config"], scenario["copies"]
     compiled = FastNetwork(config, copies)
     fallback = numpy_engine(config, copies)
     assert compiled.compiled and not fallback.compiled
     nets = (compiled, fallback)
-    if copies > 1:
-        # Per-replica clocks, so delivery times differ between copies.
-        for net in nets:
-            net.time_by_copy = np.zeros(copies)
 
     local = config.num_nodes
     rng = np.random.default_rng(scenario["seed"])
@@ -155,8 +164,6 @@ def test_compiled_step_matches_numpy_step_every_cycle(scenario):
             created.append(pair)
         for net in nets:
             net.step_cycle(cycle, float(cycle))
-            if copies > 1:
-                net.time_by_copy += np.arange(1.0, copies + 1.0)
         assert_same_state(compiled, fallback, cycle)
 
     for ours, theirs in created:
@@ -168,6 +175,143 @@ def test_compiled_step_matches_numpy_step_every_cycle(scenario):
              for packet in pair}
     assert ([index[id(p)] for p in compiled.delivered]
             == [index[id(p)] for p in fallback.delivered])
+
+
+#: Arrival laws of the bound-source lockstep: the compiled ones, and
+#: hotspot, whose destinations draw in Python.
+LAWS = ("uniform", "table", "steps", "hotspot")
+
+
+def law_traffic(config: NocConfig, law: str, rate: float,
+                steps: list[tuple[int, float]]):
+    mesh = config.make_mesh()
+    if law == "table":
+        return PatternTraffic(make_pattern("tornado", mesh), rate)
+    if law == "hotspot":
+        return PatternTraffic(make_pattern("hotspot", mesh), rate)
+    uniform = PatternTraffic(make_pattern("uniform", mesh), rate)
+    return PiecewiseRateTraffic(uniform, steps) if law == "steps" \
+        else uniform
+
+
+@st.composite
+def bound_scenarios(draw):
+    config = draw(scenarios())["config"]
+    copies = draw(st.integers(1, 4))
+    f_min, f_max = config.f_min_hz, config.f_max_hz
+    # Steps land inside the 1-3 node cycles of one network cycle.
+    cuts = sorted(draw(st.sets(st.integers(1, 300), max_size=3)))
+    steps = [(0, 1.0)] + [(cut, draw(st.sampled_from([0.0, 0.5, 2.0])))
+                          for cut in cuts]
+    points = [BatchPoint(
+        law_traffic(config, draw(st.sampled_from(LAWS)),
+                    draw(st.floats(0.02, 0.5)), steps),
+        draw(st.one_of(st.just(f_min), st.floats(f_min, f_max))),
+        draw(st.integers(0, 2**16))) for _ in range(copies)]
+    cycles = 140
+    return dict(config=config, points=points, cycles=cycles,
+                measure_from=draw(st.integers(0, cycles)),
+                measure_to=draw(st.integers(0, cycles)),
+                freeze_at=draw(st.integers(0, cycles)),
+                frozen=draw(st.integers(0, copies - 1)))
+
+
+def bind(net: FastNetwork, config: NocConfig,
+         points: list[BatchPoint]) -> list[InjectionProcess]:
+    injections = [InjectionProcess(p.traffic, config.packet_length,
+                                   np.random.default_rng(p.seed))
+                  for p in points]
+    net.bind_sources(injections, [
+        NetworkClock(p.freq_hz, config.f_min_hz, config.f_max_hz).period_ns
+        for p in points])
+    return injections
+
+
+def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
+                       cycles: int, measure_from: int = 0,
+                       measure_to: int = -1, freeze_at: int = -1,
+                       frozen: int = 0) -> FastNetwork:
+    """Step a compiled and a NumPy-step engine drawing their own
+    arrivals from the same sources; compare them after every cycle."""
+    copies = len(points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_PACKET_STORE", 1)
+        compiled = FastNetwork(config, copies)
+        fallback = numpy_engine(config, copies)
+    assert compiled.compiled and not fallback.compiled
+    sources = [bind(net, config, points) for net in (compiled, fallback)]
+    for cycle in range(cycles):
+        for net in (compiled, fallback):
+            if cycle == measure_from:
+                net.measuring = True
+            if cycle == measure_to:
+                net.measuring = False
+            if copies > 1 and cycle == freeze_at:
+                net.freeze_copy(frozen)
+            net.step_cycle(cycle, 0.0)
+        assert_same_state(compiled, fallback, cycle)
+    for ours, theirs in zip(*sources):
+        assert (ours.rng.bit_generator.state
+                == theirs.rng.bit_generator.state)
+    return compiled
+
+
+@needs_compiler
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=bound_scenarios())
+def test_compiled_arrivals_match_numpy_step_every_cycle(scenario):
+    net = run_bound_lockstep(**scenario)
+    assert net.pkt_dst.size > 1            # the store grew mid-run
+
+
+@pytest.fixture
+def two_node_mesh(monkeypatch):
+    """Lift the 2x2 minimum of meshes and configurations: a 2-node
+    mesh is the one where ``integers(0, nodes - 1)`` draws nothing."""
+    def mesh_init(self, width, height):
+        self.width, self.height = width, height
+        self.num_nodes = width * height
+    monkeypatch.setattr(topology.Mesh, "__init__", mesh_init)
+    monkeypatch.setattr(NocConfig, "__post_init__", lambda self: None)
+    return NocConfig(width=2, height=1, num_vcs=2, vc_buf_depth=2,
+                     packet_length=2)
+
+
+@needs_compiler
+def test_two_node_uniform_draws_no_destination(two_node_mesh):
+    config = two_node_mesh
+    traffic = PatternTraffic(make_pattern("uniform", config.make_mesh()),
+                             0.5)
+    points = [BatchPoint(traffic, freq, seed) for freq, seed in
+              ((config.f_min_hz, 3), (config.f_max_hz, 4))]
+    net = run_bound_lockstep(config, points, 200)
+    assert int(net.counters[kernel.COUNTERS.index("stored_packets")]) > 50
+
+
+SATURATED = 0.9
+
+
+@pytest.mark.parametrize("probe", [False, True])
+@pytest.mark.parametrize("pattern,rate,speed", [
+    ("uniform", 0.3, 1.0), ("transpose", 0.2, 0.0),
+    ("hotspot", 0.2, 0.5), ("uniform", SATURATED, 0.0)])
+def test_fixed_point_is_the_one_replica_batch(pattern, rate, speed, probe):
+    """Fast ``run_fixed_point`` is the one-replica batch, and both
+    equal the ``Packet``-object run of the simulation kernel (this
+    budget ends before its first control window)."""
+    freq_hz = TINY.f_min_hz + speed * (TINY.f_max_hz - TINY.f_min_hz)
+    traffic = PatternTraffic(make_pattern(pattern, TINY.make_mesh()), rate)
+    alone = run_fixed_point(TINY, traffic, freq_hz, BUDGET, 9,
+                            engine="fast", probe=probe)
+    batched, = run_fixed_batch(TINY, [BatchPoint(traffic, freq_hz, 9)],
+                               BUDGET, probe=probe)
+    packets = Simulation(TINY, traffic, controller=freq_hz, seed=9,
+                         engine="fast").run(
+        BUDGET.warmup_cycles, BUDGET.measure_cycles, BUDGET.drain_cycles,
+        probe=probe)
+    assert alone == batched == packets
+    assert alone.samples == []
 
 
 def test_failed_build_warns_once_and_falls_back(tmp_path, fresh_loader):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.noc import Mesh
 from repro.traffic import (InjectionProcess, MatrixTraffic, PatternTraffic,
+                           PiecewiseRateTraffic, UniformTraffic,
                            TrafficMatrix, make_pattern)
 
 
@@ -101,3 +102,44 @@ class TestInjectionProcess:
         proc = InjectionProcess(spec, 2, rng)
         sources = {src for _, src, _ in proc.arrivals(2000)}
         assert 12 not in sources
+
+
+class TestCompiledLaws:
+    """Which arrival laws the fast engine's compiled step may draw."""
+
+    @staticmethod
+    def law(spec):
+        return InjectionProcess(spec, 4, np.random.default_rng(0)
+                                ).compiled_law()
+
+    def test_uniform_and_its_rate_steps_compile(self, mesh4):
+        uniform = uniform_spec(mesh4, 0.2)
+        assert self.law(uniform).dests is None
+        stepped = self.law(PiecewiseRateTraffic(uniform, [(0, 1.0),
+                                                          (5, 2.0)]))
+        assert stepped.dests is None
+        assert stepped.step_cycles.tolist() == [0, 5]
+        assert stepped.step_factors.tolist() == [1.0, 2.0]
+
+    def test_permutations_compile_to_their_destinations(self, mesh4):
+        spec = PatternTraffic(make_pattern("transpose", mesh4), 0.2)
+        law = self.law(spec)
+        rng = np.random.default_rng(0)
+        assert law.dests.tolist() == [spec.pattern.dest(src, rng)
+                                      for src in range(16)]
+
+    def test_other_laws_draw_in_python(self, mesh4):
+        class MyUniform(UniformTraffic):
+            pass
+
+        class MySpec(PatternTraffic):
+            pass
+
+        matrix = TrafficMatrix.from_pairs(16, [(1, 2, 0.3)])
+        for spec in (PatternTraffic(make_pattern("hotspot", mesh4), 0.2),
+                     PatternTraffic(MyUniform(mesh4), 0.2),
+                     MySpec(make_pattern("uniform", mesh4), 0.2),
+                     MatrixTraffic(matrix),
+                     PiecewiseRateTraffic(MatrixTraffic(matrix),
+                                          [(0, 1.0)])):
+            assert self.law(spec) is None, spec

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DmsdController
-from repro.noc import NocConfig, Simulation
+from repro.noc import Mesh, NocConfig, Simulation
 from repro.traffic import (InjectionProcess, PatternTraffic,
                            PiecewiseRateTraffic, make_pattern)
 
@@ -70,6 +70,31 @@ class TestInjectionWithSteps:
         spec = PiecewiseRateTraffic(hot, [(0, 1.0), (10, 5.0)])
         with pytest.raises(ValueError, match="exceeds"):
             InjectionProcess(spec, packet_length=4, rng=rng)
+
+    def test_factors_above_max_factor_raise(self, rng):
+        """Factors above ``max_factor()`` escape the peak-rate check at
+        construction; drawing them used to cap 4.0 fl/cy silently at
+        one packet per node cycle (2,500 packets in 100 cycles)."""
+        class Unbounded(PatternTraffic):
+            def rate_factors(self, start_cycle, count):
+                return np.full(count, 10.0)
+
+        spec = Unbounded(make_pattern("uniform", Mesh(5, 5)), 0.4)
+        proc = InjectionProcess(spec, packet_length=4, rng=rng)
+        with pytest.raises(ValueError, match="Unbounded"):
+            proc.arrivals(100)
+
+    def test_compiled_step_table_checked_once_at_bind(self, base, rng):
+        class Understated(PiecewiseRateTraffic):
+            arrival_law = PiecewiseRateTraffic.arrival_law  # opts in
+
+            def max_factor(self):
+                return 1.0
+
+        spec = Understated(base, [(0, 1.0), (10, 3.0)])
+        proc = InjectionProcess(spec, packet_length=4, rng=rng)
+        with pytest.raises(ValueError, match="Understated"):
+            proc.compiled_law()
 
 
 class TestClosedLoopLoadStep:
