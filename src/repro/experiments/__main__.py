@@ -297,6 +297,13 @@ def worker_main(argv: list[str]) -> int:
                              "(default 1; higher cuts filesystem "
                              "chatter on shared/network queues — see "
                              "README 'Distributed execution')")
+    parser.add_argument("--since", type=float, default=None,
+                        metavar="T",
+                        help="honour shutdown sentinels published at "
+                             "or after wall-clock time T (seconds "
+                             "since the epoch; default: when the loop "
+                             "starts).  Self-spawning drivers pass the "
+                             "spawn time")
     args = parser.parse_args(argv)
     if args.lease_ttl <= 0:
         parser.error("--lease-ttl must be > 0")
@@ -312,7 +319,7 @@ def worker_main(argv: list[str]) -> int:
     worker = Worker(queue, max_attempts=args.max_attempts,
                     claim_batch=args.claim_batch)
     handled = worker.run(poll_s=args.poll, max_tasks=args.max_tasks,
-                         max_idle_s=args.max_idle)
+                         max_idle_s=args.max_idle, since=args.since)
     print(f"[worker {worker.worker_id}: {handled} task(s) handled, "
           f"{worker.failed} failed]", file=sys.stderr)
     # Non-zero when this worker exhausted any task's retry budget, so

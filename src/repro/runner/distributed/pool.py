@@ -41,14 +41,16 @@ from .queue import DEFAULT_MAX_ATTEMPTS, WorkQueue
 
 def _worker_command(queue_root: Path, lease_ttl_s: float,
                     poll_s: float, max_attempts: int,
-                    max_idle_s: float, claim_batch: int) -> list[str]:
+                    max_idle_s: float, claim_batch: int,
+                    spawned_at: float) -> list[str]:
     return [sys.executable, "-m", "repro.experiments", "worker",
             "--queue", str(queue_root),
             "--lease-ttl", repr(lease_ttl_s),
             "--poll", repr(poll_s),
             "--max-attempts", str(max_attempts),
             "--max-idle", repr(max_idle_s),
-            "--claim-batch", str(claim_batch)]
+            "--claim-batch", str(claim_batch),
+            "--since", repr(spawned_at)]
 
 
 def _worker_env() -> dict[str, str]:
@@ -119,9 +121,13 @@ class WorkerPool:
         self.spawns_left -= 1
         log_path = (self.queue_dir / "logs" /
                     f"worker-{self._spawned}.log")
+        # The spawn time, not the worker's own start, dates the
+        # sentinels it honours: a worker still importing when a short
+        # round ends must exit on that round's sentinel, not idle out.
         command = _worker_command(self.queue_dir, self.lease_ttl_s,
                                   self.poll_s, self.max_attempts,
-                                  self.max_idle_s, self.claim_batch)
+                                  self.max_idle_s, self.claim_batch,
+                                  spawned_at=time.time())
         try:
             with open(log_path, "ab") as log:
                 self.procs.append(subprocess.Popen(

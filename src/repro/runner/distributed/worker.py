@@ -149,16 +149,20 @@ class Worker:
         return done
 
     def run(self, poll_s: float = 0.2, max_tasks: int | None = None,
-            max_idle_s: float | None = None) -> int:
+            max_idle_s: float | None = None,
+            since: float | None = None) -> int:
         """The long-running loop: claim, execute, back off when idle.
 
         Exits after ``max_tasks`` executed-or-failed tasks (``None`` =
         unbounded), after ``max_idle_s`` seconds without claimable work
         (``None`` = wait forever), or as soon as the queue is idle and
-        the driver has published a shutdown sentinel newer than this
-        loop's start (the warm-pool/self-spawn teardown path — workers
-        always drain claimable work before honouring it).  Returns the
-        number of tasks handled.
+        the driver has published a shutdown sentinel at or after
+        ``since`` (the warm-pool/self-spawn teardown path — workers
+        always drain claimable work before honouring it).  ``since``
+        defaults to this loop's start; a spawning driver passes the
+        spawn time instead, so a sentinel published while the worker
+        was still starting up retires it too.  Returns the number of
+        tasks handled.
 
         Idle polls start at ``poll_s`` and double (with +-50% jitter,
         so a fleet's polls decorrelate instead of stampeding the
@@ -166,7 +170,7 @@ class Worker:
         successful claim resets the backoff.
         """
         handled = 0
-        started = time.time()
+        started = time.time() if since is None else since
         idle_since: float | None = None
         delay = poll_s
         cap = max(poll_s, MAX_IDLE_POLL_S)

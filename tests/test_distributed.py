@@ -1226,6 +1226,24 @@ class TestShutdownSentinel:
         assert worker.run(poll_s=0.01, max_idle_s=0.1) == 2
         assert worker.executed == 2
 
+    def test_worker_dates_sentinels_from_its_spawn(self, tmp_path):
+        """A worker whose loop starts only after its fleet's sentinel
+        (it was still starting up when a short round ended) exits on
+        it when told its spawn time."""
+        queue = WorkQueue(tmp_path / "q").ensure()
+        spawned_at = time.time() - 2.0
+        queue.request_shutdown(now=spawned_at + 1.0)
+        handled = []
+        worker = Worker(queue)
+        thread = threading.Thread(
+            target=lambda: handled.append(
+                worker.run(poll_s=0.01, since=spawned_at)),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert handled == [0]
+
 
 class _EchoTask:
     """The least possible executable payload (duck-typed like
@@ -1241,7 +1259,8 @@ class _EchoTask:
 class _FakeProc:
     """A subprocess.Popen stand-in for pool-logic tests (no spawns)."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, command, *args, **kwargs):
+        self.command = command
         self.returncode = None
         self.terminated = self.killed = False
 
@@ -1295,6 +1314,14 @@ class TestWorkerPool:
         assert fake_pool.ensure() == 2          # ...and is replaced
         assert procs[0] not in fake_pool.procs
         assert procs[1] in fake_pool.procs
+
+    def test_workers_date_sentinels_from_their_spawn(self, fake_pool):
+        before = time.time()
+        fake_pool.ensure()
+        after = time.time()
+        for proc in fake_pool.procs:
+            flag = proc.command.index("--since")
+            assert before <= float(proc.command[flag + 1]) <= after
 
     def test_respawn_budget_bounds_crash_loops(self, fake_pool):
         assert fake_pool.spawns_left == 4       # max(2*workers, 4)
