@@ -60,11 +60,12 @@ LAMBDA_MAX = 0.42
 
 #: CI-safe floor for the sweep speedup assertion.  It was set with
 #: ~25% headroom below the ~5.5-5.9x the NumPy step measured; the
-#: compiled step measures 13-18x (README, BENCH_kernel.json).
+#: compiled step measures 21-57x over three runs on a 2-vCPU x86_64
+#: host (README, BENCH_kernel.json).
 REQUIRED_SPEEDUP = 4.0
 
 #: Floor for the compiled step over the NumPy step at 18 replicas
-#: (measured 5.4-7.4x over four runs on a 2-vCPU x86_64 host).
+#: (measured 7.2-9.4x over three runs on a 2-vCPU x86_64 host).
 REQUIRED_STEP_SPEEDUP = 3.0
 
 #: The width curve: replicas of the 5x5 baseline in one engine, with

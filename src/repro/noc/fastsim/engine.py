@@ -53,9 +53,21 @@ Layout notes (all state is flat, integer and preallocated):
 * ``counters`` holds the activity totals (``ACTIVITY_FIELDS`` order)
   and the flit accounting
   (:data:`repro.noc.fastsim.kernel.COUNTERS`).
-* Round-robin winners are found with a ``minimum.at`` scoreboard over
-  rotated priorities rather than sorting; priorities are unique within
-  a group, so each group gets exactly one champion.
+* The topology tables and the per-line, per-arbiter, calendar and
+  scratch arrays are int32 (:data:`repro.noc.fastsim.kernel.DTYPES`);
+  the counters, per-replica tallies, sources, packet store, ``heads``
+  and slot counts are int64.  Cycles (``ready``), line and buffer
+  indices and packet ids must therefore fit in int32: the constructor,
+  :meth:`FastNetwork.step_cycle` and the packet store raise
+  ``ValueError`` rather than wrap.  The NumPy step turns the int32
+  values it indexes with into ``intp`` once, because NumPy converts
+  any other index array on every use.
+* The NumPy step finds round-robin winners with a ``minimum.at``
+  scoreboard over rotated priorities rather than sorting; priorities
+  are unique within a group, so each group gets exactly one champion.
+  The priorities take the scoreboard's int32 dtype, which keeps
+  ``ufunc.at`` on its fast path.  The compiled step arbitrates each
+  input port inside its busy-line scan instead (``kernel.c``).
 """
 
 from __future__ import annotations
@@ -81,6 +93,10 @@ _SINK_CREDITS = 1 << 30
 #: Larger than any rotated arbiter priority (scoreboard fill value).
 _NO_REQUEST = 1 << 30
 
+#: One, as the int32 arbiter arrays' type: ``ufunc.at`` keeps to its
+#: fast path only when the operands' dtypes match.
+_ONE = np.int32(1)
+
 #: ``counters`` slots, looked up by name in the one layout definition.
 (_WRITES, _READS, _XBAR, _LINK_FLITS, _VC_ALLOCS, _SA_GRANTS, _CREDITS,
  _BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _INJECTED, _EJECTED,
@@ -93,6 +109,14 @@ _NUM_ACTIVITY = len(ACTIVITY_FIELDS)
 
 #: Initial packet-store capacity (doubles on demand).
 _PACKET_STORE = 1024
+
+#: The largest value the int32 state arrays hold: cycles (``ready``),
+#: line and buffer indices and packet ids stay at or below it.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+#: Packet ids run from 0 up to this limit, which the store never grows
+#: past (the int32 buffers and calendars hold packet ids).
+_MAX_PACKET_ID = _INT32_MAX
 
 
 def _store_array(name: str, capacity: int,
@@ -170,22 +194,29 @@ class FastNetwork:
         self._credit_latency = config.credit_latency
         self._flit_horizon = config.link_latency + 1
         self._credit_horizon = config.credit_latency + 1
+        #: the latest cycle a step may start without overflowing ``ready``
+        self._last_cycle = _INT32_MAX - max(config.route_latency,
+                                            config.va_latency)
+        if self._L * self._D > _INT32_MAX:
+            raise ValueError(f"{copies} replicas of this mesh need "
+                             f"{self._L * self._D} buffer slots; the "
+                             f"fast engine indexes at most {_INT32_MAX}")
 
-        lines = np.arange(self._L, dtype=np.int64)
+        lines = np.arange(self._L, dtype=np.int32)
         self.line_node = lines // self._PV
         self.line_port = (lines // self._V) % self._P
 
         # Routing table, flat over (global node * NL + local dest); the
         # per-replica blocks are identical, so one tile covers all.
         routing = get_routing_function(config.routing)
-        route = np.empty(local_nodes * local_nodes, dtype=np.int64)
+        route = np.empty(local_nodes * local_nodes, dtype=np.int32)
         for src in range(local_nodes):
             for dst in range(local_nodes):
                 route[src * local_nodes + dst] = routing(self.mesh, src,
                                                          dst)
         self.route = np.tile(route, copies)
 
-        link_base = np.full(local_nodes * self._P, -1, dtype=np.int64)
+        link_base = np.full(local_nodes * self._P, -1, dtype=np.int32)
         for node in range(local_nodes):
             for port, opp in OPPOSITE.items():
                 nbr = self.mesh.neighbor(node, port)
@@ -198,38 +229,38 @@ class FastNetwork:
 
         # --- per-VC state, struct-of-arrays over all L lines ----------
         self.state = np.full(self._L, IDLE, dtype=np.int8)
-        self.out_port = np.full(self._L, -1, dtype=np.int64)
-        self.out_vc = np.full(self._L, -1, dtype=np.int64)
+        self.out_port = np.full(self._L, -1, dtype=np.int32)
+        self.out_vc = np.full(self._L, -1, dtype=np.int32)
         #: cached ``node * P + out_port`` of a routed head (valid while
         #: the VC is ROUTING/VC_ALLOC/ACTIVE)
-        self.out_group = np.zeros(self._L, dtype=np.int64)
+        self.out_group = np.zeros(self._L, dtype=np.int32)
         #: cached output credit line of the allocated output VC (valid
         #: while ACTIVE)
-        self.out_line = np.zeros(self._L, dtype=np.int64)
-        self.ready = np.zeros(self._L, dtype=np.int64)
-        self.fifo_head = np.zeros(self._L, dtype=np.int64)
+        self.out_line = np.zeros(self._L, dtype=np.int32)
+        self.ready = np.zeros(self._L, dtype=np.int32)
+        self.fifo_head = np.zeros(self._L, dtype=np.int32)
         # int16: the per-cycle busy-line scan reads this end to end,
         # and VC depths never approach the dtype limit.
         self.fifo_len = np.zeros(self._L, dtype=np.int16)
-        self.buf_pid = np.full(self._L * self._D, -1, dtype=np.int64)
-        self.buf_fidx = np.full(self._L * self._D, -1, dtype=np.int64)
+        self.buf_pid = np.full(self._L * self._D, -1, dtype=np.int32)
+        self.buf_fidx = np.full(self._L * self._D, -1, dtype=np.int32)
 
-        self.credits = np.full(self._L, self._D, dtype=np.int64)
+        self.credits = np.full(self._L, self._D, dtype=np.int32)
         self.credits[self.line_port == LOCAL] = _SINK_CREDITS
         #: which input line owns each output VC line (-1 = free)
-        self.owner = np.full(self._L, -1, dtype=np.int64)
+        self.owner = np.full(self._L, -1, dtype=np.int32)
         self._owner_rows = self.owner.reshape(self._NP, self._V)
 
         # Round-robin pointers, one per (node, port) arbiter, mirroring
         # the reference arbiters' line numbering exactly.
-        self.va_ptr = np.zeros(self._NP, dtype=np.int64)
-        self.sa_in_ptr = np.zeros(self._NP, dtype=np.int64)
-        self.sa_out_ptr = np.zeros(self._NP, dtype=np.int64)
+        self.va_ptr = np.zeros(self._NP, dtype=np.int32)
+        self.sa_in_ptr = np.zeros(self._NP, dtype=np.int32)
+        self.sa_out_ptr = np.zeros(self._NP, dtype=np.int32)
         # Invariant: all _NO_REQUEST between arbitration rounds; each
         # round restores only the entries it touched (O(requests)
         # instead of an O(N*P) refill — copies scale N, requests don't).
-        self.scoreboard = np.full(self._NP, _NO_REQUEST, dtype=np.int64)
-        self.group_counts = np.zeros(self._NP, dtype=np.int64)
+        self.scoreboard = np.full(self._NP, _NO_REQUEST, dtype=np.int32)
+        self.group_counts = np.zeros(self._NP, dtype=np.int32)
 
         # --- sources --------------------------------------------------
         self.q_head = np.full(num_nodes, -1, dtype=np.int64)
@@ -280,15 +311,15 @@ class FastNetwork:
 
         # --- event calendars ------------------------------------------
         self.flit_line = np.zeros((self._flit_horizon, self._NP),
-                                  dtype=np.int64)
+                                  dtype=np.int32)
         self.flit_pid = np.zeros_like(self.flit_line)
         self.flit_fidx = np.zeros_like(self.flit_line)
         self.flit_count = np.zeros(self._flit_horizon, dtype=np.int64)
         self.credit_line = np.zeros((self._credit_horizon, self._NP),
-                                    dtype=np.int64)
+                                    dtype=np.int32)
         self.credit_count = np.zeros(self._credit_horizon, dtype=np.int64)
         self.credit_src = np.zeros((self._credit_horizon, num_nodes),
-                                   dtype=np.int64)
+                                   dtype=np.int32)
         self.credit_src_count = np.zeros(self._credit_horizon,
                                          dtype=np.int64)
 
@@ -307,8 +338,8 @@ class FastNetwork:
         # --- the compiled step's outputs, scratch and view ------------
         #: packet ids of the heads injected by the last compiled step
         self.heads = np.zeros(num_nodes, dtype=np.int64)
-        #: VC-allocation and switch-allocation candidate lists
-        self.scratch = np.zeros(2 * self._L, dtype=np.int64)
+        #: one replica's VC-allocation and switch-allocation candidates
+        self.scratch = np.zeros(2 * self._CL, dtype=np.int32)
         self._kernel = kernel.load_kernel()
         self._layout = None
         if self._kernel is not None:
@@ -376,9 +407,13 @@ class FastNetwork:
             self.backlog_by_copy[copy] += length
 
     def _grow_packet_store(self, need: int) -> None:
+        if need > _MAX_PACKET_ID + 1:
+            raise ValueError(f"fast engine: {need} packets exceed the "
+                             f"packet store's {_MAX_PACKET_ID + 1} ids")
         cap = self.pkt_dst.size
         while cap < need:
             cap *= 2
+        cap = min(cap, _MAX_PACKET_ID + 1)
         for name in kernel.STORE:
             setattr(self, name, _store_array(name, cap, getattr(self, name)))
         if self._kernel is not None:
@@ -454,8 +489,14 @@ class FastNetwork:
         With bound sources the step first draws each live replica's
         arrivals, timestamps by the replicas' own clocks and advances
         them; otherwise it timestamps at ``time_ns`` and then updates
-        the ``Packet`` objects it injected and delivered.
+        the ``Packet`` objects it injected and delivered.  A cycle whose
+        pipeline latency would carry ``ready`` past int32 raises
+        ``ValueError``.
         """
+        if cycle > self._last_cycle:
+            raise ValueError(f"fast engine: cycle {cycle} plus the "
+                             f"pipeline latency passes the int32 "
+                             f"limit {_INT32_MAX}")
         self.current_time_ns = time_ns
         counters = self.counters
         if self._bound:
@@ -529,7 +570,7 @@ class FastNetwork:
         self.pkt_ejected_cycle[lids] = cycle
         self.pkt_ejected_ns[lids] = self.time_by_copy.take(copies)
         np.add.at(self.measured_delivered_by_copy, copies,
-                  self.pkt_measured.take(lids))
+                  self.pkt_measured.take(lids).astype(np.int64))
 
     def _step_numpy(self, cycle: int) -> int:
         """The NumPy cycle step; writes the injected head packet ids to
@@ -538,11 +579,13 @@ class FastNetwork:
         slot = cycle % self._credit_horizon
         count = self.credit_count[slot]
         if count:
-            self.credits[self.credit_line[slot, :count]] += 1
+            self.credits[self.credit_line[slot, :count]
+                         .astype(np.intp)] += 1
             self.credit_count[slot] = 0
         count = self.credit_src_count[slot]
         if count:
-            self.src_credits[self.credit_src[slot, :count]] += 1
+            self.src_credits[self.credit_src[slot, :count]
+                             .astype(np.intp)] += 1
             self.credit_src_count[slot] = 0
 
         slot = cycle % self._flit_horizon
@@ -568,6 +611,7 @@ class FastNetwork:
     def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
                     fidxs: np.ndarray) -> None:
         """Buffer one arriving flit per (unique) line."""
+        lines = lines.astype(np.intp, copy=False)
         pos = self.fifo_head.take(lines) + self.fifo_len.take(lines)
         pos = lines * self._D + pos % self._D
         self.buf_pid[pos] = pids
@@ -691,7 +735,7 @@ class FastNetwork:
             if not ready_ok.all():
                 act = act[ready_ok]
         if act.size:
-            out_lines = self.out_line.take(act)
+            out_lines = self.out_line.take(act).astype(np.intp)
             got_credit = self.credits.take(out_lines) > 0
             if not got_credit.all():
                 act = act[got_credit]
@@ -713,8 +757,8 @@ class FastNetwork:
         ``P*V``-line arbiter (which advances on every grant).
         """
         pv = self._PV
-        group = self.out_group.take(va)
-        lane = va % pv
+        group = self.out_group.take(va).astype(np.intp)
+        lane = (va % pv).astype(np.int32)
         scoreboard = self.scoreboard
 
         while True:
@@ -769,7 +813,8 @@ class FastNetwork:
                 act = act.take(champs)
                 out_lines = out_lines.take(champs)
         if act.size > 1:
-            champs = self._arbitrate(self.out_group.take(act),
+            champs = self._arbitrate(self.out_group.take(act)
+                                     .astype(np.intp),
                                      self.line_port.take(act),
                                      self._P, self.sa_out_ptr)
             if champs is not None:
@@ -788,13 +833,14 @@ class FastNetwork:
         """
         scoreboard = self.scoreboard
         prio = (lane - pointers.take(group)) % size
+        prio = prio.astype(scoreboard.dtype, copy=False)
         np.minimum.at(scoreboard, group, prio)
         champs = np.flatnonzero(prio == scoreboard.take(group))
         scoreboard[group] = _NO_REQUEST
         if champs.size == group.size:
             return None                     # all groups uncontested
         counts = self.group_counts
-        np.add.at(counts, group, 1)
+        np.add.at(counts, group, _ONE)
         contested = counts.take(group.take(champs)) >= 2
         counts[group] = 0
         advance = champs[contested]
@@ -810,7 +856,7 @@ class FastNetwork:
         count = winners.size
         front = self.fifo_head.take(winners)
         slots = winners * self._D + front
-        pids = self.buf_pid.take(slots)
+        pids = self.buf_pid.take(slots).astype(np.intp)
         fidxs = self.buf_fidx.take(slots)
         self.fifo_head[winners] = (front + 1) % self._D
         self.fifo_len[winners] -= 1

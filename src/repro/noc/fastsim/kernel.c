@@ -4,9 +4,27 @@
  * fs_step() advances every source and router of a FastNetwork by one
  * network clock cycle, in place on the engine's NumPy arrays.  It is
  * the NumPy step of engine.py (which stays the fallback and the test
- * oracle) written as loops: the same phase order, the same ascending
- * line scans, the same line-indexed round-robin arbiters and the same
- * credit/flit calendar timing, so the two produce bit-identical state.
+ * oracle) written as loops.  It draws every replica's arrivals first,
+ * then runs each replica's whole cycle (its calendar entries, its
+ * sources, its routers) before the next replica's.  Within a replica
+ * it keeps the NumPy step's phase order, ascending line scans,
+ * line-indexed round-robin arbiters and credit/flit calendar timing,
+ * and replicas share no state, so the two produce bit-identical state.
+ * One stage moves: switch allocation's input stage runs inside the
+ * busy-line scan, ahead of VC allocation, which touches none of its
+ * state (step_routers).
+ *
+ * Replica by replica is the same order for everything the replicas do
+ * share.  Packet ids are allocated in replica order, because every
+ * draw comes before any router step.  Injected heads and logged
+ * deliveries come out in ascending node and line order.  And every
+ * calendar slot holds its entries grouped by replica, in ascending
+ * replica order: send() appends a replica's flits and credits after
+ * the previous replicas', and each entry addresses a line of the
+ * sender's replica (freeze_copy keeps that order when it filters).  So
+ * a replica's entries are one contiguous run of the slot, which the
+ * step walks with a cursor.  Link and credit latencies are at least
+ * one cycle, so no slot is read and appended to in the same cycle.
  *
  * Packets live in the packet store, one record per packet id: created
  * and ejected cycle and ns, measured flag and replica beside the
@@ -19,7 +37,10 @@
  *
  * The hot loops avoid integer division: a line's node and port come
  * from the line_node/line_port tables, and its VC from
- * line - (node * ports + port) * vcs.
+ * line - (node * ports + port) * vcs.  Per-line, per-arbiter, calendar
+ * and scratch arrays are int32 (FastNetwork keeps cycles, line and
+ * buffer indices and packet ids within its range); counters, tallies,
+ * sources and the packet store are int64.
  *
  * fs_net mirrors kernel.py's SCALARS, REALS and ARRAYS, field for
  * field.
@@ -39,7 +60,7 @@ typedef uint32_t (*next_uint32_fn)(void *);
 #define LOCAL 0
 
 /* Larger than any rotated arbiter priority. */
-#define NO_REQUEST ((int64_t)1 << 30)
+#define NO_REQUEST ((int32_t)1 << 30)
 
 /* counters[]: the activity totals in ACTIVITY_FIELDS order, then the
  * flit accounting (engine.py's COUNTERS). */
@@ -63,14 +84,14 @@ typedef struct {
     /* flit accounting and per-replica tallies */
     int64_t *counters, *activity_by_copy, *backlog_by_copy, *ejected_by_copy;
     /* topology tables */
-    int64_t *route, *link_base, *line_node, *line_port;
+    int32_t *route, *link_base, *line_node, *line_port;
     /* per VC line */
     int8_t *state;
     int16_t *fifo_len;
-    int64_t *fifo_head, *buf_pid, *buf_fidx, *out_port, *out_vc, *out_group;
-    int64_t *out_line, *ready, *credits, *owner;
+    int32_t *fifo_head, *buf_pid, *buf_fidx, *out_port, *out_vc, *out_group;
+    int32_t *out_line, *ready, *credits, *owner;
     /* per (node, port) arbiter */
-    int64_t *va_ptr, *sa_in_ptr, *sa_out_ptr, *scoreboard, *group_counts;
+    int32_t *va_ptr, *sa_in_ptr, *sa_out_ptr, *scoreboard, *group_counts;
     /* sources: linked packet FIFOs and the packet being injected */
     int64_t *q_head, *q_tail, *cur_lid, *cur_len, *cur_sent, *cur_vc;
     int64_t *src_rr, *src_credits;
@@ -92,10 +113,15 @@ typedef struct {
     next_double_fn *rng_double;
     next_uint32_fn *rng_uint32;
     /* calendars: one slot of nodes * ports entries per future cycle */
-    int64_t *flit_line, *flit_pid, *flit_fidx, *flit_count;
-    int64_t *credit_line, *credit_count, *credit_src, *credit_src_count;
-    /* outputs and scratch */
-    int64_t *heads, *scratch;
+    int32_t *flit_line, *flit_pid, *flit_fidx;
+    int64_t *flit_count;
+    int32_t *credit_line;
+    int64_t *credit_count;
+    int32_t *credit_src;
+    int64_t *credit_src_count;
+    /* outputs, and scratch for one replica's lines */
+    int64_t *heads;
+    int32_t *scratch;
 } fs_net;
 
 int64_t fs_layout_size(void)
@@ -103,22 +129,17 @@ int64_t fs_layout_size(void)
     return (int64_t)sizeof(fs_net);
 }
 
-/* The replica that owns a line (lines fit in 32 bits). */
-static inline int64_t copy_of(const fs_net *n, int64_t line)
+/* Add `count` to one per-replica activity tally. */
+static inline void tally(fs_net *n, int64_t copy, int field, int64_t count)
 {
-    return (uint32_t)line / (uint32_t)n->lines_per_copy;
-}
-
-/* Bump one per-replica activity tally. */
-static inline void tally(fs_net *n, int64_t copy, int field)
-{
-    n->activity_by_copy[copy * NUM_ACTIVITY + field] += 1;
+    n->activity_by_copy[copy * NUM_ACTIVITY + field] += count;
 }
 
 /* Buffer one arriving flit at the tail of its line's FIFO (the credit
- * protocol guarantees room, so head + len < 2 * depth). */
-static void push_flit(fs_net *n, int64_t line, int64_t pid, int64_t fidx,
-                      int attribute)
+ * protocol guarantees room, so head + len < 2 * depth); the caller
+ * accounts the writes with buffered(). */
+static inline void push_flit(fs_net *n, int64_t line, int32_t pid,
+                             int32_t fidx)
 {
     int64_t pos = n->fifo_head[line] + n->fifo_len[line];
     if (pos >= n->depth)
@@ -127,24 +148,29 @@ static void push_flit(fs_net *n, int64_t line, int64_t pid, int64_t fidx,
     n->buf_pid[pos] = pid;
     n->buf_fidx[pos] = fidx;
     n->fifo_len[line] += 1;
-    n->counters[BUFFERED] += 1;
-    n->counters[BUFFER_WRITES] += 1;
-    if (attribute)
-        tally(n, copy_of(n, line), BUFFER_WRITES);
 }
 
-/* Every source tries to inject one flit (engine.py: _step_sources).
- * Writes injected head packet ids to `heads`; returns their count. */
-static int64_t step_sources(fs_net *n, int attribute, int64_t *heads)
+/* Account `count` flits buffered in one replica's routers. */
+static void buffered(fs_net *n, int64_t copy, int64_t count, int attribute)
+{
+    n->counters[BUFFERED] += count;
+    n->counters[BUFFER_WRITES] += count;
+    if (attribute)
+        tally(n, copy, BUFFER_WRITES, count);
+}
+
+/* One replica's sources each try to inject one flit (engine.py:
+ * _step_sources).  Appends the packet ids of injected heads to `heads`
+ * after the first `count`; returns the new count. */
+static int64_t step_sources(fs_net *n, int64_t copy, int attribute,
+                            int64_t count)
 {
     const int64_t vcs = n->vcs, pv = n->ports * n->vcs;
-    int64_t *cur_lid = n->cur_lid, *q_head = n->q_head;
-    int64_t count = 0, copy = 0, copy_end = n->local_nodes;
-    for (int64_t node = 0; node < n->nodes; node++) {
-        if (node == copy_end) {
-            copy++;
-            copy_end += n->local_nodes;
-        }
+    const int64_t first = copy * n->local_nodes;
+    const int64_t last = first + n->local_nodes;
+    int64_t *cur_lid = n->cur_lid, *q_head = n->q_head, *heads = n->heads;
+    int64_t injected = 0;
+    for (int64_t node = first; node < last; node++) {
         int64_t lid = cur_lid[node];
         if (lid < 0) {
             lid = q_head[node];
@@ -168,29 +194,33 @@ static int64_t step_sources(fs_net *n, int attribute, int64_t *heads)
             continue;
         n->src_credits[slot] -= 1;
         int64_t sent = n->cur_sent[node];
-        push_flit(n, node * pv + vc, lid, sent, attribute);  /* LOCAL = 0 */
-        n->counters[SRC_BACKLOG] -= 1;
-        n->counters[INJECTED_FLITS] += 1;
-        if (n->multi)
-            n->backlog_by_copy[copy] -= 1;
+        /* The node's local input port (LOCAL = 0), VC vc. */
+        push_flit(n, node * pv + vc, (int32_t)lid, (int32_t)sent);
+        injected++;
         if (sent == 0)
             heads[count++] = lid;
         n->cur_sent[node] = sent + 1;
         if (sent + 1 >= n->cur_len[node])
             cur_lid[node] = -1;
     }
+    buffered(n, copy, injected, attribute);
+    n->counters[SRC_BACKLOG] -= injected;
+    n->counters[INJECTED_FLITS] += injected;
+    if (n->multi)
+        n->backlog_by_copy[copy] -= injected;
     return count;
 }
 
 /* Phase B: VC allocation (engine.py: _vc_allocate).  Each round grants
  * every output port's round-robin champion the lowest free output VC;
  * rounds repeat until no champion can be granted. */
-static void vc_allocate(fs_net *n, int64_t *va, int64_t count, int64_t cycle,
-                        int attribute)
+static void vc_allocate(fs_net *n, int32_t *va, int64_t count, int64_t copy,
+                        int64_t cycle, int attribute)
 {
     const int64_t vcs = n->vcs, pv = n->ports * n->vcs;
-    const int64_t *line_node = n->line_node, *out_group = n->out_group;
-    int64_t *va_ptr = n->va_ptr, *best = n->scoreboard;
+    const int32_t *line_node = n->line_node, *out_group = n->out_group;
+    int32_t *va_ptr = n->va_ptr, *best = n->scoreboard;
+    int64_t allocs = 0;
     while (count) {
         for (int64_t i = 0; i < count; i++) {
             int64_t line = va[i], group = out_group[line];
@@ -198,7 +228,7 @@ static void vc_allocate(fs_net *n, int64_t *va, int64_t count, int64_t cycle,
             if (prio < 0)
                 prio += pv;
             if (prio < best[group])
-                best[group] = prio;
+                best[group] = (int32_t)prio;
         }
         /* A group's pointer moves only at its champion, after which
          * best[group] is reset: later requesters never match again. */
@@ -211,79 +241,83 @@ static void vc_allocate(fs_net *n, int64_t *va, int64_t count, int64_t cycle,
                 prio += pv;
             if (prio == best[group]) {
                 best[group] = NO_REQUEST;
-                int64_t *row = n->owner + group * vcs;
+                int32_t *row = n->owner + group * vcs;
                 int64_t vc = 0;
                 while (vc < vcs && row[vc] >= 0)
                     vc++;
                 if (vc < vcs) {
-                    row[vc] = line;
-                    n->out_line[line] = group * vcs + vc;
-                    n->out_vc[line] = vc;
+                    row[vc] = (int32_t)line;
+                    n->out_line[line] = (int32_t)(group * vcs + vc);
+                    n->out_vc[line] = (int32_t)vc;
                     n->state[line] = ACTIVE;
-                    n->ready[line] = cycle + n->va_latency;
-                    va_ptr[group] = lane + 1 == pv ? 0 : lane + 1;
-                    n->counters[VC_ALLOCS] += 1;
-                    if (attribute)
-                        tally(n, copy_of(n, line), VC_ALLOCS);
+                    n->ready[line] = (int32_t)(cycle + n->va_latency);
+                    va_ptr[group] = lane + 1 == pv ? 0 : (int32_t)(lane + 1);
                     granted++;
                     continue;
                 }
             }
-            va[kept++] = line;
+            va[kept++] = (int32_t)line;
         }
         if (!granted)
             break;
+        allocs += granted;
         count = kept;
     }
+    n->counters[VC_ALLOCS] += allocs;
+    if (attribute)
+        tally(n, copy, VC_ALLOCS, allocs);
 }
 
-/* The arbiter group and the lane within it of a switch-allocation
- * candidate: an input port and its VC, or an output port and the
- * input port asking for it. */
-static inline void arbiter_of(const fs_net *n, int64_t line,
-                              int output_stage, int64_t *group,
-                              int64_t *lane)
+/* An input port's switch-allocation champion: appended to the
+ * candidates, and past it the port's pointer moves, but only if two or
+ * more of its VCs competed (a lone candidate never moves a pointer). */
+static inline int64_t keep_input_champion(fs_net *n, int32_t *act,
+                                          int64_t count, int64_t port,
+                                          int64_t champ, int64_t rivals)
 {
-    int64_t port = n->line_port[line];
-    int64_t in_group = n->line_node[line] * n->ports + port;
-    *group = output_stage ? n->out_group[line] : in_group;
-    *lane = output_stage ? port : line - in_group * n->vcs;
+    act[count] = (int32_t)champ;
+    if (rivals >= 2) {
+        int64_t next = champ - port * n->vcs + 1;
+        n->sa_in_ptr[port] = next == n->vcs ? 0 : (int32_t)next;
+    }
+    return count + 1;
 }
 
-/* One round-robin switch-allocation stage (engine.py: _arbitrate):
- * keeps each group's champion, in order, and advances the pointer of
- * every group that had two or more candidates.  Returns the number of
- * candidates kept. */
-static int64_t arbitrate(fs_net *n, int64_t *cand, int64_t count,
-                         int output_stage)
+/* The output stage of switch allocation (engine.py: _arbitrate): keeps
+ * each output port's round-robin champion among the input champions,
+ * in order, and advances the pointer of every output port that had
+ * two or more.  Returns the number of candidates kept. */
+static int64_t arbitrate_outputs(fs_net *n, int32_t *cand, int64_t count)
 {
-    const int64_t size = output_stage ? n->ports : n->vcs;
-    int64_t *ptr = output_stage ? n->sa_out_ptr : n->sa_in_ptr;
-    int64_t *best = n->scoreboard, *seen = n->group_counts;
-    int64_t group, lane;
+    const int64_t ports = n->ports;
+    const int32_t *out_group = n->out_group, *line_port = n->line_port;
+    int32_t *ptr = n->sa_out_ptr, *best = n->scoreboard;
+    int32_t *seen = n->group_counts;
     for (int64_t i = 0; i < count; i++) {
-        arbiter_of(n, cand[i], output_stage, &group, &lane);
-        int64_t prio = lane - ptr[group];
+        int64_t line = cand[i], group = out_group[line];
+        int64_t prio = line_port[line] - ptr[group];
         if (prio < 0)
-            prio += size;
+            prio += ports;
         if (prio < best[group])
-            best[group] = prio;
+            best[group] = (int32_t)prio;
         seen[group] += 1;
     }
-    /* As in vc_allocate: past its champion a group never matches. */
+    /* Pointers move only now that every priority is known; as in
+     * vc_allocate, past its champion a group never matches. */
     int64_t kept = 0;
     for (int64_t i = 0; i < count; i++) {
-        arbiter_of(n, cand[i], output_stage, &group, &lane);
+        int64_t line = cand[i], group = out_group[line];
+        int64_t lane = line_port[line];
         int64_t prio = lane - ptr[group];
         if (prio < 0)
-            prio += size;
+            prio += ports;
         if (prio != best[group])
             continue;
         if (seen[group] >= 2)
-            ptr[group] = lane + 1 == size ? 0 : lane + 1;
+            ptr[group] = lane + 1 == ports ? 0 : (int32_t)(lane + 1);
         best[group] = NO_REQUEST;
         seen[group] = 0;
-        cand[kept++] = cand[i];
+        cand[kept++] = (int32_t)line;
     }
     return kept;
 }
@@ -298,21 +332,26 @@ static void deliver(fs_net *n, int64_t pid, int64_t copy, int64_t cycle)
     n->measured_delivered_by_copy[copy] += n->pkt_measured[pid];
 }
 
-/* Phase D: the winners traverse switch and link (engine.py: _send). */
-static void send(fs_net *n, const int64_t *win, int64_t count,
+/* Phase D: one replica's winners traverse switch and link (engine.py:
+ * _send).  Its flits and credits are appended to the calendar slots
+ * after the previous replicas'. */
+static void send(fs_net *n, const int32_t *win, int64_t count, int64_t copy,
                  int64_t cycle, int attribute)
 {
     const int64_t vcs = n->vcs, ports = n->ports, depth = n->depth;
     const int64_t groups = n->nodes * ports;
-    const int64_t *line_node = n->line_node, *line_port = n->line_port;
-    const int64_t *link_base = n->link_base;
+    const int32_t *line_node = n->line_node, *line_port = n->line_port;
+    const int32_t *link_base = n->link_base;
     int64_t fslot = (cycle + n->link_latency) % n->flit_horizon;
     int64_t cslot = (cycle + n->credit_latency) % n->credit_horizon;
-    int64_t *flit_line = n->flit_line + fslot * groups;
-    int64_t *flit_pid = n->flit_pid + fslot * groups;
-    int64_t *flit_fidx = n->flit_fidx + fslot * groups;
-    int64_t *credit_line = n->credit_line + cslot * groups;
-    int64_t *credit_src = n->credit_src + cslot * n->nodes;
+    int64_t fill = fslot * groups + n->flit_count[fslot];
+    int32_t *flit_line = n->flit_line + fill;
+    int32_t *flit_pid = n->flit_pid + fill;
+    int32_t *flit_fidx = n->flit_fidx + fill;
+    int32_t *credit_line = n->credit_line + cslot * groups
+        + n->credit_count[cslot];
+    int32_t *credit_src = n->credit_src + cslot * n->nodes
+        + n->credit_src_count[cslot];
     int64_t sent = 0, routed = 0, sourced = 0, ejected = 0;
 
     for (int64_t i = 0; i < count; i++) {
@@ -321,17 +360,10 @@ static void send(fs_net *n, const int64_t *win, int64_t count,
         int64_t in_group = node * ports + port;
         int64_t vc = line - in_group * vcs;
         int64_t front = n->fifo_head[line];
-        int64_t pid = n->buf_pid[line * depth + front];
-        int64_t fidx = n->buf_fidx[line * depth + front];
-        int64_t copy = n->multi ? copy_of(n, line) : 0;
-        n->fifo_head[line] = front + 1 == depth ? 0 : front + 1;
+        int32_t pid = n->buf_pid[line * depth + front];
+        int32_t fidx = n->buf_fidx[line * depth + front];
+        n->fifo_head[line] = front + 1 == depth ? 0 : (int32_t)(front + 1);
         n->fifo_len[line] -= 1;
-        if (attribute) {
-            tally(n, copy, BUFFER_READS);
-            tally(n, copy, XBAR_TRAVERSALS);
-            tally(n, copy, SA_GRANTS);
-            tally(n, copy, CREDIT_TRANSFERS);
-        }
         if (fidx == 0)
             n->pkt_hops[pid] += 1;
         int tail = fidx == n->pkt_len[pid] - 1;
@@ -339,8 +371,6 @@ static void send(fs_net *n, const int64_t *win, int64_t count,
         if (n->out_port[line] == LOCAL) {
             /* Ejection: the sink consumes the flit; no credit needed. */
             ejected++;
-            if (n->multi)
-                n->ejected_by_copy[copy] += 1;
             if (tail)
                 deliver(n, pid, copy, cycle);
         } else {
@@ -349,25 +379,23 @@ static void send(fs_net *n, const int64_t *win, int64_t count,
             flit_pid[sent] = pid;
             flit_fidx[sent] = fidx;
             sent++;
-            if (attribute)
-                tally(n, copy, LINK_FLITS);
         }
 
         /* Return a credit upstream for the freed buffer slot; local
          * input ports credit the source-side mirror instead. */
         if (port == LOCAL)
-            credit_src[sourced++] = node * vcs + vc;
+            credit_src[sourced++] = (int32_t)(node * vcs + vc);
         else
-            credit_line[routed++] = link_base[in_group] + vc;
+            credit_line[routed++] = (int32_t)(link_base[in_group] + vc);
 
         if (tail) {
             n->owner[out] = -1;
             n->state[line] = IDLE;
         }
     }
-    n->flit_count[fslot] = sent;
-    n->credit_count[cslot] = routed;
-    n->credit_src_count[cslot] = sourced;
+    n->flit_count[fslot] += sent;
+    n->credit_count[cslot] += routed;
+    n->credit_src_count[cslot] += sourced;
     n->counters[BUFFERED] -= count;
     n->counters[BUFFER_READS] += count;
     n->counters[XBAR_TRAVERSALS] += count;
@@ -376,74 +404,109 @@ static void send(fs_net *n, const int64_t *win, int64_t count,
     n->counters[EJECTED_FLITS] += ejected;
     n->counters[IN_LINK] += sent;
     n->counters[LINK_FLITS] += sent;
+    if (n->multi)
+        n->ejected_by_copy[copy] += ejected;
+    if (attribute) {
+        tally(n, copy, BUFFER_READS, count);
+        tally(n, copy, XBAR_TRAVERSALS, count);
+        tally(n, copy, SA_GRANTS, count);
+        tally(n, copy, CREDIT_TRANSFERS, count);
+        tally(n, copy, LINK_FLITS, sent);
+    }
 }
 
-/* One cycle of every router's pipeline (engine.py: _step_routers). */
-static void step_routers(fs_net *n, int64_t cycle, int attribute)
+/* One cycle of one replica's router pipelines (engine.py:
+ * _step_routers). */
+static void step_routers(fs_net *n, int64_t copy, int64_t cycle,
+                         int attribute)
 {
-    const int64_t lines = n->lines, depth = n->depth;
+    const int64_t span = n->lines_per_copy, first = copy * span;
+    const int64_t vcs = n->vcs, ports = n->ports, depth = n->depth;
     const int16_t *fifo_len = n->fifo_len;
-    const int64_t *ready = n->ready, *credits = n->credits;
-    const int64_t *out_line = n->out_line;
+    const int32_t *ready = n->ready, *credits = n->credits;
+    const int32_t *out_line = n->out_line, *sa_in_ptr = n->sa_in_ptr;
     int8_t *state = n->state;
     /* Scratch: the VA requesters, then the busy lines, which the scan
      * below overwrites with the SA candidates behind its read cursor. */
-    int64_t *va = n->scratch, *act = n->scratch + lines, *busy = act;
+    int32_t *va = n->scratch, *act = n->scratch + span, *busy = act;
     int64_t num_va = 0, num_act = 0, num_busy = 0;
+    /* The input port whose SA candidates the scan is meeting (an input
+     * port's VC lines are consecutive), one past its last line, its
+     * champion so far, that champion's rotated priority, and how many
+     * candidates the port has had. */
+    int64_t port = 0, port_end = 0, champ = 0, best = 0, rivals = 0;
 
-    /* Phase A (per-VC state advance) and the SA candidates, in one
-     * ascending pass over the lines that hold flits, listed first
-     * without branches.  Candidates are collected before VA grants: a
-     * VC granted an output VC this cycle cannot also win the switch
-     * this cycle. */
-    for (int64_t line = 0; line < lines; line++) {
-        busy[num_busy] = line;
+    /* Phase A (per-VC state advance) and the input stage of switch
+     * allocation, in one ascending pass over the lines that hold
+     * flits, listed first without branches.  SA candidates are
+     * collected before VA grants: a VC granted an output VC this
+     * cycle cannot also win the switch this cycle. */
+    for (int64_t line = first; line < first + span; line++) {
+        busy[num_busy] = (int32_t)line;
         num_busy += fifo_len[line] != 0;
     }
     for (int64_t i = 0; i < num_busy; i++) {
         int64_t line = busy[i];
         switch (state[line]) {
-        case ACTIVE:
-            if (ready[line] <= cycle && credits[out_line[line]] > 0)
-                act[num_act++] = line;
+        case ACTIVE: {
+            if (ready[line] > cycle || credits[out_line[line]] <= 0)
+                break;
+            if (line >= port_end) {
+                /* A new input port: the last one's champion is final. */
+                if (rivals)
+                    num_act = keep_input_champion(n, act, num_act, port,
+                                                  champ, rivals);
+                port = n->line_node[line] * ports + n->line_port[line];
+                port_end = (port + 1) * vcs;
+                best = vcs;
+                rivals = 0;
+            }
+            int64_t prio = line - port * vcs - sa_in_ptr[port];
+            if (prio < 0)
+                prio += vcs;
+            if (prio < best) {
+                best = prio;
+                champ = line;
+            }
+            rivals++;
             break;
+        }
         case VC_ALLOC:
-            va[num_va++] = line;
+            va[num_va++] = (int32_t)line;
             break;
         case ROUTING:
             if (ready[line] <= cycle) {
                 state[line] = VC_ALLOC;
-                va[num_va++] = line;
+                va[num_va++] = (int32_t)line;
             }
             break;
         default: {  /* IDLE: route the head flit */
             int64_t node = n->line_node[line];
             int64_t pid = n->buf_pid[line * depth + n->fifo_head[line]];
-            int64_t port = n->route[node * n->local_nodes + n->pkt_dst[pid]];
-            n->out_port[line] = port;
-            n->out_group[line] = node * n->ports + port;
+            int64_t out = n->route[node * n->local_nodes + n->pkt_dst[pid]];
+            n->out_port[line] = (int32_t)out;
+            n->out_group[line] = (int32_t)(node * ports + out);
             if (n->route_latency) {
-                n->ready[line] = cycle + n->route_latency;
+                n->ready[line] = (int32_t)(cycle + n->route_latency);
                 state[line] = ROUTING;
             } else {
                 /* Zero-latency route computation: straight to VC_ALLOC. */
                 state[line] = VC_ALLOC;
-                va[num_va++] = line;
+                va[num_va++] = (int32_t)line;
             }
         }
         }
     }
+    if (rivals)
+        num_act = keep_input_champion(n, act, num_act, port, champ, rivals);
 
     if (num_va)
-        vc_allocate(n, va, num_va, cycle, attribute);
-    if (!num_act)
-        return;
-    /* Phase C: separable input-first switch allocation. */
+        vc_allocate(n, va, num_va, copy, cycle, attribute);
+    /* Phase C's output stage, then phase D. */
     if (num_act > 1)
-        num_act = arbitrate(n, act, num_act, 0);
-    if (num_act > 1)
-        num_act = arbitrate(n, act, num_act, 1);
-    send(n, act, num_act, cycle, attribute);
+        num_act = arbitrate_outputs(n, act, num_act);
+    if (num_act)
+        send(n, act, num_act, copy, cycle, attribute);
 }
 
 /* NumPy's Generator.integers(0, rng + 1) for 0 < rng < 2**32 - 1:
@@ -553,19 +616,31 @@ static int draw_arrivals(fs_net *n, int64_t copy, int64_t cycle,
     return 0;
 }
 
+/* The end of one replica's run of a calendar slot's entries, from
+ * `pos`: the entries below `bound` (see the header). */
+static inline int64_t run_end(const int32_t *entries, int64_t pos,
+                              int64_t count, int64_t bound)
+{
+    while (pos < count && entries[pos] < bound)
+        pos++;
+    return pos;
+}
+
 /* Advance the whole mesh by one cycle: draw the arrivals of every
- * replica whose law compiles, step the calendars, sources and
- * routers, and advance each replica's clock by its period.
- * `attribute_activity` mirrors FastNetwork.attribute_activity and
- * `measuring` tags new packets as measured.  Returns the number of
- * injected head packet ids written to `heads`, or -1, leaving the
- * cycle unfinished, when the packet store is too small for the
- * arrivals (FastNetwork.step_cycle grows it beforehand). */
+ * replica whose law compiles, then, replica by replica, apply its
+ * calendar entries due this cycle, step its sources and routers and
+ * advance its clock by its period.  `attribute_activity` mirrors
+ * FastNetwork.attribute_activity and `measuring` tags new packets as
+ * measured.  Returns the number of injected head packet ids written to
+ * `heads`, or -1, leaving the cycle unfinished, when the packet store
+ * is too small for the arrivals (FastNetwork.step_cycle grows it
+ * beforehand). */
 int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
                 int32_t measuring)
 {
-    int attribute = n->multi && attribute_activity;
-    int64_t groups = n->nodes * n->ports;
+    const int attribute = n->multi && attribute_activity;
+    const int64_t groups = n->nodes * n->ports, span = n->lines_per_copy;
+    const int64_t slots_per_copy = n->local_nodes * n->vcs;
     int64_t heads = 0;
 
     for (int64_t copy = 0; copy < n->copies; copy++)
@@ -573,28 +648,43 @@ int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
                 && draw_arrivals(n, copy, cycle, measuring) < 0)
             return -1;
 
-    int64_t cslot = cycle % n->credit_horizon;
-    for (int64_t i = 0; i < n->credit_count[cslot]; i++)
-        n->credits[n->credit_line[cslot * groups + i]] += 1;
-    for (int64_t i = 0; i < n->credit_src_count[cslot]; i++)
-        n->src_credits[n->credit_src[cslot * n->nodes + i]] += 1;
+    /* This cycle's calendar slots, and each one's read cursor. */
+    const int64_t cslot = cycle % n->credit_horizon;
+    const int64_t fslot = cycle % n->flit_horizon;
+    const int32_t *credit_line = n->credit_line + cslot * groups;
+    const int32_t *credit_src = n->credit_src + cslot * n->nodes;
+    const int32_t *flit_line = n->flit_line + fslot * groups;
+    const int32_t *flit_pid = n->flit_pid + fslot * groups;
+    const int32_t *flit_fidx = n->flit_fidx + fslot * groups;
+    const int64_t credits = n->credit_count[cslot];
+    const int64_t src_credits = n->credit_src_count[cslot];
+    const int64_t flits = n->flit_count[fslot];
+    int64_t credit_pos = 0, src_pos = 0, flit_pos = 0;
+
+    for (int64_t copy = 0; copy < n->copies; copy++) {
+        int64_t end = run_end(credit_line, credit_pos, credits,
+                              (copy + 1) * span);
+        for (; credit_pos < end; credit_pos++)
+            n->credits[credit_line[credit_pos]] += 1;
+        end = run_end(credit_src, src_pos, src_credits,
+                      (copy + 1) * slots_per_copy);
+        for (; src_pos < end; src_pos++)
+            n->src_credits[credit_src[src_pos]] += 1;
+        end = run_end(flit_line, flit_pos, flits, (copy + 1) * span);
+        buffered(n, copy, end - flit_pos, attribute);
+        n->counters[IN_LINK] -= end - flit_pos;
+        for (; flit_pos < end; flit_pos++)
+            push_flit(n, flit_line[flit_pos], flit_pid[flit_pos],
+                      flit_fidx[flit_pos]);
+
+        if (n->multi ? n->backlog_by_copy[copy] : n->counters[SRC_BACKLOG])
+            heads = step_sources(n, copy, attribute, heads);
+        if (n->counters[BUFFERED])
+            step_routers(n, copy, cycle, attribute);
+        n->time_by_copy[copy] += n->period_by_copy[copy];
+    }
     n->credit_count[cslot] = 0;
     n->credit_src_count[cslot] = 0;
-
-    int64_t fslot = cycle % n->flit_horizon;
-    int64_t arriving = n->flit_count[fslot];
-    for (int64_t i = 0; i < arriving; i++)
-        push_flit(n, n->flit_line[fslot * groups + i],
-                  n->flit_pid[fslot * groups + i],
-                  n->flit_fidx[fslot * groups + i], attribute);
-    n->counters[IN_LINK] -= arriving;
     n->flit_count[fslot] = 0;
-
-    if (n->counters[SRC_BACKLOG])
-        heads = step_sources(n, attribute, n->heads);
-    if (n->counters[BUFFERED])
-        step_routers(n, cycle, attribute);
-    for (int64_t copy = 0; copy < n->copies; copy++)
-        n->time_by_copy[copy] += n->period_by_copy[copy];
     return heads;
 }

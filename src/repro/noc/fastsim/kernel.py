@@ -95,8 +95,18 @@ COUNTERS = ACTIVITY_FIELDS + ("buffered", "in_link", "src_backlog",
 LAWS = ("none", "uniform", "table")
 
 #: Arrays that are not int64; the ``rng_*`` arrays hold addresses.
+#: The topology tables and the per-line, per-arbiter, calendar and
+#: scratch arrays are int32.
 DTYPES = {"state": np.dtype(np.int8), "fifo_len": np.dtype(np.int16),
           "pkt_measured": np.dtype(np.int8),
+          **dict.fromkeys(("route", "link_base", "line_node", "line_port",
+                           "fifo_head", "buf_pid", "buf_fidx", "out_port",
+                           "out_vc", "out_group", "out_line", "ready",
+                           "credits", "owner", "va_ptr", "sa_in_ptr",
+                           "sa_out_ptr", "scoreboard", "group_counts",
+                           "flit_line", "flit_pid", "flit_fidx",
+                           "credit_line", "credit_src", "scratch"),
+                          np.dtype(np.int32)),
           **dict.fromkeys(("pkt_created_ns", "pkt_ejected_ns",
                            "time_by_copy", "period_by_copy",
                            "step_factors", "pkt_prob"),
@@ -122,7 +132,7 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
         flit_fidx=flit * groups, flit_count=flit,
         credit_line=credit * groups, credit_count=credit,
         credit_src=credit * nodes, credit_src_count=credit,
-        step_first=copies + 1, scratch=2 * lines)
+        step_first=copies + 1, scratch=2 * scalars["lines_per_copy"])
     for size, names in (
             (lines, ("line_node", "line_port", "state", "fifo_len",
                      "fifo_head", "out_port", "out_vc", "out_group",

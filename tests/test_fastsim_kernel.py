@@ -10,7 +10,13 @@ the delivery order), and once drawing their own arrivals from bound
 sources, with mixed arrival laws per replica (compiled uniform, a
 permutation table and rate steps, and hotspot drawn in Python), a
 replica retired mid-run and a packet store that grows from one entry.
-Each generator must end in the same state on both sides.
+Each generator must end in the same state on both sides.  After every
+cycle, and after every retirement, each calendar slot must hold its
+entries grouped by replica in ascending order: the compiled step walks
+each replica's run of a slot with a cursor.  A fixed case runs the
+paper baseline's 8-VC routers, which the random configurations reach
+only sometimes.  The int32 state limits raise on both paths rather
+than wrap.
 
 The loader tests cover the fallback (a failing build warns once, quotes
 the compiler, and the NumPy step gives the same results), two
@@ -35,13 +41,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc import (NocConfig, Packet, SimBudget, Simulation,
-                       run_fixed_point, topology)
+from repro.noc import (PAPER_BASELINE, NocConfig, Packet, SimBudget,
+                       Simulation, run_fixed_point, topology)
 from repro.noc.clock import NetworkClock
 from repro.noc.fastsim import (BatchPoint, FastNetwork, engine, kernel,
                                run_fixed_batch)
 from repro.traffic import (InjectionProcess, PatternTraffic,
                            PiecewiseRateTraffic, make_pattern)
+from repro.workload import make_workload
 
 HAVE_COMPILER = shutil.which(kernel.COMPILER[0]) is not None
 needs_compiler = pytest.mark.skipif(
@@ -75,6 +82,17 @@ def numpy_engine(config: NocConfig, copies: int) -> FastNetwork:
         return FastNetwork(config, copies)
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def step_path(request, monkeypatch):
+    """Run the test on the compiled step, then on the NumPy step."""
+    if request.param == "compiled":
+        if not HAVE_COMPILER:
+            pytest.skip(f"no {kernel.COMPILER[0]} on PATH")
+    else:
+        monkeypatch.setattr(kernel, "load_kernel", lambda: None)
+    return request.param
+
+
 def tiny_run(seed: int = 4):
     traffic = PatternTraffic(make_pattern("uniform", TINY.make_mesh()),
                              0.3)
@@ -92,7 +110,7 @@ def test_kernel_loads_when_a_compiler_is_present():
 def scenarios(draw):
     config = NocConfig(
         width=draw(st.integers(2, 4)), height=draw(st.integers(2, 3)),
-        num_vcs=draw(st.integers(1, 4)),
+        num_vcs=draw(st.integers(1, 8)),
         vc_buf_depth=draw(st.integers(1, 4)),
         packet_length=draw(st.integers(1, 5)),
         route_latency=draw(st.integers(0, 2)),
@@ -110,8 +128,25 @@ def scenarios(draw):
         frozen=draw(st.integers(0, copies - 1)))
 
 
+def assert_slots_grouped(net: FastNetwork) -> None:
+    """Each calendar slot's live entries are grouped by replica, in
+    ascending replica order."""
+    config = net.config
+    vcs = config.num_vcs
+    span = config.num_nodes * topology.NUM_PORTS * vcs
+    for entries, counts, per_copy in (
+            (net.flit_line, net.flit_count, span),
+            (net.credit_line, net.credit_count, span),
+            (net.credit_src, net.credit_src_count, config.num_nodes * vcs)):
+        for slot, count in enumerate(counts.tolist()):
+            copies = entries[slot, :count] // per_copy
+            assert (np.diff(copies) >= 0).all(), (slot, copies)
+
+
 def assert_same_state(compiled: FastNetwork, fallback: FastNetwork,
                       cycle: int) -> None:
+    for net in (compiled, fallback):
+        assert_slots_grouped(net)
     for name in kernel.ARRAYS:
         if name not in NOT_STATE:
             np.testing.assert_array_equal(
@@ -150,6 +185,7 @@ def test_compiled_step_matches_numpy_step_every_cycle(scenario):
         if copies > 1 and cycle == scenario["freeze_at"]:
             for net in nets:
                 net.freeze_copy(scenario["frozen"])
+                assert_slots_grouped(net)
         for node in np.flatnonzero(rng.random(local * copies)
                                    < scenario["rate"]).tolist():
             copy, src = divmod(node, local)
@@ -248,6 +284,7 @@ def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
                 net.measuring = False
             if copies > 1 and cycle == freeze_at:
                 net.freeze_copy(frozen)
+                assert_slots_grouped(net)
             net.step_cycle(cycle, 0.0)
         assert_same_state(compiled, fallback, cycle)
     for ours, theirs in zip(*sources):
@@ -263,6 +300,111 @@ def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
 def test_compiled_arrivals_match_numpy_step_every_cycle(scenario):
     net = run_bound_lockstep(**scenario)
     assert net.pkt_dst.size > 1            # the store grew mid-run
+
+
+def paper_points() -> list[BatchPoint]:
+    """Eight replicas of the paper baseline: compiled laws (uniform, a
+    permutation table, bursty rate steps) and laws drawn in Python
+    (hotspot), at Fmin, Fmax and between, light to saturated."""
+    config = PAPER_BASELINE
+    mesh = config.make_mesh()
+
+    def pattern(name):
+        return lambda rate: PatternTraffic(make_pattern(name, mesh), rate)
+
+    laws = [pattern("uniform")(0.05), pattern("tornado")(0.2),
+            make_workload("mmoo", config).traffic(pattern("uniform"), 0.25),
+            pattern("hotspot")(0.1), pattern("uniform")(0.6),
+            pattern("transpose")(0.3),
+            make_workload("vconf", config).traffic(pattern("uniform"), 0.1),
+            pattern("hotspot")(0.3)]
+    freqs = (config.f_min_hz, config.f_max_hz, 7e8)
+    return [BatchPoint(law, freqs[i % 3], 40 + i)
+            for i, law in enumerate(laws)]
+
+
+@needs_compiler
+def test_paper_baseline_lockstep_with_a_retirement():
+    net = run_bound_lockstep(PAPER_BASELINE, paper_points(), 240,
+                             measure_from=20, measure_to=200,
+                             freeze_at=120, frozen=3)
+    assert net.counters[kernel.COUNTERS.index("logged_deliveries")] > 0
+
+
+@needs_compiler
+def test_paper_baseline_batch_equals_the_numpy_step(monkeypatch):
+    """Whole results of a paper-baseline batch whose light replicas
+    retire while the saturated one still runs."""
+    budget = SimBudget(100, 200, 400)
+    stepped, retired = [], []
+    step, freeze = FastNetwork.step_cycle, FastNetwork.freeze_copy
+
+    def step_cycle(self, cycle, time_ns):
+        stepped.append(cycle)
+        step(self, cycle, time_ns)
+
+    def freeze_copy(self, copy):
+        retired.append(stepped[-1])
+        freeze(self, copy)
+
+    monkeypatch.setattr(FastNetwork, "step_cycle", step_cycle)
+    monkeypatch.setattr(FastNetwork, "freeze_copy", freeze_copy)
+    compiled = run_fixed_batch(PAPER_BASELINE, paper_points(), budget)
+    assert retired and min(retired) < stepped[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load_kernel", lambda: None)
+        fallback = run_fixed_batch(PAPER_BASELINE, paper_points(), budget)
+    assert compiled == fallback
+
+
+def test_cycles_past_the_int32_limit_raise(step_path):
+    """``ready`` holds cycle + latency as int32: the last cycles before
+    the limit step like any other, the next one raises."""
+    last = engine._INT32_MAX - max(TINY.route_latency, TINY.va_latency)
+    net = FastNetwork(TINY)
+    assert net.compiled == (step_path == "compiled")
+    for cycle in range(last - 40, last + 1):
+        if cycle % 5 == 0:
+            net.enqueue_packet(Packet(cycle % 9, (cycle + 4) % 9, 3,
+                                      created_cycle=cycle,
+                                      created_ns=float(cycle),
+                                      measured=True))
+        net.step_cycle(cycle, float(cycle))
+    assert net.delivered
+    with pytest.raises(ValueError, match="int32"):
+        net.step_cycle(last + 1, 0.0)
+    with pytest.raises(ValueError, match="int32"):
+        FastNetwork(TINY).step_cycle(2**31 - 1, 0.0)
+
+
+def test_buffer_slots_past_the_int32_limit_raise(monkeypatch):
+    # A lowered limit: the real one would take gigabytes to pass.
+    slots = TINY.num_nodes * topology.NUM_PORTS * TINY.num_vcs \
+        * TINY.vc_buf_depth
+    monkeypatch.setattr(engine, "_INT32_MAX", 10 * slots)
+    assert FastNetwork(TINY, 10).copies == 10
+    with pytest.raises(ValueError, match="buffer slots"):
+        FastNetwork(TINY, 11)
+
+
+def test_packet_ids_past_the_store_limit_raise(step_path, monkeypatch):
+    monkeypatch.setattr(engine, "_PACKET_STORE", 1)
+    monkeypatch.setattr(engine, "_MAX_PACKET_ID", 5)
+    net = FastNetwork(TINY)
+    for _ in range(6):
+        net.enqueue_packet(Packet(0, 4, 3, created_cycle=0,
+                                  created_ns=0.0, measured=True))
+    assert net.pkt_dst.size == 6
+    with pytest.raises(ValueError, match="packet store"):
+        net.enqueue_packet(Packet(0, 4, 3, created_cycle=0,
+                                  created_ns=0.0, measured=True))
+
+    monkeypatch.setattr(engine, "_MAX_PACKET_ID", 200)
+    traffic = PatternTraffic(make_pattern("uniform", TINY.make_mesh()),
+                             0.3)
+    with pytest.raises(ValueError, match="packet store"):
+        run_fixed_batch(TINY, [BatchPoint(traffic, TINY.f_max_hz, 1)],
+                        BUDGET)
 
 
 @pytest.fixture
