@@ -40,15 +40,6 @@ runs such a worker until stopped (``--max-tasks`` / ``--max-idle``
 bound it).  Results stay bit-identical to serial execution for any
 worker count or crash schedule (README "Distributed execution").
 
-The sweep service (README "Sweep as a service") turns one queue
-directory into a long-running daemon many clients share::
-
-    python -m repro.experiments serve  --queue DIR --workers 2
-    python -m repro.experiments submit --queue DIR \\
-        --policy rmsd:lambda_max=0.4 --rates 0.05,0.1 --wait
-    python -m repro.experiments status --queue DIR --follow
-    python -m repro.experiments gc     --queue DIR --keep-days 7
-
 ``--policy NAME[:key=value,...]`` (repeatable) selects which
 registered DVFS policies the figures sweep — the paper's three by
 default — and ``--pattern NAME[:key=value,...]`` overrides the
@@ -83,6 +74,7 @@ import argparse
 import importlib
 import sys
 import time
+from pathlib import Path
 
 from ..core.registry import POLICY_REGISTRY, Ref
 from ..noc.config import NocConfig, PAPER_BASELINE
@@ -307,6 +299,8 @@ def worker_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.lease_ttl <= 0:
         parser.error("--lease-ttl must be > 0")
+    if args.poll <= 0:
+        parser.error("--poll must be > 0")
     if args.max_attempts < 1:
         parser.error("--max-attempts must be >= 1")
     if args.claim_batch < 1:
@@ -429,32 +423,6 @@ def _execution_context(args, error) -> ExecutionContext:
         pool=args.pool, claim_batch=args.claim_batch)
 
 
-def _grid_flags() -> argparse.ArgumentParser:
-    """Parent parser: the scenario-grid flags of ``matrix`` and
-    ``submit`` (expanded by :func:`_scenario_grid`)."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--policy", action="append", required=True,
-                       metavar="NAME[:k=v,...]",
-                       help="policy to sweep (repeatable; parameters "
-                            "as key=value pairs, e.g. "
-                            "rmsd:lambda_max=0.4)")
-    flags.add_argument("--pattern", action="append",
-                       metavar="NAME[:k=v,...]",
-                       help="traffic pattern(s) to cross with the "
-                            "policies (repeatable; default: uniform)")
-    flags.add_argument("--workload", action="append",
-                       metavar="NAME[:k=v,...]",
-                       help="workload(s) to cross in as a third "
-                            "dimension (repeatable; 'none' = plain "
-                            "constant-rate traffic, the default — see "
-                            "README 'Workloads')")
-    flags.add_argument("--rates", required=True, metavar="R1,R2,...",
-                       help="comma-separated injection rates "
-                            "(flits/node-cycle), the sweep axis of "
-                            "every scenario")
-    return flags
-
-
 def _scenario_grid(args, error):
     """``(scenarios, rates)``: the policy x pattern x workload cross
     product on the ``--tiny`` or paper mesh.  Bad values exit through
@@ -495,6 +463,20 @@ def _parse_rates(text: str, error) -> tuple[float, ...]:
     return rates
 
 
+def _check_out_path(path: str | None, error) -> None:
+    """Exit through ``error`` unless ``--out`` is a file path in an
+    existing directory.  Checked before any simulation, so a mistyped
+    path cannot cost a finished run its results."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        error(f"--out {path!r} is a directory, not a file")
+    if not out.parent.is_dir():
+        error(f"--out {path!r}: {str(out.parent)!r} is not an existing "
+              f"directory")
+
+
 def _parse_budget(text: str, error):
     from ..noc.budget import DEFAULT, FAST, THOROUGH, SimBudget
 
@@ -511,346 +493,13 @@ def _parse_budget(text: str, error):
               f"WARMUP:MEASURE:DRAIN (cycle counts)")
 
 
-def _render_submission_status(status: dict) -> str:
-    """One stable, grep-friendly line per submission."""
-    state = status.get("state", "unknown")
-    if "tasks" not in status:
-        return f"{status['id']} {state}"
-    line = (f"{status['id']} {state} units={status['units']} "
-            f"tasks={status['tasks']} done={status['done']}/"
-            f"{status['tasks']} cached={status['cached']} "
-            f"running={status['running']} failed={status['failed']}")
-    if status.get("error"):
-        line += f" error={status['error']!r}"
-    return line
-
-
-def _print_failures(status: dict) -> None:
-    for task_id, ticket in sorted(status.get("failures", {}).items()):
-        errors = ticket.get("errors") or ["no error recorded"]
-        print(f"    {task_id} ({ticket.get('attempts', '?')} "
-              f"attempts): {errors[-1]}")
-
-
-def serve_main(argv: list[str]) -> int:
-    """``python -m repro.experiments serve``: the sweep daemon."""
-    import signal
-    import threading
-
-    from ..runner.distributed import (DEFAULT_LEASE_TTL_S,
-                                      DEFAULT_MAX_ATTEMPTS, QueueError,
-                                      ServiceDaemon)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description="Run the sweep-as-a-service daemon on a shared "
-                    "queue directory: accept scenario-sweep "
-                    "submissions from the submit subcommand, plan and "
-                    "execute them (deduplicating overlapping work "
-                    "against the shared result store), and report "
-                    "per-submission status files (see README 'Sweep "
-                    "as a service').")
-    parser.add_argument("--queue", required=True, metavar="DIR",
-                        help="queue directory to serve (created if "
-                             "missing); clients submit to the same DIR")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="local worker subprocesses to keep warm "
-                             "for the daemon's lifetime (default 0 = "
-                             "execute in-process between polls, or "
-                             "lean on externally started workers)")
-    parser.add_argument("--pool", action="store_true",
-                        help="accepted for symmetry with --backend "
-                             "distributed: a daemon's self-spawned "
-                             "workers are always a warm pool (needs "
-                             "--workers >= 1)")
-    parser.add_argument("--claim-batch", type=int, default=1,
-                        metavar="N",
-                        help="tasks each self-spawned worker claims "
-                             "per queue round-trip (default 1)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="planner fan-out: shards per scenario "
-                             "sweep (default: --workers, or 8 when "
-                             "executing in-process).  Must match "
-                             "across daemons sharing one queue for "
-                             "cross-submission dedupe")
-    parser.add_argument("--lease-ttl", type=float,
-                        default=DEFAULT_LEASE_TTL_S, metavar="S",
-                        help="task lease time-to-live in seconds "
-                             f"(default {DEFAULT_LEASE_TTL_S:g})")
-    parser.add_argument("--poll", type=float, default=0.05,
-                        metavar="S",
-                        help="service poll interval in seconds "
-                             "(default 0.05)")
-    parser.add_argument("--max-attempts", type=int,
-                        default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-                        help="per-task attempt budget (default "
-                             f"{DEFAULT_MAX_ATTEMPTS})")
-    parser.add_argument("--max-idle", type=float, default=None,
-                        metavar="S",
-                        help="exit after S seconds with no active or "
-                             "queued submission (default: serve "
-                             "forever)")
-    parser.add_argument("--register", action="append",
-                        metavar="MODULE",
-                        help="import MODULE first so submissions may "
-                             "name its registered policies/patterns; "
-                             "repeatable")
-    args = parser.parse_args(argv)
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.pool and args.workers < 1:
-        parser.error("--pool needs self-spawned workers "
-                     "(--workers >= 1)")
-    if args.claim_batch < 1:
-        parser.error("--claim-batch must be >= 1")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be > 0")
-    if args.poll <= 0:
-        parser.error("--poll must be > 0")
-    if args.max_attempts < 1:
-        parser.error("--max-attempts must be >= 1")
-    register_modules(args.register, parser.error)
-
-    def log(message: str) -> None:
-        print(f"[serve] {message}", file=sys.stderr, flush=True)
-
-    try:
-        daemon = ServiceDaemon(args.queue, workers=args.workers,
-                               claim_batch=args.claim_batch,
-                               lease_ttl_s=args.lease_ttl,
-                               poll_s=args.poll,
-                               max_attempts=args.max_attempts,
-                               jobs=args.jobs, log=log)
-    except (QueueError, ValueError) as exc:
-        parser.error(str(exc))
-
-    # First signal: drain in-flight submissions, then exit cleanly
-    # (the pool is sentinel-retired, no worker outlives the daemon).
-    # Second signal: exit immediately.
-    stop = threading.Event()
-
-    def handle_stop(signum, frame):
-        if stop.is_set():
-            raise SystemExit(130)
-        stop.set()
-
-    signal.signal(signal.SIGINT, handle_stop)
-    signal.signal(signal.SIGTERM, handle_stop)
-    log(f"serving queue {args.queue} (workers={args.workers}, "
-        f"fanout={daemon.fanout}); submit with: python -m "
-        f"repro.experiments submit --queue {args.queue} ...")
-    stats = daemon.run(stop=stop, max_idle_s=args.max_idle)
-    log(f"done: {stats.accepted} accepted, {stats.completed} "
-        f"completed, {stats.failed} failed")
-    return 1 if stats.failed else 0
-
-
-def submit_main(argv: list[str]) -> int:
-    """``python -m repro.experiments submit``: hand the daemon a sweep."""
-    from ..runner.distributed import (QueueError, SweepSubmission,
-                                      read_status, submit_sweep)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments submit",
-        parents=[_grid_flags()],
-        description="Submit a scenario sweep (policies x patterns x "
-                    "rates) to a sweep-service queue; prints the "
-                    "submission id.  Work overlapping other "
-                    "submissions (or earlier results) is shared, not "
-                    "recomputed (see README 'Sweep as a service').")
-    parser.add_argument("--queue", required=True, metavar="DIR",
-                        help="queue directory a daemon serves (python "
-                             "-m repro.experiments serve --queue DIR)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--engine", choices=engine_names(),
-                        default=DEFAULT_ENGINE,
-                        help=f"simulation engine (default: "
-                             f"{DEFAULT_ENGINE})")
-    parser.add_argument("--budget", default="default",
-                        metavar="NAME|W:M:D",
-                        help="simulation budget: fast, default, "
-                             "thorough, or WARMUP:MEASURE:DRAIN cycle "
-                             "counts (default: default)")
-    parser.add_argument("--tiny", action="store_true",
-                        help="sweep the tiny 3x3 smoke mesh instead "
-                             "of the paper baseline")
-    parser.add_argument("--register", action="append",
-                        metavar="MODULE",
-                        help="import MODULE first (plugin policies/"
-                             "patterns); the daemon needs the same "
-                             "--register to accept the submission")
-    parser.add_argument("--wait", action="store_true",
-                        help="block until the submission reaches a "
-                             "terminal state; exit 1 on failure")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="S",
-                        help="give up on --wait after S seconds")
-    parser.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="status poll interval for --wait "
-                             "(default 0.2)")
-    args = parser.parse_args(argv)
-    register_modules(args.register, parser.error)
-    scenarios, rates = _scenario_grid(args, parser.error)
-    budget = _parse_budget(args.budget, parser.error)
-    try:
-        submission = SweepSubmission.build(
-            scenarios, rates, seed=args.seed, engine=args.engine,
-            budget=budget)
-        submission_id = submit_sweep(args.queue, submission)
-    except (QueueError, ValueError) as exc:
-        parser.error(str(exc))
-    print(submission_id)
-    if not args.wait:
-        return 0
-    deadline = (None if args.timeout is None
-                else time.time() + args.timeout)
-    while True:
-        status = read_status(args.queue, submission_id) or {}
-        if status.get("state") in ("done", "failed"):
-            print(_render_submission_status(status), file=sys.stderr)
-            _print_failures(status)
-            return 0 if status["state"] == "done" else 1
-        if deadline is not None and time.time() >= deadline:
-            print(f"timed out after {args.timeout:g}s waiting on "
-                  f"{submission_id} "
-                  f"(state: {status.get('state', 'unknown')}; is a "
-                  f"daemon serving {args.queue}?)", file=sys.stderr)
-            return 1
-        time.sleep(args.poll)
-
-
-def status_main(argv: list[str]) -> int:
-    """``python -m repro.experiments status``: submission progress."""
-    from ..runner.distributed import (QueueError, WorkQueue,
-                                      list_submissions, read_status,
-                                      service_state)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments status",
-        description="Show sweep-service submission status (and the "
-                    "daemon/queue state) for a queue directory.")
-    parser.add_argument("--queue", required=True, metavar="DIR")
-    parser.add_argument("ids", nargs="*", metavar="SUBMISSION",
-                        help="submission ids to show (default: all "
-                             "known)")
-    parser.add_argument("--follow", action="store_true",
-                        help="keep polling and stream status changes "
-                             "until every shown submission is "
-                             "terminal; exit 1 if any failed")
-    parser.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="poll interval for --follow "
-                             "(default 0.2)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="S",
-                        help="give up on --follow after S seconds")
-    args = parser.parse_args(argv)
-    if args.poll <= 0:
-        parser.error("--poll must be > 0")
-    try:
-        queue = WorkQueue(args.queue).ensure()
-    except QueueError as exc:
-        parser.error(str(exc))
-    for submission_id in args.ids:
-        if read_status(args.queue, submission_id) is None:
-            parser.error(f"unknown submission {submission_id!r} in "
-                         f"queue {args.queue}")
-
-    def snapshot() -> list[dict]:
-        if args.ids:
-            return [status for status in
-                    (read_status(args.queue, submission_id)
-                     for submission_id in args.ids)
-                    if status is not None]
-        return list_submissions(args.queue)
-
-    def failed(statuses: list[dict]) -> bool:
-        return any(s.get("state") == "failed" for s in statuses)
-
-    if not args.follow:
-        daemon = service_state(args.queue)
-        if daemon is not None:
-            print(f"[daemon {daemon.get('state', '?')} "
-                  f"pid={daemon.get('pid', '?')} "
-                  f"workers={daemon.get('workers', '?')} "
-                  f"active={daemon.get('active', '?')} "
-                  f"accepted={daemon.get('accepted', '?')} "
-                  f"completed={daemon.get('completed', '?')} "
-                  f"failed={daemon.get('failed', '?')}]")
-        else:
-            print("[no daemon has served this queue]")
-        print(f"[queue todo={len(queue.todo_ids())} "
-              f"claimed={len(queue.claimed_ids())} "
-              f"results={len(queue.result_ids())} "
-              f"failed={len(queue.failed_tickets())}]")
-        statuses = snapshot()
-        for status in statuses:
-            print(_render_submission_status(status))
-            _print_failures(status)
-        return 1 if failed(statuses) else 0
-
-    deadline = (None if args.timeout is None
-                else time.time() + args.timeout)
-    last_lines: dict[str, str] = {}
-    while True:
-        statuses = snapshot()
-        for status in statuses:
-            line = _render_submission_status(status)
-            if last_lines.get(status["id"]) != line:
-                last_lines[status["id"]] = line
-                print(line, flush=True)
-                if status.get("state") == "failed":
-                    _print_failures(status)
-        if statuses and all(s.get("state") in ("done", "failed")
-                            for s in statuses):
-            return 1 if failed(statuses) else 0
-        if deadline is not None and time.time() >= deadline:
-            print(f"timed out after {args.timeout:g}s with "
-                  f"non-terminal submissions", file=sys.stderr)
-            return 1
-        time.sleep(args.poll)
-
-
-def gc_main(argv: list[str]) -> int:
-    """``python -m repro.experiments gc``: result-store retention."""
-    from ..runner.distributed import QueueError, gc_queue
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments gc",
-        description="Evict sweep-service results, failed tickets and "
-                    "terminal submission records older than a "
-                    "retention window.  Results a live submission "
-                    "still references are spared regardless of age; "
-                    "gc against a serving daemon is safe.")
-    parser.add_argument("--queue", required=True, metavar="DIR")
-    parser.add_argument("--keep-days", type=float, required=True,
-                        metavar="N",
-                        help="retention window in days (fractions "
-                             "allowed; 0 evicts everything not live)")
-    parser.add_argument("--dry-run", action="store_true",
-                        help="report what would be evicted without "
-                             "deleting anything")
-    args = parser.parse_args(argv)
-    if args.keep_days < 0:
-        parser.error("--keep-days must be >= 0")
-    try:
-        report = gc_queue(args.queue, args.keep_days,
-                          dry_run=args.dry_run)
-    except (QueueError, ValueError) as exc:
-        parser.error(str(exc))
-    verb = "would remove" if args.dry_run else "removed"
-    print(f"[gc {verb} {report.render()}]")
-    return 0
-
-
 def matrix_main(argv: list[str]) -> int:
     """``python -m repro.experiments matrix``: scenario cross product."""
     import json
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments matrix",
-        parents=[_grid_flags(), _execution_flags()],
+        parents=[_execution_flags()],
         description="Sweep the cross product of policies x patterns x "
                     "workloads over one rate grid as a SINGLE planned "
                     "submission: units shared between cells (or "
@@ -858,10 +507,30 @@ def matrix_main(argv: list[str]) -> int:
                     "execution backend sees the whole matrix at once, "
                     "and the result is a per-cell delay table (plus an "
                     "optional JSON artifact).  See README 'Workloads'.")
+    parser.add_argument("--policy", action="append", required=True,
+                        metavar="NAME[:k=v,...]",
+                        help="policy to sweep (repeatable; parameters "
+                             "as key=value pairs, e.g. "
+                             "rmsd:lambda_max=0.4)")
+    parser.add_argument("--pattern", action="append",
+                        metavar="NAME[:k=v,...]",
+                        help="traffic pattern(s) to cross with the "
+                             "policies (repeatable; default: uniform)")
+    parser.add_argument("--workload", action="append",
+                        metavar="NAME[:k=v,...]",
+                        help="workload(s) to cross in as a third "
+                             "dimension (repeatable; 'none' = plain "
+                             "constant-rate traffic, the default — see "
+                             "README 'Workloads')")
+    parser.add_argument("--rates", required=True, metavar="R1,R2,...",
+                        help="comma-separated injection rates "
+                             "(flits/node-cycle), the sweep axis of "
+                             "every scenario")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the matrix artifact (per-cell "
                              "points + run report) as JSON to FILE")
     args = parser.parse_args(argv)
+    _check_out_path(args.out, parser.error)
     register_modules(args.register, parser.error)
     scenarios, rates = _scenario_grid(args, parser.error)
     context = _execution_context(args, parser.error)
@@ -920,6 +589,7 @@ def record_main(argv: list[str]) -> int:
                         help="import MODULE first (plugin patterns/"
                              "workloads); repeatable")
     args = parser.parse_args(argv)
+    _check_out_path(args.out, parser.error)
     register_modules(args.register, parser.error)
     if args.rate <= 0:
         parser.error("--rate must be a positive injection rate")
@@ -1016,10 +686,6 @@ _SUBCOMMANDS = {
     "matrix": matrix_main,
     "record": record_main,
     "replay": replay_main,
-    "serve": serve_main,
-    "submit": submit_main,
-    "status": status_main,
-    "gc": gc_main,
 }
 
 

@@ -45,7 +45,6 @@ WALL_CLOCK_ALLOWLIST = (
     "repro/runner/distributed/collector.py",
     "repro/runner/distributed/pool.py",
     "repro/runner/distributed/broker.py",
-    "repro/runner/distributed/service.py",
 )
 
 #: D002 allowlist: the one module allowed to mint RNGs from run seeds.

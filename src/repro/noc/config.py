@@ -121,35 +121,19 @@ class NocConfig:
         """
         return replace(self, **changes)
 
-    # --- wire format (sweep-service submissions) ------------------------
+    # --- JSON artifact ------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready field mapping; inverse of :meth:`from_dict`.
+        """JSON-ready field mapping (tuples become lists).
 
-        Used wherever a configuration crosses a trust or process
-        boundary as plain data instead of a pickle — notably the
-        sweep service's submission files.
+        The ``config`` of every scenario in the ``matrix --out``
+        artifact (:meth:`repro.scenario.ScenarioSpec.to_payload`), so
+        the artifact names each mesh by value rather than by pickle.
         """
         out = {}
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             out[name] = list(value) if isinstance(value, tuple) else value
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NocConfig":
-        """Rebuild a configuration from :meth:`to_dict` output.
-
-        Unknown keys fail loudly — a submission written by a newer
-        build must not silently lose a field on an older daemon.
-        """
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown NocConfig field(s): "
-                             f"{', '.join(unknown)}")
-        kwargs = dict(data)
-        if kwargs.get("node_freqs_hz") is not None:
-            kwargs["node_freqs_hz"] = tuple(kwargs["node_freqs_hz"])
-        return cls(**kwargs)
 
 
 #: The paper's baseline configuration (Figs. 2, 4, 6 and Sec. V).

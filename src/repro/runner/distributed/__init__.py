@@ -20,13 +20,7 @@ problem.  This package solves it with files:
   re-enqueue expired leases, surface exhausted retries;
 * :mod:`.backend` — :class:`DistributedBackend`, registered as
   ``backend="distributed"`` (CLI ``--backend distributed --queue DIR
-  --workers N [--pool] [--claim-batch N]``);
-* :mod:`.service` — sweep-as-a-service: a long-running
-  :class:`ServiceDaemon` (``python -m repro.experiments serve``) that
-  accepts :class:`SweepSubmission`\\ s from many clients through a
-  file-based inbox, dedupes overlapping work against the shared
-  result store, and reports per-submission status files
-  (``submit``/``status``/``gc`` subcommands).
+  --workers N [--pool] [--claim-batch N]``).
 
 The determinism guarantee extends unchanged: a distributed sweep is
 bit-identical to a serial one for any worker count, pool lifetime,
@@ -40,13 +34,8 @@ from .collector import (CollectStats, CollectTimeout, Collector,
                         FailedUnitError)
 from .lease import DEFAULT_LEASE_TTL_S, Lease, read_lease
 from .pool import WorkerPool
-from .queue import (Claim, DEFAULT_MAX_ATTEMPTS, EvictionReport,
-                    QueueError, RequeueReport, WorkQueue,
-                    default_worker_id)
-from .service import (GcReport, ServiceDaemon, ServiceStats,
-                      SubmissionStore, SweepSubmission, gc_queue,
-                      list_submissions, read_status, service_state,
-                      submission_results, submit_sweep)
+from .queue import (Claim, DEFAULT_MAX_ATTEMPTS, QueueError,
+                    RequeueReport, WorkQueue, default_worker_id)
 from .worker import Worker
 
 __all__ = [
@@ -57,28 +46,16 @@ __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_MAX_ATTEMPTS",
     "DistributedBackend",
-    "EvictionReport",
     "FailedUnitError",
-    "GcReport",
     "Lease",
     "QueueError",
     "RequeueReport",
-    "ServiceDaemon",
-    "ServiceStats",
     "ShardTask",
-    "SubmissionStore",
-    "SweepSubmission",
     "Worker",
     "WorkerPool",
     "WorkQueue",
     "default_worker_id",
-    "gc_queue",
-    "list_submissions",
     "plan_tasks",
     "publish_plan",
     "read_lease",
-    "read_status",
-    "service_state",
-    "submission_results",
-    "submit_sweep",
 ]

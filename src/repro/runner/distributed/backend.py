@@ -43,9 +43,7 @@ from ..plan import ExecutionPlan
 from .broker import publish_plan
 from .collector import Collector
 from .lease import DEFAULT_LEASE_TTL_S
-from .pool import WorkerPool, _worker_command, _worker_env  # noqa: F401
-# (_worker_command/_worker_env are re-exported: they lived here before
-# the pool split and external code imports them from this module)
+from .pool import WorkerPool
 from .queue import DEFAULT_MAX_ATTEMPTS, WorkQueue
 from .worker import Worker
 

@@ -10,7 +10,8 @@ every poll it
 2. re-enqueues claimed tasks whose lease expired — a dead worker's
    shards go back to ``todo/`` with their attempt count incremented —
    and, on the same cadence, reclaims ``tmp/`` staging files orphaned
-   by workers that crashed mid-atomic-write;
+   by workers that crashed mid-atomic-write.  These sweeps run every
+   ``max(poll_s, lease_ttl_s / 4)`` seconds, not every poll;
 3. surfaces tasks whose retry budget is exhausted as a
    :class:`FailedUnitError` carrying the full error history, rather
    than letting the sweep hang on work that can never finish.
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..backends import FinishFn
-from .queue import (DEFAULT_MAX_ATTEMPTS, QueueError, RequeueReport,
-                    WorkQueue)
+from .queue import DEFAULT_MAX_ATTEMPTS, QueueError, WorkQueue
 
 
 class FailedUnitError(QueueError):
@@ -63,43 +63,6 @@ class CollectStats:
 PollHook = Callable[[set], None]
 
 
-class QueueTender:
-    """Owns the queue's maintenance cadence: expiry + staging sweeps.
-
-    One tender serves any number of concurrently collected plans — the
-    expiry sweep walks ``claimed/`` wholesale, so running it once per
-    queue (the sweep-service daemon's case) instead of once per
-    collector keeps the filesystem cost independent of how many
-    submissions are in flight.  ``tick`` is cheap to call every poll;
-    the sweep itself only runs every ``interval_s``.
-    """
-
-    def __init__(self, queue: WorkQueue,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 interval_s: float | None = None) -> None:
-        self.queue = queue
-        self.max_attempts = max_attempts
-        # A few sweeps per lease TTL is enough to keep worst-case
-        # crash-recovery latency a fraction of the TTL, which matters
-        # on the network filesystems multi-host queues live on.
-        self.interval_s = (queue.lease_ttl_s / 4.0
-                           if interval_s is None else interval_s)
-        self._last = 0.0
-
-    def tick(self, now: float | None = None) -> RequeueReport | None:
-        """Run the sweeps if the cadence is due; ``None`` otherwise."""
-        now = time.time() if now is None else now
-        if now - self._last < self.interval_s:
-            return None
-        self._last = now
-        report = self.queue.requeue_expired(self.max_attempts, now=now)
-        # Same cadence: reclaim staging files orphaned by workers that
-        # crashed mid-atomic-write (they would otherwise accumulate in
-        # tmp/ forever).
-        self.queue.sweep_stale_tmp(now)
-        return report
-
-
 class Collector:
     """Waits on one published plan's tasks in one queue."""
 
@@ -123,11 +86,13 @@ class Collector:
         deadline = (None if self.timeout_s is None
                     else time.time() + self.timeout_s)
         # The per-poll cost is one results/ listing (plus one failed/
-        # listing); the tender runs the claimed-directory expiry sweep
-        # on its own, coarser cadence.
-        tender = QueueTender(
-            self.queue, self.max_attempts,
-            interval_s=max(self.poll_s, self.queue.lease_ttl_s / 4.0))
+        # listing); the claimed-directory expiry sweep runs on its own,
+        # coarser cadence.  A few sweeps per lease TTL is enough to
+        # keep worst-case crash-recovery latency a fraction of the TTL,
+        # which matters on the network filesystems multi-host queues
+        # live on.
+        sweep_interval_s = max(self.poll_s, self.queue.lease_ttl_s / 4.0)
+        last_sweep = 0.0
         requeues = polls = 0
         while outstanding:
             for task_id in sorted(self.queue.result_ids()
@@ -140,9 +105,16 @@ class Collector:
             failures = self.queue.failed_tickets(outstanding)
             if failures:
                 raise FailedUnitError(failures)
-            report = tender.tick()
-            if report is not None:
+            now = time.time()
+            if now - last_sweep >= sweep_interval_s:
+                last_sweep = now
+                report = self.queue.requeue_expired(self.max_attempts,
+                                                    now=now)
                 requeues += len(report.requeued)
+                # Same cadence: reclaim staging files orphaned by
+                # workers that crashed mid-atomic-write (they would
+                # otherwise accumulate in tmp/ forever).
+                self.queue.sweep_stale_tmp(now)
             if on_poll is not None:
                 on_poll(outstanding)
             now = time.time()

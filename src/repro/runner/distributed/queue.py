@@ -98,20 +98,6 @@ class RequeueReport:
     failed: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class EvictionReport:
-    """What one eviction pass removed from the result store."""
-
-    results: tuple[str, ...] = ()
-    failed: tuple[str, ...] = ()
-    payloads: tuple[str, ...] = ()
-
-    @property
-    def total(self) -> int:
-        return (len(self.results) + len(self.failed)
-                + len(self.payloads))
-
-
 class WorkQueue:
     """A shared-directory work queue rooted at ``root``."""
 
@@ -467,77 +453,6 @@ class WorkQueue:
                 continue
             removed.append(name)
         return tuple(removed)
-
-    # --- eviction (operator side) -------------------------------------
-    def evict(self, max_age_s: float, now: float | None = None,
-              keep: set[str] | frozenset[str] = frozenset(),
-              dry_run: bool = False) -> EvictionReport:
-        """Remove stored results older than ``max_age_s`` seconds.
-
-        ``results/`` doubles as the queue's digest-keyed cache, so a
-        long-lived service queue grows without bound unless somebody
-        evicts.  Age is the result file's mtime — completion rewrites
-        it, so a result re-served by an overlapping sweep stays
-        "recently written" only if it was actually recomputed; pure
-        cache hits do not refresh it (eviction is by *write* age, the
-        provenance embedded per unit records what the result was).
-
-        Evicting a result also drops the task's now-orphaned payload,
-        and ``failed/`` tickets older than the cutoff are cleared the
-        same way (their error history has been surfaceable for the
-        whole retention window).  Tasks in ``keep`` — e.g. those a
-        live submission still references — and tasks with a live
-        claim ticket are spared regardless of age.  With ``dry_run``
-        nothing is deleted; the report lists what would be.
-        """
-        if max_age_s < 0:
-            raise ValueError("max_age_s must be >= 0")
-        now = time.time() if now is None else now
-        results: list[str] = []
-        failed: list[str] = []
-        payloads: list[str] = []
-
-        def too_old(path: Path) -> bool:
-            try:
-                return now - path.stat().st_mtime > max_age_s
-            except OSError:
-                return False    # vanished under us: nothing to evict
-
-        def remove(path: Path) -> bool:
-            if dry_run:
-                return True
-            try:
-                path.unlink()
-            except OSError:
-                return False    # lost a race with another evictor
-            return True
-
-        for name in sorted(os.listdir(self._dir("results"))):
-            if not name.endswith(".pkl"):
-                continue
-            task_id = name[:-len(".pkl")]
-            path = self._dir("results") / name
-            if (task_id in keep or self.pending_ticket(task_id)
-                    or not too_old(path)):
-                continue
-            if not remove(path):
-                continue
-            results.append(task_id)
-            if self.payload_path(task_id).exists() and \
-                    remove(self.payload_path(task_id)):
-                payloads.append(task_id)
-        for name in sorted(os.listdir(self._dir("failed"))):
-            if not name.endswith(".json"):
-                continue
-            task_id = name[:-len(".json")]
-            path = self._dir("failed") / name
-            if task_id in keep or not too_old(path):
-                continue
-            if remove(path):
-                failed.append(task_id)
-        return EvictionReport(results=tuple(results),
-                              failed=tuple(failed),
-                              payloads=tuple(payloads))
 
     # --- shutdown sentinel (driver side) ------------------------------
     def shutdown_path(self) -> Path:

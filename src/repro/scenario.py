@@ -134,15 +134,16 @@ class ScenarioSpec:
             Ref.coerce(pattern) if pattern is not None else self.pattern,
             cfg, wl)
 
-    # --- wire format ----------------------------------------------------
+    # --- JSON artifact --------------------------------------------------
     def to_payload(self) -> dict:
-        """JSON-ready form; inverse of :meth:`from_payload`.
+        """JSON-ready form: the ``scenario`` entry of each cell in the
+        ``matrix --out`` artifact
+        (:meth:`~repro.experiments.matrix.MatrixResult.to_payload`).
 
         Refs serialize as their ``name:key=value`` surface labels
         (``Ref.parse`` is the documented inverse for literal-valued
-        parameters) and the config as its field dict, so a submission
-        file is human-readable and carries no pickles — the sweep
-        service accepts these from any client that can write JSON.
+        parameters) and the config as its field dict, so the artifact
+        is human-readable and carries no pickles.
         """
         payload = {"policy": self.policy.label,
                    "pattern": self.pattern.label,
@@ -150,22 +151,6 @@ class ScenarioSpec:
         if self.workload is not None:
             payload["workload"] = self.workload.label
         return payload
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_payload` output (validated)."""
-        try:
-            policy = data["policy"]
-            pattern = data["pattern"]
-            config = data.get("config")
-        except (TypeError, KeyError) as exc:
-            raise ValueError(
-                f"scenario payload needs 'policy' and 'pattern' keys, "
-                f"got {data!r}") from exc
-        return cls.build(policy, pattern,
-                         config=(NocConfig.from_dict(config)
-                                 if config is not None else None),
-                         workload=data.get("workload"))
 
     # --- identity -------------------------------------------------------
     def spec_key(self) -> tuple:

@@ -43,9 +43,8 @@ def register_workload(cls=None, *, name: str | None = None,
 
     Usable bare (``@register_workload``) or parameterized
     (``@register_workload(name="mine")``).  Registered workloads are
-    reachable everywhere a workload name is accepted: ``ScenarioSpec``,
-    the ``matrix`` subcommand's ``--workload`` flag, and sweep-service
-    submissions.
+    reachable everywhere a workload name is accepted: ``ScenarioSpec``
+    and the ``matrix`` subcommand's ``--workload`` flag.
     """
     return WORKLOAD_REGISTRY.registering(cls, name=name, replace=replace)
 

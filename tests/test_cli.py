@@ -321,6 +321,17 @@ class TestWorkerCli:
                          "--max-attempts", "0"])
         assert "--max-attempts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poll", ["0", "-1"])
+    def test_bad_poll(self, capsys, tmp_path, poll):
+        """A zero poll spins the idle loop; a negative one dies in
+        time.sleep.  Both are usage errors before any queue work."""
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(["--queue", str(tmp_path / "q"), "--poll", poll,
+                         "--max-idle", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--poll must be > 0" in err and "Traceback" not in err
+
     def test_bad_claim_batch(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             worker_main(["--queue", str(tmp_path / "q"),
@@ -374,112 +385,6 @@ class TestWorkerCli:
                             "--max-tasks", "1",
                             "--max-attempts", "1"]) == 1
         assert "1 failed" in capsys.readouterr().err
-
-
-class TestServiceCli:
-    """serve/submit/status/gc: the sweep-as-a-service subcommands."""
-
-    def _error_output(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return err
-
-    def test_serve_queue_is_required(self, capsys):
-        assert "--queue" in self._error_output(["serve"], capsys)
-
-    def test_serve_rejects_bad_knobs(self, capsys, tmp_path):
-        q = str(tmp_path / "q")
-        assert "--workers must be >= 0" in self._error_output(
-            ["serve", "--queue", q, "--workers", "-1"], capsys)
-        assert "--pool needs self-spawned workers" in self._error_output(
-            ["serve", "--queue", q, "--pool"], capsys)
-        assert "--claim-batch must be >= 1" in self._error_output(
-            ["serve", "--queue", q, "--claim-batch", "0"], capsys)
-        assert "--jobs must be >= 1" in self._error_output(
-            ["serve", "--queue", q, "--jobs", "0"], capsys)
-        assert "--poll must be > 0" in self._error_output(
-            ["serve", "--queue", q, "--poll", "0"], capsys)
-        assert "--lease-ttl must be > 0" in self._error_output(
-            ["serve", "--queue", q, "--lease-ttl", "0"], capsys)
-
-    def test_submit_required_flags(self, capsys, tmp_path):
-        err = self._error_output(
-            ["submit", "--queue", str(tmp_path / "q")], capsys)
-        assert "--policy" in err and "--rates" in err
-
-    def test_submit_bad_rates(self, capsys, tmp_path):
-        q = str(tmp_path / "q")
-        err = self._error_output(
-            ["submit", "--queue", q, "--policy", "no-dvfs",
-             "--rates", "0.02,lots"], capsys)
-        assert "not a comma-separated list of numbers" in err
-        err = self._error_output(
-            ["submit", "--queue", q, "--policy", "no-dvfs",
-             "--rates", "0.02,-0.05"], capsys)
-        assert "must be positive" in err
-        err = self._error_output(
-            ["submit", "--queue", q, "--policy", "no-dvfs",
-             "--rates", ","], capsys)
-        assert "at least one value" in err
-
-    def test_submit_bad_budget(self, capsys, tmp_path):
-        err = self._error_output(
-            ["submit", "--queue", str(tmp_path / "q"),
-             "--policy", "no-dvfs", "--rates", "0.02",
-             "--budget", "huge"], capsys)
-        assert "fast, default, thorough or" in err
-
-    def test_submit_unknown_policy_lists_known(self, capsys, tmp_path):
-        err = self._error_output(
-            ["submit", "--queue", str(tmp_path / "q"),
-             "--policy", "warp", "--rates", "0.02"], capsys)
-        assert "unknown policy" in err and "rmsd" in err
-
-    def test_status_unknown_submission(self, capsys, tmp_path):
-        err = self._error_output(
-            ["status", "--queue", str(tmp_path / "q"), "sub-nope"],
-            capsys)
-        assert "unknown submission" in err and "sub-nope" in err
-
-    def test_status_empty_queue(self, capsys, tmp_path):
-        assert main(["status", "--queue", str(tmp_path / "q")]) == 0
-        out = capsys.readouterr().out
-        assert "no daemon has served this queue" in out
-        assert "todo=0" in out
-
-    def test_gc_rejects_negative_window(self, capsys, tmp_path):
-        err = self._error_output(
-            ["gc", "--queue", str(tmp_path / "q"),
-             "--keep-days", "-1"], capsys)
-        assert "--keep-days must be >= 0" in err
-
-    def test_submit_serve_status_gc_roundtrip(self, capsys, tmp_path):
-        """The whole service surface through the real CLI: submit a
-        tiny sweep, serve it to completion with --max-idle, read the
-        status back, then gc the retired queue."""
-        q = str(tmp_path / "q")
-        assert main(["submit", "--queue", q, "--policy", "no-dvfs",
-                     "--rates", "0.02,0.05", "--tiny",
-                     "--budget", "100:250:600"]) == 0
-        submission_id = capsys.readouterr().out.strip()
-        assert submission_id.startswith("sub-")
-        assert main(["status", "--queue", q, submission_id]) == 0
-        assert (f"{submission_id} queued"
-                in capsys.readouterr().out)
-        assert main(["serve", "--queue", q, "--poll", "0.01",
-                     "--max-idle", "0.2"]) == 0
-        assert "[serve]" in capsys.readouterr().err
-        assert main(["status", "--queue", q, submission_id]) == 0
-        out = capsys.readouterr().out
-        assert "[daemon stopped" in out
-        assert f"{submission_id} done" in out
-        assert main(["gc", "--queue", q, "--keep-days", "0"]) == 0
-        assert "[gc removed" in capsys.readouterr().out
-        assert main(["status", "--queue", q]) == 0
-        assert "results=0" in capsys.readouterr().out
 
 
 class TestDistributedDriverCli:

@@ -28,7 +28,7 @@ from repro.runner.distributed import (CollectTimeout, Collector,
                                       ShardTask, Worker, WorkQueue,
                                       plan_tasks, publish_plan,
                                       read_lease)
-from repro.runner.distributed.backend import _worker_env
+from repro.runner.distributed.pool import _worker_env
 from test_backends import (POLICY_STRATEGIES, factory,  # noqa: F401
                            fingerprint, make_units)
 
@@ -1080,8 +1080,6 @@ class TestDistributedBackend:
         the registry's module:class spec resolves on first use."""
         import subprocess
         import sys
-
-        from repro.runner.distributed.backend import _worker_env
 
         code = (
             "import sys\n"

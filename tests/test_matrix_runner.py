@@ -27,6 +27,17 @@ def bench():
     return Workbench(profile=TINY_PROFILE, seed=5)
 
 
+def usage_error(argv, capsys) -> str:
+    """Run the CLI expecting a usage error (exit 2, no traceback);
+    return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
 def matrix_scenarios(tiny_config):
     plain = ScenarioSpec.build("no-dvfs", "uniform", config=tiny_config)
     loaded = ScenarioSpec.build("no-dvfs", "uniform",
@@ -99,9 +110,9 @@ class TestScenarioMatrix:
         assert payload["rates"] == [0.05]
         assert [c["label"] for c in payload["cells"]] \
             == [plain.label, loaded.label]
-        for cell in payload["cells"]:
+        for cell, spec in zip(payload["cells"], (plain, loaded)):
             assert cell["digest"]
-            assert ScenarioSpec.from_payload(cell["scenario"])
+            assert cell["scenario"] == spec.to_payload()
             point = cell["points"][0]
             assert point["rate"] == 0.05
             assert point["mean_delay_ns"] > 0
@@ -124,6 +135,32 @@ class TestMatrixCli:
         payload = json.loads(out.read_text())
         assert len(payload["cells"]) == 4        # 2 policies x 2 loads
         assert payload["report"]["executed"] >= 1
+
+    def test_matrix_required_flags(self, capsys):
+        err = usage_error(["matrix", "--tiny"], capsys)
+        assert "--policy" in err and "--rates" in err
+
+    def test_matrix_bad_rates(self, capsys):
+        argv = ["matrix", "--tiny", "--policy", "no-dvfs", "--rates"]
+        assert "not a comma-separated list of numbers" in usage_error(
+            argv + ["0.02,lots"], capsys)
+        assert "must be positive" in usage_error(
+            argv + ["0.02,-0.05"], capsys)
+        assert "at least one value" in usage_error(argv + [","], capsys)
+
+    def test_matrix_unknown_policy_lists_known(self, capsys):
+        err = usage_error(["matrix", "--tiny", "--policy", "warp",
+                           "--rates", "0.02"], capsys)
+        assert "unknown policy" in err and "rmsd" in err
+
+    def test_matrix_out_dir_checked_before_simulating(self, tmp_path,
+                                                      capsys):
+        """A missing --out directory is a usage error up front, not a
+        FileNotFoundError after the whole matrix has run."""
+        err = usage_error(["matrix", "--tiny", "--policy", "no-dvfs",
+                           "--rates", "0.05", "--out",
+                           str(tmp_path / "missing" / "m.json")], capsys)
+        assert "--out" in err and "not an existing directory" in err
 
     def test_matrix_rejects_incompatible_pattern(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -187,6 +224,27 @@ class TestRecordReplayCli:
                      "--workload", "mmoo", "--rate", "0.1",
                      "--cycles", "3000"]) == 0
         assert "[recorded" in capsys.readouterr().out
+
+    def test_record_out_checked_before_recording(self, tmp_path,
+                                                 capsys):
+        """--out must name a file in an existing directory; both
+        mistakes are usage errors before anything is recorded."""
+        argv = ["record", "--tiny", "--rate", "0.1", "--cycles", "500",
+                "--out"]
+        err = usage_error(argv + [str(tmp_path / "missing" / "u.trace")],
+                          capsys)
+        assert "--out" in err and "not an existing directory" in err
+        err = usage_error(argv + [str(tmp_path)], capsys)
+        assert "--out" in err and "is a directory" in err
+
+    def test_replay_bad_budget_is_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "u.trace"
+        assert main(["record", "--tiny", "--out", str(trace),
+                     "--rate", "0.1", "--cycles", "500"]) == 0
+        capsys.readouterr()
+        err = usage_error(["replay", "--tiny", "--trace", str(trace),
+                           "--budget", "huge"], capsys)
+        assert "fast, default, thorough or" in err
 
     def test_replay_shape_mismatch_is_usage_error(self, tmp_path,
                                                   capsys):

@@ -408,13 +408,11 @@ class TestScenarioWorkload:
         assert spec.label.endswith("+mmoo:gain=2.0")
         payload = spec.to_payload()
         assert payload["workload"] == "mmoo:gain=2.0"
-        assert ScenarioSpec.from_payload(payload) == spec
 
     def test_payload_omits_absent_workload(self, tiny_config):
         spec = ScenarioSpec.build("no-dvfs", "uniform",
                                   config=tiny_config)
         assert "workload" not in spec.to_payload()
-        assert ScenarioSpec.from_payload(spec.to_payload()) == spec
 
     def test_with_keeps_and_clears_workload(self, tiny_config):
         spec = ScenarioSpec.build("no-dvfs", "uniform",
