@@ -305,6 +305,10 @@ def worker_main(argv: list[str]) -> int:
         parser.error("--max-attempts must be >= 1")
     if args.claim_batch < 1:
         parser.error("--claim-batch must be >= 1")
+    if args.max_tasks is not None and args.max_tasks < 1:
+        parser.error("--max-tasks must be >= 1")
+    if args.max_idle is not None and args.max_idle < 0:
+        parser.error("--max-idle must be >= 0")
     try:
         queue = WorkQueue(args.queue,
                           lease_ttl_s=args.lease_ttl).ensure()
@@ -429,6 +433,7 @@ def _scenario_grid(args, error):
     ``error`` naming the offending flag."""
     from ..scenario import ScenarioSpec
     from ..traffic.patterns import as_pattern_ref
+    from ..workload import make_workload
 
     policy_refs = _parse_refs(args.policy,
                               POLICY_REGISTRY.validate_sweep_ref,
@@ -446,6 +451,16 @@ def _scenario_grid(args, error):
                      for workload in workloads]
     except ValueError as exc:
         error(str(exc))
+    # Build each workload once here, so one that cannot load (a
+    # missing or corrupt trace file) is a usage error before any queue
+    # or worker exists.
+    for workload in workloads:
+        if workload is None:
+            continue
+        try:
+            make_workload(workload, config)
+        except ValueError as exc:
+            error(f"--workload {workload.label}: {exc}")
     return scenarios, rates
 
 

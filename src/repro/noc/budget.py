@@ -2,11 +2,13 @@
 
 A ``SimBudget`` is the warmup/measure/drain cycle allocation of one
 simulator invocation; ``run_fixed_point`` executes one simulation at a
-pinned network frequency under such a budget.  Both used to live in
-``repro.analysis.sweep`` but are simulator-level concepts: the parallel
-runner (``repro.runner``) schedules fixed-point runs without depending
-on the analysis layer, so they sit next to the kernel instead.
-``repro.analysis.sweep`` re-exports them for compatibility.
+pinned network frequency under such a budget, as the one-replica case
+of the simulation driver (:func:`repro.noc.simulator.drive`).  Both
+used to live in ``repro.analysis.sweep`` but are simulator-level
+concepts: the parallel runner (``repro.runner``) schedules fixed-point
+runs without depending on the analysis layer, so they sit next to the
+kernel instead.  ``repro.analysis.sweep`` re-exports them for
+compatibility.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 from ..traffic.injection import TrafficSpec
 from .config import NocConfig
-from .engines import DEFAULT_ENGINE
-from .fastsim import batch
-from .simulator import SimResult, Simulation
+from .engines import DEFAULT_ENGINE, make_engine
+from .fastsim.batch import BatchPoint
+from .simulator import SimResult, drive
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,11 @@ def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
     ``probe=True`` is for search probes: a run proven saturated stops
     when its measurement window closes (see :meth:`Simulation.run`).
 
-    On the fast engine with homogeneous node clocks this is the
-    one-replica case of the batched driver
-    (:func:`repro.noc.fastsim.batch.drive`): the same result as
-    :meth:`Simulation.run` without control ``samples``, which a
-    fixed-frequency run never reads.
+    This is the one-replica case of the simulation driver
+    (:func:`repro.noc.simulator.drive`) on either engine, and on the
+    fast engine the one-replica batch: the same result as
+    :meth:`Simulation.run` at ``freq_hz`` without control ``samples``,
+    which a fixed-frequency run never reads.
 
     Also accepts the scenario spelling ``run_fixed_point(spec, rate,
     ...)``: a :class:`repro.scenario.ScenarioSpec` in the ``config``
@@ -86,10 +88,5 @@ def run_fixed_point(config: NocConfig, traffic: TrafficSpec | float,
         spec = config
         config, traffic = spec.config, spec.traffic_factory()(
             float(traffic))
-    if engine == "fast" and config.node_freqs_hz is None:
-        point = batch.BatchPoint(traffic, freq_hz, seed)
-        return batch.drive(config, [point], budget, probe)[0]
-    sim = Simulation(config, traffic, controller=freq_hz, seed=seed,
-                     engine=engine)
-    return sim.run(budget.warmup_cycles, budget.measure_cycles,
-                   budget.drain_cycles, probe=probe)
+    return drive(make_engine(engine, config),
+                 [BatchPoint(traffic, freq_hz, seed)], budget, probe)[0]

@@ -8,7 +8,9 @@ generators) tick at the fixed ``Fnode``; when the network runs slower
 than the nodes, several node cycles elapse per network cycle, which is
 exactly how eq. (1), ``lambda_noc = lambda_node * Fnode / Fnoc``,
 manifests mechanically: more flits are offered per network cycle and
-the NoC operates closer to saturation.
+the NoC operates closer to saturation.  :class:`NodeSource` ties an
+injection process to these node clocks: it is how an engine draws one
+replica's arrivals in Python.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ class MultiNodeClockBridge:
     The paper's footnote 1 notes that "a more general treatment with
     different and variable node frequencies is possible"; this bridge
     provides it.  Each node ``n`` ticks at its own ``freqs_hz[n]``;
-    after every network cycle the kernel asks how many node cycles
-    completed per node and draws that node's arrivals accordingly, so
-    faster nodes offer proportionally more traffic per second at the
-    same per-node-cycle rate.
+    after every network cycle a :class:`NodeSource` asks how many node
+    cycles completed per node and draws that node's arrivals
+    accordingly, so faster nodes offer proportionally more traffic per
+    second at the same per-node-cycle rate.
     """
 
     __slots__ = ("freqs_hz", "periods_ns", "next_cycles")
@@ -144,3 +146,43 @@ class NodeClockBridge:
             return range(start, start)
         self.next_node_cycle = completed + 1
         return range(start, completed + 1)
+
+
+class NodeSource:
+    """One replica's arrivals, drawn in the node clock domain.
+
+    Holds the reference node clock of eq. (2) (``f_node_hz``), which
+    paces measurement and control windows, and, when ``node_freqs_hz``
+    is set (paper footnote 1), one clock per node that paces each
+    node's own draws instead.  Each :meth:`draw` covers the node cycles
+    completed since the last one, as one ``injection.arrivals`` (or
+    ``arrivals_per_node``) call.
+    """
+
+    __slots__ = ("injection", "bridge", "nodes")
+
+    def __init__(self, injection, f_node_hz: float,
+                 node_freqs_hz=None) -> None:
+        self.injection = injection
+        self.bridge = NodeClockBridge(f_node_hz)
+        self.nodes = (MultiNodeClockBridge(node_freqs_hz)
+                      if node_freqs_hz is not None else None)
+
+    def draw(self, time_ns: float) -> list[tuple[int, int, float]]:
+        """``(src, dst, created_ns)`` of the arrivals up to ``time_ns``,
+        in draw order."""
+        cycles = self.bridge.elapsed_node_cycles(time_ns)
+        nodes = self.nodes
+        if nodes is not None:
+            starts, counts = nodes.elapsed_counts(time_ns)
+            return [(src, dst,
+                     float(nodes.node_time_ns(src, int(starts[src])
+                                              + offset)))
+                    for src, offset, dst
+                    in self.injection.arrivals_per_node(counts)]
+        if not len(cycles):
+            return []
+        first = cycles.start
+        return [(src, dst, self.bridge.node_time_ns(first + offset))
+                for offset, src, dst
+                in self.injection.arrivals(len(cycles))]

@@ -1,18 +1,20 @@
 """Engine selection: interchangeable simulation backends.
 
-The simulation kernel (:class:`repro.noc.Simulation`) owns time, clock
-domains, measurement phases and the DVFS control loop; everything that
-happens *inside* the mesh during one cycle is delegated to an engine.
-Two engines ship:
+The simulation driver (:func:`repro.noc.simulator.drive`) owns the
+measurement phases, the control loop and the results; an engine owns
+one or more replicas of the mesh, their network clocks and their
+arrivals, and advances them one cycle per step.  :class:`Engine` is the
+interface between the two.  Two engines ship:
 
 ``reference``
     The object-per-router cycle-level model (:class:`repro.noc.Network`)
-    — readable, introspectable, the ground truth.
+    — readable, introspectable, the ground truth; one replica, with
+    ``Packet`` objects.
 ``fast``
-    The array-based batched model
-    (:class:`repro.noc.fastsim.FastNetwork`) — the same flit-level
-    schedule computed with NumPy struct-of-arrays operations, several
-    times faster on paper-scale meshes.
+    The array-based model (:class:`repro.noc.fastsim.FastNetwork`) —
+    the same flit-level schedule computed by a compiled step (or NumPy
+    struct-of-arrays operations) over packet records, for any number
+    of replicas.
 
 Their statistical equivalence is enforced differentially by
 ``tests/test_engine_equivalence.py``; the tolerance contract lives in
@@ -25,7 +27,6 @@ from typing import Protocol, runtime_checkable
 
 from .config import NocConfig
 from .fastsim import FastNetwork
-from .flit import Packet
 from .network import Network
 from .stats import ActivityCounters, StatsCollector
 
@@ -36,26 +37,55 @@ DEFAULT_ENGINE = "reference"
 
 @runtime_checkable
 class Engine(Protocol):
-    """What the simulation kernel requires of a mesh engine."""
+    """What the simulation driver requires of a mesh engine.
 
-    stats: StatsCollector
-    current_time_ns: float
-    delivered: list
+    Replicas are numbered ``0 .. copies - 1``; ``measuring`` tags the
+    packets drawn while it is set, and ``attribute_activity`` gates a
+    batch's per-replica activity tallies.
+    """
 
-    def enqueue_packet(self, packet: Packet) -> None:
-        """Accept a freshly generated packet into its source queue."""
+    config: NocConfig
+    copies: int
+    measuring: bool
+    attribute_activity: bool
 
-    def step_cycle(self, cycle: int, time_ns: float) -> None:
-        """Advance the whole mesh by one network clock cycle."""
+    def bind_sources(self, injections: list, periods_ns: list[float]
+                     ) -> None:
+        """Draw replica ``c``'s arrivals from ``injections[c]`` in each
+        step, on a network clock of period ``periods_ns[c]``."""
 
-    def aggregate_activity(self) -> ActivityCounters:
-        """Cumulative event counters (power-window bookkeeping)."""
+    def step_cycle(self, cycle: int) -> None:
+        """Draw, then advance every replica by one network cycle."""
 
-    def source_backlog_flits(self) -> int:
-        """Flits generated but not yet injected (saturation signal)."""
+    def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
+        """Set a replica's clock period and the time of its next step."""
 
-    def in_flight_flits(self) -> int:
-        """Flits buffered in routers or traversing links."""
+    def time_of(self, copy: int) -> float:
+        """The time of a replica's next step."""
+
+    def snapshot(self, copy: int) -> tuple[float, int, int, int]:
+        """A replica's time, next reference node cycle, ejected flits
+        and source backlog flits."""
+
+    def activity_of(self, copy: int) -> ActivityCounters:
+        """A replica's cumulative event counters (power windows)."""
+
+    def counts(self) -> tuple[int, int]:
+        """Packets created and deliveries made so far."""
+
+    def measured_counts(self) -> tuple[list[int], list[int]]:
+        """Per replica, measured packets created and delivered."""
+
+    def delivery_records(self, first: int, last: int
+                         ) -> tuple[list[float], list[int]]:
+        """Delays (ns) and latencies (cycles) of deliveries
+        ``first:last``, in delivery order."""
+
+    def measured_stats(self) -> list[StatsCollector]:
+        """Per replica, the measured packets' statistics."""
+
+    def freeze_copy(self, copy: int) -> None:
+        """Retire a replica of a multi-replica engine."""
 
 
 ENGINES: dict[str, type] = {

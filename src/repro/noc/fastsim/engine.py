@@ -14,12 +14,11 @@ hosts without a C compiler and the oracle the tests compare it to.
 Both leave every array bit-identical.
 
 Every packet is a record in the packet store, and every delivery is
-logged.  An engine either takes ``Packet`` objects
-(:meth:`~FastNetwork.enqueue_packet`, as :class:`repro.noc.Simulation`
-drives it), whose fields and statistics it updates from the records
-after each step, or draws its replicas' arrivals itself
-(:meth:`~FastNetwork.bind_sources`, as the fixed-frequency driver in
-:mod:`repro.noc.fastsim.batch` does) and keeps only records.
+logged.  The simulation driver (:func:`repro.noc.simulator.drive`)
+binds each replica's injection process and clock
+(:meth:`~FastNetwork.bind_sources`), and the step draws the replicas'
+arrivals itself; results are built from the records.  Tests and tools
+may also queue records directly (:meth:`~FastNetwork.enqueue_packet`).
 
 The implementation mirrors the reference semantics decision-for-
 decision (same separable input-first allocation, same line-indexed
@@ -55,8 +54,8 @@ Layout notes (all state is flat, integer and preallocated):
   (:data:`repro.noc.fastsim.kernel.COUNTERS`).
 * The topology tables and the per-line, per-arbiter, calendar and
   scratch arrays are int32 (:data:`repro.noc.fastsim.kernel.DTYPES`);
-  the counters, per-replica tallies, sources, packet store, ``heads``
-  and slot counts are int64.  Cycles (``ready``), line and buffer
+  the counters, per-replica tallies, sources, packet store and slot
+  counts are int64.  Cycles (``ready``), line and buffer
   indices and packet ids must therefore fit in int32: the constructor,
   :meth:`FastNetwork.step_cycle` and the packet store raise
   ``ValueError`` rather than wrap.  The NumPy step turns the int32
@@ -78,9 +77,8 @@ import numpy as np
 
 from ...traffic.injection import InjectionProcess
 from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
-from ..clock import NodeClockBridge
+from ..clock import NodeClockBridge, NodeSource
 from ..config import NocConfig
-from ..flit import Packet
 from ..routing import get_routing_function
 from ..stats import ACTIVITY_FIELDS, ActivityCounters, StatsCollector
 from ..topology import LOCAL, NUM_PORTS, OPPOSITE
@@ -133,24 +131,6 @@ def _address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
-def _counter(index: int) -> property:
-    return property(
-        lambda self: int(self._counters[index]),
-        lambda self, value: self._counters.__setitem__(index, value))
-
-
-class _EngineStats(StatsCollector):
-    """Statistics whose lifetime flit counters are slots of the engine's
-    ``counters``, which the cycle step updates in place."""
-
-    injected_flits = _counter(_INJECTED)
-    ejected_flits = _counter(_EJECTED)
-
-    def __init__(self, counters: np.ndarray) -> None:
-        self._counters = counters
-        super().__init__()
-
-
 class FastNetwork:
     """Array-based mesh engine, flit-schedule-equivalent to ``Network``.
 
@@ -169,12 +149,6 @@ class FastNetwork:
         self.copies = copies
         self.mesh = config.make_mesh()
         self.counters = np.zeros(len(COUNTERS), dtype=np.int64)
-        #: the ``Packet`` statistics, over all replicas
-        self.stats = _EngineStats(self.counters)
-        #: the network time of the current step (Packet engines)
-        self.current_time_ns = 0.0
-        #: packets delivered this run (kernel reads + clears)
-        self.delivered: list[Packet] = []
 
         local_nodes = self.mesh.num_nodes
         num_nodes = local_nodes * copies
@@ -275,13 +249,11 @@ class FastNetwork:
         self.node_base = np.arange(num_nodes, dtype=np.int64) * self._PV
 
         # --- packet store: routing fields and records, by packet id --
-        #: the Packet objects of the store (enqueue_packet engines)
-        self.packets: list[Packet] = []
         for name in kernel.STORE:
             setattr(self, name, _store_array(name, _PACKET_STORE))
 
         # --- per-replica clocks and sources (bind_sources) -------------
-        #: each replica's network time; a Packet engine's step sets it
+        #: each replica's network time, advanced by its period per step
         self.time_by_copy = np.zeros(copies)
         self.period_by_copy = np.zeros(copies)
         self.next_node_cycle = np.zeros(copies, dtype=np.int64)
@@ -304,8 +276,8 @@ class FastNetwork:
         self.rng_uint32 = np.zeros(copies, dtype=np.uint64)
         self._node_period = NodeClockBridge(config.f_node_hz).period_ns
         self._bound = False
-        #: (replica, injection process) drawn by step_cycle in Python
-        self._python_sources: list[tuple[int, InjectionProcess]] = []
+        #: (replica, node source) drawn by step_cycle in Python
+        self._python_sources: list[tuple[int, NodeSource]] = []
         #: packets one step can add at most (bound sources)
         self._max_arrivals = 0
 
@@ -335,9 +307,7 @@ class FastNetwork:
         self.activity_by_copy = np.zeros((copies, _NUM_ACTIVITY),
                                          dtype=np.int64)
 
-        # --- the compiled step's outputs, scratch and view ------------
-        #: packet ids of the heads injected by the last compiled step
-        self.heads = np.zeros(num_nodes, dtype=np.int64)
+        # --- the compiled step's scratch and view ---------------------
         #: one replica's VC-allocation and switch-allocation candidates
         self.scratch = np.zeros(2 * self._CL, dtype=np.int32)
         self._kernel = kernel.load_kernel()
@@ -369,17 +339,9 @@ class FastNetwork:
         return self._kernel is not None
 
     # --- packet entry -----------------------------------------------------
-    def enqueue_packet(self, packet: Packet) -> None:
-        """Hand a freshly generated packet to its source queue."""
-        self._store_packet(packet.src, packet.dst % self._NL,
-                           packet.length, packet.created_cycle,
-                           packet.created_ns, packet.measured)
-        self.packets.append(packet)
-        self.stats.on_packet_generated(packet)
-
-    def _store_packet(self, src: int, dst: int, length: int,
-                      created_cycle: int, created_ns: float,
-                      measured: bool) -> None:
+    def enqueue_packet(self, src: int, dst: int, length: int,
+                       created_cycle: int, created_ns: float,
+                       measured: bool) -> None:
         """Append one packet record and queue it at global node ``src``
         (``dst`` is local to the replica)."""
         counters = self.counters
@@ -424,16 +386,14 @@ class FastNetwork:
         """Let the engine draw every replica's arrivals in its step.
 
         Replica ``c`` ticks its own network clock of period
-        ``periods_ns[c]`` from time 0, and draws from ``injections[c]``
-        in the node cycles that clock completes, one draw per step, as
-        :class:`repro.noc.Simulation` does.  The engine then keeps no
-        ``Packet`` objects: it records each packet in the packet store
-        and logs each delivery, and :meth:`step_cycle`'s ``time_ns`` is
-        unused.  The compiled step draws the replicas whose law
-        compiles (:meth:`InjectionProcess.compiled_law`);
-        :meth:`step_cycle` draws the others, and all of them on the
-        NumPy step, with :meth:`InjectionProcess.arrivals`, the
-        Python-drawn ones first.
+        ``periods_ns[c]`` from time 0 (:meth:`retune` changes it), and
+        draws from ``injections[c]`` in the node cycles that clock
+        completes, one draw per step.  The compiled step draws the
+        replicas whose law compiles
+        (:meth:`InjectionProcess.compiled_law`) on homogeneous node
+        clocks; :meth:`step_cycle` draws the others, and all of them on
+        the NumPy step, through a :class:`~repro.noc.clock.NodeSource`,
+        the Python-drawn ones first.
         """
         if self._bound or int(self.counters[_STORED]):
             raise ValueError("bind sources once, to an engine without "
@@ -444,16 +404,19 @@ class FastNetwork:
         self._bound = True
         self._injections = injections   # keeps the generators alive
         self.period_by_copy[:] = periods_ns
-        local = self._NL
+        config, local = self.config, self._NL
+        heterogeneous = config.node_freqs_hz is not None
         python, compiled, cycles, factors = [], [], [], []
         for copy, injection in enumerate(injections):
             base = copy * local
             self.pkt_prob[base:base + local] = injection.packet_prob
-            law = injection.compiled_law()
+            source = (copy, NodeSource(injection, config.f_node_hz,
+                                       config.node_freqs_hz))
+            law = None if heterogeneous else injection.compiled_law()
             if law is None:
-                python.append((copy, injection))
+                python.append(source)
             else:
-                compiled.append((copy, injection))
+                compiled.append(source)
                 self.law_by_copy[copy] = LAWS.index(
                     "uniform" if law.dests is None else "table")
                 if law.dests is not None:
@@ -475,90 +438,62 @@ class FastNetwork:
             self.step_factors = np.concatenate(factors).astype(np.float64)
         self._python_sources = (python if self._kernel is not None
                                 else python + compiled)
-        # A step draws at most the node cycles its clock period spans,
-        # plus one for rounding, at every node.
-        elapsed = int(max(periods_ns) / self._node_period) + 2
-        self._max_arrivals = elapsed * self._N
+        self._reserve_arrivals()
         if self._kernel is not None:
             self._bind_kernel()
 
+    def _reserve_arrivals(self) -> None:
+        """Size the store headroom a step's draws may use: the node
+        cycles the longest clock period spans, plus one for rounding,
+        at every node (Python draws grow the store themselves)."""
+        elapsed = int(self.period_by_copy.max() / self._node_period) + 2
+        self._max_arrivals = elapsed * self._N
+
+    def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
+        """Set replica ``copy``'s clock period and the time of its next
+        step (a DVFS frequency change)."""
+        self.period_by_copy[copy] = period_ns
+        self.time_by_copy[copy] = time_ns
+        self._reserve_arrivals()
+
     # --- cycle advance ------------------------------------------------------
-    def step_cycle(self, cycle: int, time_ns: float) -> None:
+    def step_cycle(self, cycle: int) -> None:
         """Advance every component by one network clock cycle.
 
         With bound sources the step first draws each live replica's
-        arrivals, timestamps by the replicas' own clocks and advances
-        them; otherwise it timestamps at ``time_ns`` and then updates
-        the ``Packet`` objects it injected and delivered.  A cycle whose
-        pipeline latency would carry ``ready`` past int32 raises
-        ``ValueError``.
+        arrivals.  Every replica timestamps by its own clock, which
+        then advances by its period.  A cycle whose pipeline latency
+        would carry ``ready`` past int32 raises ``ValueError``.
         """
         if cycle > self._last_cycle:
             raise ValueError(f"fast engine: cycle {cycle} plus the "
                              f"pipeline latency passes the int32 "
                              f"limit {_INT32_MAX}")
-        self.current_time_ns = time_ns
-        counters = self.counters
         if self._bound:
-            need = counters[_STORED] + self._max_arrivals
+            need = self.counters[_STORED] + self._max_arrivals
             if need > self.pkt_dst.size:
                 self._grow_packet_store(need)
             if self._python_sources:
                 self._draw_arrivals(cycle)
-        else:
-            self.time_by_copy.fill(time_ns)
-            logged = int(counters[_LOGGED])
         if self._kernel is None:
-            heads = self._step_numpy(cycle)
+            self._step_numpy(cycle)
             self.time_by_copy += self.period_by_copy
-        else:
-            heads = self._kernel.step(self._layout, cycle,
-                                      self.attribute_activity,
-                                      self.measuring)
-            if heads < 0:
-                raise RuntimeError("fast engine: the packet store is "
-                                   "too small for this cycle's arrivals")
-        if self._bound:
-            return
-        if heads:
-            packets = self.packets
-            for lid in self.heads[:heads].tolist():
-                packets[lid].injected_cycle = cycle
-        if counters[_LOGGED] > logged:
-            self._deliver(cycle, logged)
+        elif self._kernel.step(self._layout, cycle, self.attribute_activity,
+                               self.measuring) < 0:
+            raise RuntimeError("fast engine: the packet store is too "
+                               "small for this cycle's arrivals")
 
     def _draw_arrivals(self, cycle: int) -> None:
         """Draw and queue the arrivals of the Python-drawn replicas, as
         the compiled step draws its own (``kernel.c``)."""
         times = self.time_by_copy.tolist()
-        node_period = self._node_period
-        length = self.config.packet_length
-        for copy, injection in self._python_sources:
-            completed = int(times[copy] / node_period + 1e-9)
-            start = int(self.next_node_cycle[copy])
-            if completed < start:
-                continue
-            self.next_node_cycle[copy] = completed + 1
+        length, measured = self.config.packet_length, self.measuring
+        for copy, source in self._python_sources:
             base = copy * self._NL
-            for offset, src, dst in injection.arrivals(completed + 1
-                                                       - start):
-                self._store_packet(base + src, dst, length, cycle,
-                                   (start + offset) * node_period,
-                                   self.measuring)
-
-    def _deliver(self, cycle: int, first: int) -> None:
-        """Update the ``Packet`` objects of the deliveries logged from
-        ``first`` on, and feed them to the statistics."""
-        lids = self.delivery_log[first:self.counters[_LOGGED]]
-        for lid, ejected_ns, hops in zip(
-                lids.tolist(), self.pkt_ejected_ns[lids].tolist(),
-                self.pkt_hops[lids].tolist()):
-            packet = self.packets[lid]
-            packet.ejected_cycle = cycle
-            packet.ejected_ns = ejected_ns
-            packet.hops = hops
-            self.stats.on_packet_delivered(packet)
-            self.delivered.append(packet)
+            for src, dst, created_ns in source.draw(times[copy]):
+                self.enqueue_packet(base + src, dst, length, cycle,
+                                    created_ns, measured)
+            self.next_node_cycle[copy] = source.bridge.next_node_cycle
 
     def _log_deliveries(self, cycle: int, lids: np.ndarray) -> None:
         """Record the delivery of packets ``lids``, in order
@@ -572,9 +507,8 @@ class FastNetwork:
         np.add.at(self.measured_delivered_by_copy, copies,
                   self.pkt_measured.take(lids).astype(np.int64))
 
-    def _step_numpy(self, cycle: int) -> int:
-        """The NumPy cycle step; writes the injected head packet ids to
-        ``heads`` and returns their count, as the compiled step does."""
+    def _step_numpy(self, cycle: int) -> None:
+        """The NumPy cycle step."""
         counters = self.counters
         slot = cycle % self._credit_horizon
         count = self.credit_count[slot]
@@ -597,16 +531,12 @@ class FastNetwork:
                              self.flit_fidx[slot, :count])
             counters[_IN_LINK] -= count
 
-        heads = 0
         if counters[_SRC_BACKLOG]:
-            injected = self._step_sources()
-            heads = injected.size
-            self.heads[:heads] = injected
+            self._step_sources()
         if counters[_BUFFERED]:
             done = self._step_routers(cycle)
             if done.size:
                 self._log_deliveries(cycle, done)
-        return heads
 
     def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
                     fidxs: np.ndarray) -> None:
@@ -624,9 +554,8 @@ class FastNetwork:
                 lines // self._CL, minlength=self.copies)
 
     # --- sources ------------------------------------------------------------
-    def _step_sources(self) -> np.ndarray:
-        """All sources try to inject one flit (the reference Source);
-        returns the packet ids of the injected heads."""
+    def _step_sources(self) -> None:
+        """All sources try to inject one flit (the reference Source)."""
         cur_lid = self.cur_lid
         counters = self.counters
         if counters[_QUEUED]:
@@ -646,14 +575,14 @@ class FastNetwork:
 
         active = np.flatnonzero(cur_lid >= 0)
         if not active.size:
-            return active
+            return
         vcs = self.cur_vc.take(active)
         slots = active * self._V + vcs
         can = self.src_credits.take(slots) > 0
         if not can.all():
             active = active[can]
             if not active.size:
-                return active
+                return
             vcs = vcs[can]
             slots = slots[can]
         lids = cur_lid.take(active)
@@ -668,13 +597,11 @@ class FastNetwork:
             self.backlog_by_copy -= np.bincount(active // self._NL,
                                                 minlength=self.copies)
 
-        heads = lids[sent == 0]
         sent = sent + 1
         self.cur_sent[active] = sent
         finished = sent >= self.cur_len.take(active)
         if finished.any():
             cur_lid[active[finished]] = -1
-        return heads
 
     # --- router pipeline ----------------------------------------------------
     def _step_routers(self, cycle: int) -> np.ndarray:
@@ -943,12 +870,50 @@ class FastNetwork:
             self.state[released] = IDLE
         return done
 
+    # --- the driver interface: per-replica clocks, counts and records --
+    def time_of(self, copy: int) -> float:
+        """The time of replica ``copy``'s next step."""
+        return float(self.time_by_copy[copy])
+
+    def snapshot(self, copy: int) -> tuple[float, int, int, int]:
+        """Replica ``copy``'s time, next reference node cycle, ejected
+        flits and source backlog, as of now."""
+        if self._multi:
+            ejected = self.ejected_by_copy[copy]
+            backlog = self.backlog_by_copy[copy]
+        else:
+            ejected = self.counters[_EJECTED]
+            backlog = self.counters[_SRC_BACKLOG]
+        return (float(self.time_by_copy[copy]),
+                int(self.next_node_cycle[copy]), int(ejected), int(backlog))
+
+    def counts(self) -> tuple[int, int]:
+        """Packets created and deliveries logged so far, over all
+        replicas."""
+        counters = self.counters
+        return int(counters[_STORED]), int(counters[_LOGGED])
+
+    def measured_counts(self) -> tuple[list[int], list[int]]:
+        """Per replica, the measured packets created and delivered so
+        far."""
+        return (self.measured_created_by_copy.tolist(),
+                self.measured_delivered_by_copy.tolist())
+
+    def delivery_records(self, first: int, last: int
+                         ) -> tuple[list[float], list[int]]:
+        """Delays and latencies of logged deliveries ``first:last``, in
+        delivery order."""
+        lids = self.delivery_log[first:last]
+        return ((self.pkt_ejected_ns.take(lids)
+                 - self.pkt_created_ns.take(lids)).tolist(),
+                (self.pkt_ejected_cycle.take(lids)
+                 - self.pkt_created_cycle.take(lids)).tolist())
+
     # --- introspection -----------------------------------------------------
     def aggregate_activity(self) -> ActivityCounters:
         """Sum of all event counters (for power windows)."""
-        totals = self.counters[:_NUM_ACTIVITY].tolist()
-        return self.stats.activity + ActivityCounters(
-            **dict(zip(ACTIVITY_FIELDS, totals)))
+        return ActivityCounters(**dict(zip(
+            ACTIVITY_FIELDS, self.counters[:_NUM_ACTIVITY].tolist())))
 
     def activity_of(self, copy: int) -> ActivityCounters:
         """Cumulative event counters of one replica.
@@ -1079,18 +1044,6 @@ class FastNetwork:
         """Flits stuck in source queues (grows without bound past
         saturation)."""
         return int(self.counters[_SRC_BACKLOG])
-
-    def ejected_flits_of(self, copy: int) -> int:
-        """Cumulative ejected flits of one replica."""
-        if not self._multi:
-            return self.stats.ejected_flits
-        return int(self.ejected_by_copy[copy])
-
-    def backlog_of(self, copy: int) -> int:
-        """Source-queue backlog flits of one replica."""
-        if not self._multi:
-            return self.source_backlog_flits()
-        return int(self.backlog_by_copy[copy])
 
     def is_drained(self) -> bool:
         """True when no flit remains anywhere in the system."""

@@ -16,8 +16,8 @@
  *
  * Replica by replica is the same order for everything the replicas do
  * share.  Packet ids are allocated in replica order, because every
- * draw comes before any router step.  Injected heads and logged
- * deliveries come out in ascending node and line order.  And every
+ * draw comes before any router step.  Logged deliveries come out in
+ * ascending line order.  And every
  * calendar slot holds its entries grouped by replica, in ascending
  * replica order: send() appends a replica's flits and credits after
  * the previous replicas', and each entry addresses a line of the
@@ -32,8 +32,6 @@
  * has its arrivals drawn here, from its own NumPy generator, and
  * appended to the store and its source FIFOs; every tail ejection
  * writes its record and appends the packet id to the delivery log.
- * The step reports the packet ids of the heads it injected in `heads`,
- * for engines that keep Packet objects.
  *
  * The hot loops avoid integer division: a line's node and port come
  * from the line_node/line_port tables, and its VC from
@@ -119,8 +117,7 @@ typedef struct {
     int64_t *credit_count;
     int32_t *credit_src;
     int64_t *credit_src_count;
-    /* outputs, and scratch for one replica's lines */
-    int64_t *heads;
+    /* scratch for one replica's lines */
     int32_t *scratch;
 } fs_net;
 
@@ -160,15 +157,13 @@ static void buffered(fs_net *n, int64_t copy, int64_t count, int attribute)
 }
 
 /* One replica's sources each try to inject one flit (engine.py:
- * _step_sources).  Appends the packet ids of injected heads to `heads`
- * after the first `count`; returns the new count. */
-static int64_t step_sources(fs_net *n, int64_t copy, int attribute,
-                            int64_t count)
+ * _step_sources). */
+static void step_sources(fs_net *n, int64_t copy, int attribute)
 {
     const int64_t vcs = n->vcs, pv = n->ports * n->vcs;
     const int64_t first = copy * n->local_nodes;
     const int64_t last = first + n->local_nodes;
-    int64_t *cur_lid = n->cur_lid, *q_head = n->q_head, *heads = n->heads;
+    int64_t *cur_lid = n->cur_lid, *q_head = n->q_head;
     int64_t injected = 0;
     for (int64_t node = first; node < last; node++) {
         int64_t lid = cur_lid[node];
@@ -197,8 +192,6 @@ static int64_t step_sources(fs_net *n, int64_t copy, int attribute,
         /* The node's local input port (LOCAL = 0), VC vc. */
         push_flit(n, node * pv + vc, (int32_t)lid, (int32_t)sent);
         injected++;
-        if (sent == 0)
-            heads[count++] = lid;
         n->cur_sent[node] = sent + 1;
         if (sent + 1 >= n->cur_len[node])
             cur_lid[node] = -1;
@@ -208,7 +201,6 @@ static int64_t step_sources(fs_net *n, int64_t copy, int attribute,
     n->counters[INJECTED_FLITS] += injected;
     if (n->multi)
         n->backlog_by_copy[copy] -= injected;
-    return count;
 }
 
 /* Phase B: VC allocation (engine.py: _vc_allocate).  Each round grants
@@ -631,17 +623,15 @@ static inline int64_t run_end(const int32_t *entries, int64_t pos,
  * calendar entries due this cycle, step its sources and routers and
  * advance its clock by its period.  `attribute_activity` mirrors
  * FastNetwork.attribute_activity and `measuring` tags new packets as
- * measured.  Returns the number of injected head packet ids written to
- * `heads`, or -1, leaving the cycle unfinished, when the packet store
- * is too small for the arrivals (FastNetwork.step_cycle grows it
- * beforehand). */
+ * measured.  Returns 0, or -1, leaving the cycle unfinished, when the
+ * packet store is too small for the arrivals (FastNetwork.step_cycle
+ * grows it beforehand). */
 int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
                 int32_t measuring)
 {
     const int attribute = n->multi && attribute_activity;
     const int64_t groups = n->nodes * n->ports, span = n->lines_per_copy;
     const int64_t slots_per_copy = n->local_nodes * n->vcs;
-    int64_t heads = 0;
 
     for (int64_t copy = 0; copy < n->copies; copy++)
         if (n->law_by_copy[copy] != LAW_NONE
@@ -678,7 +668,7 @@ int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
                       flit_fidx[flit_pos]);
 
         if (n->multi ? n->backlog_by_copy[copy] : n->counters[SRC_BACKLOG])
-            heads = step_sources(n, copy, attribute, heads);
+            step_sources(n, copy, attribute);
         if (n->counters[BUFFERED])
             step_routers(n, copy, cycle, attribute);
         n->time_by_copy[copy] += n->period_by_copy[copy];
@@ -686,5 +676,5 @@ int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
     n->credit_count[cslot] = 0;
     n->credit_src_count[cslot] = 0;
     n->flit_count[fslot] = 0;
-    return heads;
+    return 0;
 }

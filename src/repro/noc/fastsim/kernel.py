@@ -73,7 +73,7 @@ ARRAYS = ("counters", "activity_by_copy", "backlog_by_copy",
           "dest_table", "rng_state", "rng_double", "rng_uint32",
           "flit_line", "flit_pid", "flit_fidx", "flit_count",
           "credit_line", "credit_count", "credit_src",
-          "credit_src_count", "heads", "scratch")
+          "credit_src_count", "scratch")
 
 #: The packet store: arrays indexed by packet id, all of the engine's
 #: ``capacity``.  The delivery log lists packet ids in delivery order.
@@ -140,8 +140,7 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
             (groups, ("link_base", "va_ptr", "sa_in_ptr", "sa_out_ptr",
                       "scoreboard", "group_counts")),
             (nodes, ("q_head", "q_tail", "cur_lid", "cur_len", "cur_sent",
-                     "cur_vc", "src_rr", "pkt_prob", "dest_table",
-                     "heads")),
+                     "cur_vc", "src_rr", "pkt_prob", "dest_table")),
             (copies, ("backlog_by_copy", "ejected_by_copy",
                       "time_by_copy", "period_by_copy", "next_node_cycle",
                       "measured_created_by_copy",
@@ -182,7 +181,7 @@ class Kernel:
         step.restype = ctypes.c_int64
         self._lib = lib
         #: ``step(layout, cycle, attribute_activity, measuring)`` ->
-        #: injected heads, or -1 when the packet store is too small
+        #: 0, or -1 when the packet store is too small
         self.step = step
 
     @staticmethod

@@ -3,19 +3,26 @@
 The ``Network`` owns all structural state (routers, links, sources) and
 the two event calendars (in-flight flits on links, in-flight credits).
 It advances one network clock cycle at a time under the direction of
-the simulation kernel, which owns time and the clock domains.
+the simulation driver (:func:`repro.noc.simulator.drive`), as a
+one-replica engine: once :meth:`Network.bind_sources` hands it an
+injection process and a clock period, each step draws that cycle's
+arrivals as ``Packet`` objects, timestamps by the network's own clock
+and advances it.  Unbound, it takes packets through
+:meth:`Network.enqueue_packet` and the time of each step as an
+argument.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .clock import NodeSource
 from .config import NocConfig
 from .flit import Flit, Packet
 from .router import Router
 from .routing import get_routing_function
 from .source import Source
-from .stats import StatsCollector
+from .stats import ActivityCounters, StatsCollector
 from .topology import EAST, NORTH, OPPOSITE, SOUTH, WEST
 
 _DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
@@ -56,10 +63,21 @@ class Network:
         # Ordered working sets (dicts as ordered sets).
         self._active_routers: dict[Router, None] = {}
         self._active_sources: dict[Source, None] = {}
-        #: per-cycle hook set by the kernel to timestamp deliveries
+        #: the time of the current step, which timestamps deliveries
         self.current_time_ns = 0.0
-        #: packets delivered this run (kernel reads + clears)
+        #: packets delivered this run, in delivery order
         self.delivered: list[Packet] = []
+
+        # --- the driver interface: one replica, its clock and source --
+        self.copies = 1
+        #: tags new packets as measured (bound sources)
+        self.measuring = False
+        #: per-replica activity attribution, which one replica needs not
+        self.attribute_activity = False
+        self._source: NodeSource | None = None
+        # Python floats: read and advanced once per cycle.
+        self._time_ns = 0.0
+        self._period_ns = 0.0
 
     # --- scheduling hooks used by routers -------------------------------
     def mark_active(self, router: Router) -> None:
@@ -100,9 +118,44 @@ class Network:
         if source not in self._active_sources:
             self._active_sources[source] = None
 
+    def bind_sources(self, injections: list, periods_ns: list[float]
+                     ) -> None:
+        """Let the network draw its arrivals in its step.
+
+        Its clock ticks with period ``periods_ns[0]`` from time 0, and
+        each step draws from ``injections[0]`` the node cycles that
+        clock completed (:class:`~repro.noc.clock.NodeSource`), as
+        ``Packet`` objects tagged with :attr:`measuring`.
+        """
+        if self._source is not None or self.stats.generated_packets:
+            raise ValueError("bind sources once, to a network without "
+                             "packets")
+        if len(injections) != 1 or len(periods_ns) != 1:
+            raise ValueError("the reference network is one replica: "
+                             "bind one injection process and period")
+        config = self.config
+        self._source = NodeSource(injections[0], config.f_node_hz,
+                                  config.node_freqs_hz)
+        self._period_ns = periods_ns[0]
+
     # --- cycle advance ------------------------------------------------------
-    def step_cycle(self, cycle: int, time_ns: float) -> None:
-        """Advance every component by one network clock cycle."""
+    def step_cycle(self, cycle: int, time_ns: float | None = None) -> None:
+        """Advance every component by one network clock cycle.
+
+        With bound sources the network first draws the cycle's
+        arrivals, timestamps by its own clock and advances it by one
+        period; otherwise it timestamps deliveries at ``time_ns``.
+        """
+        source = self._source
+        if source is not None:
+            time_ns = self._time_ns
+            length, measured = self.config.packet_length, self.measuring
+            for src, dst, created_ns in source.draw(time_ns):
+                self.enqueue_packet(Packet(src, dst, length,
+                                           created_cycle=cycle,
+                                           created_ns=created_ns,
+                                           measured=measured))
+            self._time_ns = time_ns + self._period_ns
         self.current_time_ns = time_ns
 
         credit_events = self._credit_events.pop(cycle, None)
@@ -129,6 +182,45 @@ class Network:
                             if not r.step(cycle)]
             for router in idle_routers:
                 del self._active_routers[router]
+
+    # --- the driver interface: per-replica clock, counts and records ----
+    def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
+        """Set the clock's period and the time of the next step."""
+        self._period_ns = period_ns
+        self._time_ns = time_ns
+
+    def time_of(self, copy: int) -> float:
+        """The time of the next step."""
+        return self._time_ns
+
+    def snapshot(self, copy: int) -> tuple[float, int, int, int]:
+        """Time, next reference node cycle, ejected flits and source
+        backlog, as of now."""
+        return (self._time_ns, self._source.bridge.next_node_cycle,
+                self.stats.ejected_flits, self.source_backlog_flits())
+
+    def activity_of(self, copy: int) -> ActivityCounters:
+        return self.aggregate_activity()
+
+    def counts(self) -> tuple[int, int]:
+        """Packets created and deliveries made so far."""
+        return self.stats.generated_packets, len(self.delivered)
+
+    def measured_counts(self) -> tuple[list[int], list[int]]:
+        """Measured packets created and delivered so far."""
+        stats = self.stats
+        return [stats.measured_created], [stats.measured_delivered]
+
+    def delivery_records(self, first: int, last: int
+                         ) -> tuple[list[float], list[int]]:
+        """Delays and latencies of deliveries ``first:last``, in
+        delivery order."""
+        packets = self.delivered[first:last]
+        return ([p.ejected_ns - p.created_ns for p in packets],
+                [p.ejected_cycle - p.created_cycle for p in packets])
+
+    def measured_stats(self) -> list[StatsCollector]:
+        return [self.stats]
 
     # --- introspection -----------------------------------------------------
     def occupancy_matrix(self):

@@ -1,46 +1,56 @@
-"""The simulation kernel: clocks, phases, measurement and DVFS hooks.
+"""The simulation driver: clocks, phases, measurement and DVFS hooks.
 
-``Simulation`` reproduces the measurement methodology of the paper's
-modified Booksim:
+:func:`drive` reproduces the measurement methodology of the paper's
+modified Booksim, for one engine holding one or many replicas of the
+mesh:
 
-* the kernel advances in **network clock cycles**; absolute time grows
-  by the current network period each cycle, so a frequency change by
-  the DVFS controller immediately stretches or shrinks subsequent
-  cycles;
+* the engine advances in **network clock cycles**; each replica's
+  absolute time grows by its current network period each cycle, so a
+  frequency change by the DVFS controller immediately stretches or
+  shrinks subsequent cycles;
 * traffic generation runs in the **node clock domain** (see
   ``repro.noc.clock``), so offered load is independent of the network's
   DVFS state — this is what pushes the NoC toward saturation when it is
-  slowed down (eq. (1));
+  slowed down (eq. (1)); the engine draws each replica's arrivals in
+  its step (``bind_sources``);
 * runs have a *warmup* phase, a *measurement* phase whose packets are
   tagged and reported, and a *drain* phase that waits for tagged
   packets to arrive (with a cap so saturated runs still terminate);
-* every control period the attached controller receives a
-  ``MeasurementSample`` (measured injection rate for RMSD, mean packet
-  delay for DMSD) and returns the frequency to apply next — the
-  controller node of paper Figs. 1 and 3;
+* in a one-replica run with a controller, every control period the
+  controller receives a ``MeasurementSample`` (measured injection rate
+  for RMSD, mean packet delay for DMSD) and returns the frequency to
+  apply next — the controller node of paper Figs. 1 and 3;
 * activity is recorded per interval of constant frequency
   (``PowerWindow``) during the measurement phase, so the power model
   can integrate voltage-dependent energy exactly.
+
+:meth:`Simulation.run` is the driver's one-replica, controlled case;
+:func:`repro.noc.run_fixed_point` its one-replica case at a pinned
+frequency, and :func:`repro.noc.fastsim.run_fixed_batch` its batched
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..traffic.injection import InjectionProcess, TrafficSpec
-from .clock import MultiNodeClockBridge, NetworkClock, NodeClockBridge
+from .clock import NetworkClock
 from .config import NocConfig
-from .engines import DEFAULT_ENGINE, make_engine
-from .flit import Packet
-from .stats import ActivityCounters, MeasurementSample, PowerWindow
+from .engines import DEFAULT_ENGINE, Engine, make_engine
+from .fastsim.batch import BatchPoint
+from .stats import MeasurementSample, PowerWindow
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .budget import SimBudget
 
 
 @runtime_checkable
 class Controller(Protocol):
-    """What the kernel requires of a DVFS controller."""
+    """What the driver requires of a DVFS controller."""
 
     def reset(self, config: NocConfig) -> float:
         """Prepare for a new run; return the initial frequency in Hz."""
@@ -50,7 +60,8 @@ class Controller(Protocol):
 
 
 class _FixedController:
-    """Trivial controller holding one frequency (No-DVFS, sweeps)."""
+    """Trivial controller holding one frequency (No-DVFS, pinned
+    simulations)."""
 
     def __init__(self, freq_hz: float | None = None) -> None:
         self._freq_hz = freq_hz
@@ -152,19 +163,8 @@ class Simulation:
         self.engine = engine
 
         self.controller = self._coerce_controller(controller)
-
         self.network = make_engine(engine, config)
-        self.rng = np.random.default_rng(seed)
-        self.injection = InjectionProcess(traffic, config.packet_length,
-                                          self.rng)
-        f0 = self.controller.reset(config)
-        self.clock = NetworkClock(f0, config.f_min_hz, config.f_max_hz)
-        # The reference bridge drives rate measurement and control
-        # periods even with heterogeneous node clocks (footnote 1):
-        # `f_node_hz` stays the reference frequency of eq. (2).
-        self.bridge = NodeClockBridge(config.f_node_hz)
-        self.node_bridge = (MultiNodeClockBridge(config.node_freqs_hz)
-                            if config.node_freqs_hz is not None else None)
+        self._f0 = self.controller.reset(config)
 
     @staticmethod
     def _coerce_controller(controller) -> Controller:
@@ -207,171 +207,166 @@ class Simulation:
         """
         if drain_cycles is None:
             drain_cycles = max(10_000, 4 * measure_cycles)
-        # Delegate range validation to SimBudget (the one place the
-        # warmup/measure/drain contract is defined).
+        # SimBudget validates the warmup/measure/drain contract.
         from .budget import SimBudget
-        SimBudget(warmup_cycles, measure_cycles, drain_cycles)
+        budget = SimBudget(warmup_cycles, measure_cycles, drain_cycles)
+        point = BatchPoint(self.traffic, self._f0, self.seed)
+        return drive(self.network, [point], budget, probe,
+                     self.controller, self.control_period_node_cycles)[0]
 
-        net = self.network
-        stats = net.stats
-        clock = self.clock
-        bridge = self.bridge
-        config = self.config
-        num_nodes = config.num_nodes
 
-        measure_start = warmup_cycles
-        measure_end = warmup_cycles + measure_cycles
-        hard_end = measure_end + drain_cycles
+def drive(net: Engine, points: list[BatchPoint], budget: "SimBudget",
+          probe: bool = False, controller: Controller | None = None,
+          control_period_node_cycles: int = 1) -> list[SimResult]:
+    """Warmup, measurement and drain of every replica of ``net``.
 
-        control_period_ns = (self.control_period_node_cycles
-                             * 1e9 / config.f_node_hz)
-        next_control_ns = control_period_ns
-        last_control_node_cycle = 0
-        last_control_cycle = 0
-        last_control_ns = 0.0
+    Replica ``i`` starts at ``points[i].freq_hz`` and draws
+    ``points[i].traffic`` from its own seeded generator; the engine
+    draws, queues and accounts every packet in its step
+    (``bind_sources``), and each result is built once, at the end,
+    from its records.  The moment a replica's measured packets have all
+    arrived, or a ``probe`` replica is proven saturated when the
+    measurement window closes, it is done; in a batch the engine
+    retires it (``freeze_copy``).
 
-        offered = self.traffic.mean_node_rate()
-        freq_trace = [(0.0, clock.freq_hz)]
-        samples: list[MeasurementSample] = []
-        power_windows: list[PowerWindow] = []
+    With a ``controller`` (one replica only), every
+    ``control_period_node_cycles`` of the reference node clock the
+    controller gets a sample of the window since the last one and sets
+    the next frequency.  Control runs after the step of the cycle it
+    samples: the sample counts the packets created up to and including
+    that cycle's draw and the deliveries made before its network step,
+    and a new frequency starts at that cycle's end.  Without one the
+    results carry no ``samples``.
+    """
+    config = net.config
+    count = len(points)
+    if controller is not None and count != 1:
+        raise ValueError("a control loop drives one replica")
+    clocks = [NetworkClock(p.freq_hz, config.f_min_hz, config.f_max_hz)
+              for p in points]
+    net.bind_sources([InjectionProcess(p.traffic, config.packet_length,
+                                       np.random.default_rng(p.seed))
+                      for p in points],
+                     [clock.period_ns for clock in clocks])
+    traces = [[(0.0, clock.freq_hz)] for clock in clocks]
+    windows: list[list[PowerWindow]] = [[] for _ in points]
 
-        # measurement-phase bookkeeping, set at the phase boundary
-        in_measurement = False
-        tagging = False
-        meas_start_ns = meas_end_ns = 0.0
-        meas_start_node_cycle = meas_end_node_cycle = 0
-        ejected_at_start = ejected_at_end = 0
-        backlog_at_start = backlog_at_end = 0
-        win_activity: ActivityCounters | None = None
-        win_start_ns = 0.0
-        win_start_cycle = 0
+    # Budget validity is SimBudget.__post_init__'s job.
+    warmup = budget.warmup_cycles
+    measure_end = warmup + budget.measure_cycles
+    hard_end = measure_end + budget.drain_cycles
 
-        def close_power_window(now_ns: float, now_cycle: int) -> None:
-            nonlocal win_activity, win_start_ns, win_start_cycle
-            delta = net.aggregate_activity() - win_activity
-            power_windows.append(PowerWindow(
-                duration_ns=now_ns - win_start_ns,
-                cycles=now_cycle - win_start_cycle,
+    # The control loop's window: where the last sample was taken.
+    samples: list[MeasurementSample] = []
+    period_ns = (control_period_node_cycles * 1e9 / config.f_node_hz)
+    next_control_ns = period_ns
+    last_cycle = last_node_cycle = last_created = last_logged = 0
+    last_ns = 0.0
+
+    # Per-copy activity attribution costs a few tallies per event;
+    # power windows only need measurement-phase deltas.
+    net.attribute_activity = False
+    complete = [False] * count
+    active = list(range(count))         # replicas still simulating
+    step = net.step_cycle
+    cycle = 0
+    while True:
+        if cycle == warmup:
+            # Snapshots are taken before this cycle's arrivals and
+            # network step.
+            net.measuring = net.attribute_activity = True
+            start = [net.snapshot(i) for i in range(count)]
+            opened = [(s[0], warmup, net.activity_of(i))
+                      for i, s in enumerate(start)]
+        if controller is None or net.time_of(0) < next_control_ns:
+            step(cycle)
+        else:
+            now_ns = net.time_of(0)
+            logged = net.counts()[1]
+            activity = net.activity_of(0)
+            step(cycle)
+            created = net.counts()[0]
+            node_cycle = net.snapshot(0)[1]
+            clock = clocks[0]
+            delays, latencies = net.delivery_records(last_logged, logged)
+            delivered = len(delays)
+            delay_sum = latency_sum = 0.0
+            for delay, latency in zip(delays, latencies):
+                delay_sum += delay
+                latency_sum += latency
+            sample = MeasurementSample(
+                window_cycles=cycle - last_cycle,
+                window_node_cycles=node_cycle - last_node_cycle,
+                window_ns=now_ns - last_ns,
+                generated_flits=((created - last_created)
+                                 * config.packet_length),
+                delivered_packets=delivered,
+                mean_delay_ns=(delay_sum / delivered
+                               if delivered else None),
+                mean_latency_cycles=(latency_sum / delivered
+                                     if delivered else None),
                 freq_hz=clock.freq_hz,
-                activity=delta))
-            win_activity = net.aggregate_activity()
-            win_start_ns = now_ns
-            win_start_cycle = now_cycle
+                time_ns=now_ns,
+                num_nodes=config.num_nodes)
+            samples.append(sample)
+            last_cycle, last_node_cycle, last_ns = cycle, node_cycle, now_ns
+            last_created, last_logged = created, logged
+            next_control_ns += period_ns
+            new_freq = controller.update(sample)
+            if new_freq != clock.freq_hz:
+                if warmup <= cycle < measure_end:
+                    # The window closes where this cycle began.
+                    w_ns, w_cycle, w_activity = opened[0]
+                    windows[0].append(PowerWindow(
+                        duration_ns=now_ns - w_ns, cycles=cycle - w_cycle,
+                        freq_hz=clock.freq_hz,
+                        activity=activity - w_activity))
+                    opened[0] = (now_ns, cycle, activity)
+                traces[0].append((now_ns, clock.set_frequency(new_freq)))
+                net.retune(0, clock.period_ns, now_ns + clock.period_ns)
+        cycle += 1
+        if cycle < measure_end:
+            continue
+        if cycle == measure_end:
+            net.measuring = net.attribute_activity = False
+            end = [net.snapshot(i) for i in range(count)]
+            for i, (w_ns, w_cycle, w_activity) in enumerate(opened):
+                windows[i].append(PowerWindow(
+                    duration_ns=end[i][0] - w_ns, cycles=cycle - w_cycle,
+                    freq_hz=clocks[i].freq_hz,
+                    activity=net.activity_of(i) - w_activity))
+            saturated = [probe and backlog_diverged(
+                config, point.traffic.mean_node_rate(),
+                max(1, end[i][1] - start[i][1]), end[i][3] - start[i][3])
+                for i, point in enumerate(points)]
+        created, delivered = net.measured_counts()
+        still = []
+        for i in active:
+            complete[i] = delivered[i] >= created[i]
+            if complete[i] or (cycle == measure_end and saturated[i]):
+                # All of this replica's measured packets arrived, or
+                # this probe is proven saturated: the run of this
+                # replica ends here, so retire it.
+                if count > 1:
+                    net.freeze_copy(i)
+            else:
+                still.append(i)
+        active = still
+        if not active or cycle >= hard_end:
+            break
 
-        def close_measurement(now_ns: float, now_cycle: int) -> None:
-            """End the measurement phase (idempotent)."""
-            nonlocal in_measurement, tagging
-            nonlocal meas_end_ns, meas_end_node_cycle
-            nonlocal ejected_at_end, backlog_at_end
-            tagging = False
-            if not in_measurement:
-                return
-            close_power_window(now_ns, now_cycle)
-            in_measurement = False
-            meas_end_ns = now_ns
-            meas_end_node_cycle = bridge.next_node_cycle
-            ejected_at_end = stats.ejected_flits
-            backlog_at_end = net.source_backlog_flits()
-
-        while True:
-            cycle = clock.cycle
-            now_ns = clock.time_ns
-
-            if cycle == measure_start:
-                in_measurement = True
-                tagging = True
-                meas_start_ns = now_ns
-                meas_start_node_cycle = bridge.next_node_cycle
-                ejected_at_start = stats.ejected_flits
-                backlog_at_start = net.source_backlog_flits()
-                win_activity = net.aggregate_activity()
-                win_start_ns = now_ns
-                win_start_cycle = cycle
-            if cycle == measure_end:
-                close_measurement(now_ns, cycle)
-
-            # --- node-domain traffic generation
-            node_cycles = bridge.elapsed_node_cycles(now_ns)
-            if self.node_bridge is not None:
-                # Heterogeneous node clocks (paper footnote 1): each
-                # node draws against its own completed cycles; the
-                # reference bridge above still paces measurement.
-                starts, counts = self.node_bridge.elapsed_counts(now_ns)
-                for src, offset, dst in \
-                        self.injection.arrivals_per_node(counts):
-                    created_ns = self.node_bridge.node_time_ns(
-                        src, int(starts[src]) + offset)
-                    packet = Packet(src, dst, config.packet_length,
-                                    created_cycle=cycle,
-                                    created_ns=created_ns,
-                                    measured=tagging)
-                    net.enqueue_packet(packet)
-            elif len(node_cycles):
-                arrivals = self.injection.arrivals(len(node_cycles))
-                for offset, src, dst in arrivals:
-                    created_ns = bridge.node_time_ns(node_cycles.start
-                                                     + offset)
-                    packet = Packet(src, dst, config.packet_length,
-                                    created_cycle=cycle,
-                                    created_ns=created_ns,
-                                    measured=tagging)
-                    net.enqueue_packet(packet)
-
-            # --- DVFS control action
-            if now_ns >= next_control_ns:
-                sample = stats.take_sample(
-                    window_cycles=cycle - last_control_cycle,
-                    window_node_cycles=(bridge.next_node_cycle
-                                        - last_control_node_cycle),
-                    window_ns=now_ns - last_control_ns,
-                    freq_hz=clock.freq_hz,
-                    time_ns=now_ns,
-                    num_nodes=num_nodes)
-                samples.append(sample)
-                last_control_cycle = cycle
-                last_control_node_cycle = bridge.next_node_cycle
-                last_control_ns = now_ns
-                next_control_ns += control_period_ns
-                new_freq = self.controller.update(sample)
-                if new_freq != clock.freq_hz:
-                    if in_measurement:
-                        close_power_window(now_ns, cycle)
-                    applied = clock.set_frequency(new_freq)
-                    freq_trace.append((now_ns, applied))
-
-            # --- advance the network by one cycle
-            net.step_cycle(cycle, now_ns)
-            clock.tick()
-
-            # --- termination
-            if clock.cycle >= measure_end:
-                close_measurement(clock.time_ns, clock.cycle)
-                if stats.measured_delivered >= stats.measured_created:
-                    complete = True
-                    break
-                if clock.cycle >= hard_end or (
-                        probe and clock.cycle == measure_end
-                        and backlog_diverged(
-                            config, offered,
-                            max(1, meas_end_node_cycle
-                                - meas_start_node_cycle),
-                            backlog_at_end - backlog_at_start)):
-                    complete = False
-                    break
-
-        duration_ns = meas_end_ns - meas_start_ns
-        node_cycles_meas = max(1, meas_end_node_cycle
-                               - meas_start_node_cycle)
-        accepted = ((ejected_at_end - ejected_at_start)
-                    / (node_cycles_meas * num_nodes))
-
+    results = []
+    for i, (point, stats) in enumerate(zip(points, net.measured_stats())):
+        t_start, nc_start, ej_start, bl_start = start[i]
+        t_end, nc_end, ej_end, bl_end = end[i]
         delays = stats.measured_delays_ns
-        return SimResult(
+        node_cycles_meas = max(1, nc_end - nc_start)
+        results.append(SimResult(
             config=config,
-            seed=self.seed,
-            offered_node_rate=offered,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
+            seed=point.seed,
+            offered_node_rate=point.traffic.mean_node_rate(),
+            warmup_cycles=warmup,
+            measure_cycles=budget.measure_cycles,
             mean_latency_cycles=(stats.mean_latency_cycles()
                                  if delays else None),
             mean_delay_ns=stats.mean_delay_ns() if delays else None,
@@ -380,12 +375,14 @@ class Simulation:
             mean_hops=stats.mean_hops() if delays else None,
             measured_created=stats.measured_created,
             measured_delivered=stats.measured_delivered,
-            complete=complete,
-            accepted_node_rate=accepted,
-            measure_duration_ns=duration_ns,
+            complete=complete[i],
+            accepted_node_rate=((ej_end - ej_start)
+                                / (node_cycles_meas * config.num_nodes)),
+            measure_duration_ns=t_end - t_start,
             measure_node_cycles=node_cycles_meas,
-            backlog_delta_flits=backlog_at_end - backlog_at_start,
-            freq_trace=freq_trace,
-            samples=samples,
-            power_windows=power_windows,
-        )
+            backlog_delta_flits=bl_end - bl_start,
+            freq_trace=traces[i],
+            samples=samples if i == 0 else [],
+            power_windows=windows[i],
+        ))
+    return results

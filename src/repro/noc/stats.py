@@ -14,7 +14,8 @@ kept separate:
 * **Measurement windows** (``MeasurementSample``) are what the DVFS
   controllers see: per control period, the measured node injection
   rate (RMSD, Fig. 1) and the mean end-to-end packet delay (DMSD,
-  Fig. 3).
+  Fig. 3).  The simulation driver (:func:`repro.noc.simulator.drive`)
+  builds them from an engine's packet counts and delivery records.
 """
 
 from __future__ import annotations
@@ -138,17 +139,11 @@ class StatsCollector:
         self.measured_delays_ns: list[float] = []
         self.measured_hops: list[int] = []
         self.measured_created = 0
-        # control-window accumulators (reset by take_sample)
-        self._win_generated_flits = 0
-        self._win_delay_sum_ns = 0.0
-        self._win_latency_sum = 0.0
-        self._win_delivered = 0
 
     # --- event hooks (called from the hot loop) -------------------------
     def on_packet_generated(self, packet: Packet) -> None:
         self.generated_packets += 1
         self.generated_flits += packet.length
-        self._win_generated_flits += packet.length
         if packet.measured:
             self.measured_created += 1
 
@@ -157,41 +152,12 @@ class StatsCollector:
 
     def on_packet_delivered(self, packet: Packet) -> None:
         self.delivered_packets += 1
-        self._win_delivered += 1
-        delay_ns = packet.ejected_ns - packet.created_ns
-        latency = packet.ejected_cycle - packet.created_cycle
-        self._win_delay_sum_ns += delay_ns
-        self._win_latency_sum += latency
         if packet.measured:
-            self.measured_latencies.append(latency)
-            self.measured_delays_ns.append(delay_ns)
+            self.measured_latencies.append(packet.ejected_cycle
+                                           - packet.created_cycle)
+            self.measured_delays_ns.append(packet.ejected_ns
+                                           - packet.created_ns)
             self.measured_hops.append(packet.hops)
-
-    # --- control window --------------------------------------------------
-    def take_sample(self, window_cycles: int, window_node_cycles: int,
-                    window_ns: float, freq_hz: float, time_ns: float,
-                    num_nodes: int) -> MeasurementSample:
-        """Build the controller's view of the window and reset it."""
-        delivered = self._win_delivered
-        sample = MeasurementSample(
-            window_cycles=window_cycles,
-            window_node_cycles=window_node_cycles,
-            window_ns=window_ns,
-            generated_flits=self._win_generated_flits,
-            delivered_packets=delivered,
-            mean_delay_ns=(self._win_delay_sum_ns / delivered
-                           if delivered else None),
-            mean_latency_cycles=(self._win_latency_sum / delivered
-                                 if delivered else None),
-            freq_hz=freq_hz,
-            time_ns=time_ns,
-            num_nodes=num_nodes,
-        )
-        self._win_generated_flits = 0
-        self._win_delay_sum_ns = 0.0
-        self._win_latency_sum = 0.0
-        self._win_delivered = 0
-        return sample
 
     # --- end-of-run summaries ---------------------------------------------
     @property

@@ -16,8 +16,8 @@ here, mirroring how simulation engines register in
     fast engine's intended sweep mode — and the per-replica results
     fan back into per-unit results.  The shard's frequency searches
     (DMSD, ``utility``) run before it in lockstep, one batched probe
-    round at a time.  Units that cannot batch (reference engine,
-    heterogeneous clocks) run per unit.  Shards and per-unit work fan
+    round at a time.  Units that cannot batch (reference engine) run
+    per unit.  Shards and per-unit work fan
     out onto a ``ProcessPoolExecutor`` when ``jobs > 1``, falling back
     to serial execution when the host cannot create a pool or the
     pool dies mid-run.

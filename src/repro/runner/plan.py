@@ -7,9 +7,9 @@ needs to run* for a list of submitted work units:
    served immediately; duplicate submissions of one spec collapse onto
    a single pending execution (exactly one unit runs per digest).
 2. **Grouping pass** — pending units that are *batch-eligible* (fast
-   engine, homogeneous node clocks) and share ``(config, budget,
-   engine)`` form :class:`BatchGroup`\\ s, which a batched backend can
-   execute as one :func:`repro.noc.fastsim.run_fixed_batch` call.
+   engine) and share ``(config, budget, engine)`` form
+   :class:`BatchGroup`\\ s, which a batched backend can execute as
+   one :func:`repro.noc.fastsim.run_fixed_batch` call.
    Everything else stays on the per-unit path (``singles``).
 3. **Sharding pass** — oversized groups split into shards so they can
    also fan out across a process pool, and so one enormous submission
@@ -53,12 +53,10 @@ MIN_SHARD_POINTS = 6
 def batch_eligible(unit: WorkUnit) -> bool:
     """Can this unit run as a replica of a batched engine?
 
-    Requires the fast engine (the batched kernel is the fast engine's
-    replicated form) and homogeneous node clocks (the one reference
-    feature ``run_fixed_batch`` does not replicate).
+    Requires the fast engine: the batched kernel is its replicated
+    form, and the reference engine is one replica.
     """
-    return (unit.engine == "fast"
-            and unit.config.node_freqs_hz is None)
+    return unit.engine == "fast"
 
 
 @dataclass

@@ -134,18 +134,22 @@ class TestPlanner:
         assert plan.singles == plan.todo[len(fast):]
         assert all(not batch_eligible(u) for u in plan.singles)
 
-    def test_heterogeneous_clocks_fall_back_to_per_unit(
-            self, tiny_config, factory):
+    def test_heterogeneous_clock_units_group(self, tiny_config, factory):
+        """Units with heterogeneous node clocks batch too, in groups of
+        their own config."""
         hetero = tiny_config.with_(
             node_freqs_hz=tuple([1e9] * tiny_config.num_nodes))
         mesh = hetero.make_mesh()
         pattern = make_pattern("uniform", mesh)
         units = make_units(hetero, lambda r: PatternTraffic(pattern, r),
                            engine="fast")
-        plan = ExecutionPlan(units, None)
+        plain = make_units(tiny_config, factory, engine="fast")
+        plan = ExecutionPlan(units + plain, None)
         plan.group_batches()
-        assert plan.groups == []
-        assert len(plan.singles) == len(units)
+        assert all(batch_eligible(u) for u in units)
+        assert [g.units for g in plan.groups] == [units, plain]
+        assert plan.groups[0].config == hetero
+        assert plan.singles == []
 
     def test_mixed_budgets_split_groups(self, tiny_config, factory):
         a = make_units(tiny_config, factory, budget=TINY_BUDGET)
@@ -214,9 +218,9 @@ class TestPlanner:
 
 # --- property-based planner invariants (hypothesis) -------------------
 
-#: Planner-property unit pool: two engines, two budgets, and configs
-#: with and without heterogeneous node clocks (the batch-eligibility
-#: boundary), drawn with heavy duplication so cache collapse triggers.
+#: Planner-property unit pool: two engines (the batch-eligibility
+#: boundary), two budgets, and configs with and without heterogeneous
+#: node clocks, drawn with heavy duplication so cache collapse triggers.
 PROP_CONFIGS = (
     NocConfig(width=3, height=3, num_vcs=2, vc_buf_depth=2,
               packet_length=3),

@@ -332,6 +332,26 @@ class TestWorkerCli:
         err = capsys.readouterr().err
         assert "--poll must be > 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-tasks", "0", "--max-tasks must be >= 1"),
+        ("--max-tasks", "-1", "--max-tasks must be >= 1"),
+        ("--max-idle", "-5", "--max-idle must be >= 0")],
+        ids=["max-tasks-0", "max-tasks-negative", "max-idle-negative"])
+    def test_bad_limits(self, capsys, tmp_path, flag, value, message):
+        """``--max-tasks 0`` would exit before claiming anything, and a
+        negative ``--max-idle`` would act as 0: usage errors, before
+        the queue directory exists."""
+        queue = tmp_path / "q"
+        argv = ["--queue", str(queue), flag, value]
+        if flag == "--max-tasks":
+            argv += ["--max-idle", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not queue.exists()
+
     def test_bad_claim_batch(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             worker_main(["--queue", str(tmp_path / "q"),

@@ -379,11 +379,25 @@ class TestBatchedEquivalence:
     def test_empty_batch(self):
         assert run_fixed_batch(CONFIG, [], BUDGET) == []
 
-    def test_heterogeneous_node_clocks_rejected(self):
-        config = CONFIG.with_(
-            node_freqs_hz=tuple([1e9] * CONFIG.num_nodes))
-        with pytest.raises(NotImplementedError):
-            run_fixed_batch(config, self.points(), BUDGET)
+    def test_heterogeneous_node_clocks_batch_equals_single_runs(self):
+        """Heterogeneous node clocks batch: each replica, full and
+        probe, equals its point run alone."""
+        config = CONFIG.with_(node_freqs_hz=tuple(
+            (0.6e9, 1.0e9, 1.4e9)[node % 3]
+            for node in range(CONFIG.num_nodes)))
+        points = [BatchPoint(traffic_for(pattern, rate, config), freq, seed)
+                  for pattern, rate, freq, seed in (
+                      ("uniform", 0.08, CONFIG.f_max_hz, 3),
+                      ("transpose", 0.2, CONFIG.f_min_hz, 4),
+                      ("hotspot", 0.55, CONFIG.f_max_hz, 5))]
+        for probe in (False, True):
+            batched = run_fixed_batch(config, points, BUDGET, probe=probe)
+            for point, from_batch in zip(points, batched):
+                alone = run_fixed_point(config, point.traffic,
+                                        point.freq_hz, BUDGET, point.seed,
+                                        engine=FAST, probe=probe)
+                assert from_batch == alone
+            assert not batched[2].complete    # the saturated point
 
 
 #: What a probe stopped at the window boundary shares with the full run.

@@ -15,6 +15,10 @@ loads) and checks, *after every cycle*:
 These invariants hold identically for the reference and the fast
 engine; the differential suite (``test_engine_equivalence``) checks
 the engines against each other, this one checks each against physics.
+The reference engine is fed ``Packet`` objects and read from its
+statistics and packets; the fast engine is fed packet records, whose
+ids follow creation order, and read from its ``counters``, the packet
+each source is injecting (``cur_lid``) and its delivery log.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc import NocConfig, Packet, make_engine
+from repro.noc import FastNetwork, NocConfig, Packet, make_engine
+from repro.noc.fastsim.kernel import COUNTERS
 from repro.traffic import PatternTraffic, make_pattern
 from repro.traffic.injection import InjectionProcess
 
@@ -42,7 +47,9 @@ ENGINES = ("reference", "fast")
 
 def drive(engine_name, config, seed, rate, cycles,
           check_every_cycle=None):
-    """Run an engine directly on Bernoulli traffic; return the packets.
+    """Run an engine directly on Bernoulli traffic; return it and the
+    ``(src, dst)`` of every packet, in creation order (for the
+    reference engine, the ``Packet`` objects themselves).
 
     ``check_every_cycle`` is called as ``(net, cycle)`` after every
     cycle — the per-cycle invariant hook.
@@ -55,15 +62,35 @@ def drive(engine_name, config, seed, rate, cycles,
     packets = []
     for cycle in range(cycles):
         for _, src, dst in injection.arrivals(1):
+            if isinstance(net, FastNetwork):
+                packets.append((src, dst))
+                net.enqueue_packet(src, dst, config.packet_length, cycle,
+                                   float(cycle), True)
+                continue
             packet = Packet(src, dst, config.packet_length,
                             created_cycle=cycle, created_ns=float(cycle),
                             measured=True)
             packets.append(packet)
             net.enqueue_packet(packet)
-        net.step_cycle(cycle, float(cycle))
+        if isinstance(net, FastNetwork):
+            net.step_cycle(cycle)
+        else:
+            net.step_cycle(cycle, float(cycle))
         if check_every_cycle is not None:
             check_every_cycle(net, cycle)
     return net, packets
+
+
+def flit_counts(net) -> tuple[int, int, int]:
+    """Flits generated, injected and ejected so far."""
+    if isinstance(net, FastNetwork):
+        # Every packet of these runs is ``packet_length`` flits long.
+        created = net.counts()[0] * net.config.packet_length
+        return (created,
+                *(int(net.counters[COUNTERS.index(name)])
+                  for name in ("injected_flits", "ejected_flits")))
+    stats = net.stats
+    return stats.generated_flits, stats.injected_flits, stats.ejected_flits
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -73,12 +100,11 @@ class TestFlitConservation:
     def test_injected_equals_delivered_plus_in_flight(self, engine, seed,
                                                       rate):
         def conserved(net, cycle):
-            stats = net.stats
-            assert stats.generated_flits == (
-                stats.ejected_flits + net.in_flight_flits()
+            generated, injected, ejected = flit_counts(net)
+            assert generated == (
+                ejected + net.in_flight_flits()
                 + net.source_backlog_flits()), f"leak at cycle {cycle}"
-            assert stats.injected_flits == (
-                stats.ejected_flits + net.in_flight_flits())
+            assert injected == ejected + net.in_flight_flits()
 
         drive(engine, CONFIG, seed, rate, cycles=300,
               check_every_cycle=conserved)
@@ -110,7 +136,26 @@ class TestFifoOrdering:
     @given(seed=st.integers(0, 10_000), rate=st.floats(0.05, 0.5))
     def test_sources_inject_in_creation_order(self, engine, seed, rate):
         """The source queue is FIFO: per source, injection cycles are
-        strictly increasing in creation order."""
+        strictly increasing in creation order.  On the fast engine the
+        packets a source is injecting, cycle after cycle, are its
+        packets in creation order, none skipped."""
+        if engine == "fast":
+            injecting: dict[int, list[int]] = {}
+
+            def watch(net, cycle):
+                for node, lid in enumerate(net.cur_lid.tolist()):
+                    seen = injecting.setdefault(node, [])
+                    if lid >= 0 and (not seen or seen[-1] != lid):
+                        seen.append(lid)
+
+            _, packets = drive(engine, CONFIG, seed, rate, cycles=300,
+                               check_every_cycle=watch)
+            for node, seen in injecting.items():
+                created = [lid for lid, (src, _) in enumerate(packets)
+                           if src == node]
+                assert seen == created[:len(seen)], (
+                    f"source {node} reordered its queue")
+            return
         _, packets = drive(engine, CONFIG, seed, rate, cycles=300)
         last_injection: dict[int, int] = {}
         for packet in packets:
@@ -127,12 +172,18 @@ class TestFifoOrdering:
     def test_single_vc_delivery_is_fifo_per_pair(self, engine, seed,
                                                  rate):
         """With one VC, same-(src, dst) packets cannot overtake."""
-        net, _ = drive(engine, SINGLE_VC, seed, rate, cycles=300)
+        net, packets = drive(engine, SINGLE_VC, seed, rate, cycles=300)
+        if engine == "fast":
+            log = net.delivery_log[:net.counts()[1]].tolist()
+            delivered = [(lid, *packets[lid]) for lid in log]
+        else:
+            delivered = [(p.pid, p.src, p.dst) for p in net.delivered]
+        assert delivered
         seen_pids: dict[tuple[int, int], int] = {}
-        for packet in net.delivered:
-            key = (packet.src, packet.dst)
+        for pid, src, dst in delivered:
+            key = (src, dst)
             previous = seen_pids.get(key)
             if previous is not None:
-                assert packet.pid > previous, (
+                assert pid > previous, (
                     f"pair {key} delivered out of order")
-            seen_pids[key] = packet.pid
+            seen_pids[key] = pid

@@ -5,12 +5,14 @@
 phase methods otherwise.  Both must leave every state and record array
 equal after every cycle.  The lockstep tests below drive one engine of
 each side by side on random small configurations and compare all of
-them: once fed ``Packet`` objects (plus every packet's timestamps and
-the delivery order), and once drawing their own arrivals from bound
-sources, with mixed arrival laws per replica (compiled uniform, a
-permutation table and rate steps, and hotspot drawn in Python), a
-replica retired mid-run and a packet store that grows from one entry.
-Each generator must end in the same state on both sides.  After every
+them, the packet records and the delivery log included: once fed
+packet records of random lengths (``enqueue_packet``), and once
+drawing their own arrivals from bound sources, with mixed arrival
+laws per replica (compiled uniform, a permutation table and rate
+steps, and hotspot drawn in Python), heterogeneous node clocks in some
+examples (every law drawn in Python), a replica retuned and one
+retired mid-run, and a packet store that grows from one entry.  Each
+generator must end in the same state on both sides.  After every
 cycle, and after every retirement, each calendar slot must hold its
 entries grouped by replica in ascending order: the compiled step walks
 each replica's run of a slot with a cursor.  A fixed case runs the
@@ -41,8 +43,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc import (PAPER_BASELINE, NocConfig, Packet, SimBudget,
-                       Simulation, run_fixed_point, topology)
+from repro.noc import (PAPER_BASELINE, NocConfig, SimBudget, Simulation,
+                       run_fixed_point, topology)
 from repro.noc.clock import NetworkClock
 from repro.noc.fastsim import (BatchPoint, FastNetwork, engine, kernel,
                                run_fixed_batch)
@@ -56,11 +58,10 @@ needs_compiler = pytest.mark.skipif(
 
 SRC = Path(kernel.__file__).resolve().parents[3]
 
-#: Arrays that are not simulation state: the step's outputs and
-#: scratch, the addresses of each engine's own generators, and the
-#: compiled step's cursor into its step tables (the NumPy step
-#: searches them instead).
-NOT_STATE = {"heads", "scratch", "rng_state", "rng_double", "rng_uint32",
+#: Arrays that are not simulation state: the step's scratch, the
+#: addresses of each engine's own generators, and the compiled step's
+#: cursor into its step tables (the NumPy step searches them instead).
+NOT_STATE = {"scratch", "rng_state", "rng_double", "rng_uint32",
              "step_pos"}
 
 TINY = NocConfig(width=3, height=3, num_vcs=2, vc_buf_depth=2,
@@ -157,10 +158,7 @@ def assert_same_state(compiled: FastNetwork, fallback: FastNetwork,
     for copy in range(compiled.copies):
         assert (compiled.activity_of(copy)
                 == fallback.activity_of(copy)), (cycle, copy)
-        assert compiled.backlog_of(copy) == fallback.backlog_of(copy)
-        assert (compiled.ejected_flits_of(copy)
-                == fallback.ejected_flits_of(copy))
-    assert compiled.stats.injected_flits == fallback.stats.injected_flits
+        assert compiled.snapshot(copy) == fallback.snapshot(copy)
     assert compiled.in_flight_flits() == fallback.in_flight_flits()
 
 
@@ -174,10 +172,12 @@ def test_compiled_step_matches_numpy_step_every_cycle(scenario):
     fallback = numpy_engine(config, copies)
     assert compiled.compiled and not fallback.compiled
     nets = (compiled, fallback)
+    for net in nets:
+        for copy in range(copies):
+            net.retune(copy, 1.0 + copy, 0.0)    # timestamps the records
 
     local = config.num_nodes
     rng = np.random.default_rng(scenario["seed"])
-    created: list[tuple[Packet, Packet]] = []
     for cycle in range(scenario["cycles"]):
         if cycle == scenario["toggle_at"]:
             for net in nets:
@@ -188,34 +188,24 @@ def test_compiled_step_matches_numpy_step_every_cycle(scenario):
                 assert_slots_grouped(net)
         for node in np.flatnonzero(rng.random(local * copies)
                                    < scenario["rate"]).tolist():
-            copy, src = divmod(node, local)
+            src = node % local
             dst = (src + 1 + int(rng.integers(local - 1))) % local
             length = int(rng.integers(1, config.packet_length + 1))
-            pair = tuple(Packet(node, copy * local + dst, length,
-                                created_cycle=cycle,
-                                created_ns=float(cycle), measured=True)
-                         for _ in nets)
-            for net, packet in zip(nets, pair):
-                net.enqueue_packet(packet)
-            created.append(pair)
+            for net in nets:
+                net.enqueue_packet(node, dst, length, cycle, float(cycle),
+                                   True)
         for net in nets:
-            net.step_cycle(cycle, float(cycle))
+            net.step_cycle(cycle)
         assert_same_state(compiled, fallback, cycle)
-
-    for ours, theirs in created:
-        assert ((ours.injected_cycle, ours.ejected_cycle, ours.ejected_ns,
-                 ours.hops)
-                == (theirs.injected_cycle, theirs.ejected_cycle,
-                    theirs.ejected_ns, theirs.hops))
-    index = {id(packet): n for n, pair in enumerate(created)
-             for packet in pair}
-    assert ([index[id(p)] for p in compiled.delivered]
-            == [index[id(p)] for p in fallback.delivered])
 
 
 #: Arrival laws of the bound-source lockstep: the compiled ones, and
 #: hotspot, whose destinations draw in Python.
 LAWS = ("uniform", "table", "steps", "hotspot")
+
+#: The laws heterogeneous node clocks draw (all in Python): rate steps
+#: need one node clock.
+CONSTANT_LAWS = ("uniform", "table", "hotspot")
 
 
 def law_traffic(config: NocConfig, law: str, rate: float,
@@ -233,6 +223,11 @@ def law_traffic(config: NocConfig, law: str, rate: float,
 @st.composite
 def bound_scenarios(draw):
     config = draw(scenarios())["config"]
+    if draw(st.booleans()):
+        config = config.with_(node_freqs_hz=tuple(
+            draw(st.floats(0.4e9, 1.6e9))
+            for _ in range(config.num_nodes)))
+    laws = LAWS if config.node_freqs_hz is None else CONSTANT_LAWS
     copies = draw(st.integers(1, 4))
     f_min, f_max = config.f_min_hz, config.f_max_hz
     # Steps land inside the 1-3 node cycles of one network cycle.
@@ -240,7 +235,7 @@ def bound_scenarios(draw):
     steps = [(0, 1.0)] + [(cut, draw(st.sampled_from([0.0, 0.5, 2.0])))
                           for cut in cuts]
     points = [BatchPoint(
-        law_traffic(config, draw(st.sampled_from(LAWS)),
+        law_traffic(config, draw(st.sampled_from(laws)),
                     draw(st.floats(0.02, 0.5)), steps),
         draw(st.one_of(st.just(f_min), st.floats(f_min, f_max))),
         draw(st.integers(0, 2**16))) for _ in range(copies)]
@@ -249,7 +244,10 @@ def bound_scenarios(draw):
                 measure_from=draw(st.integers(0, cycles)),
                 measure_to=draw(st.integers(0, cycles)),
                 freeze_at=draw(st.integers(0, cycles)),
-                frozen=draw(st.integers(0, copies - 1)))
+                frozen=draw(st.integers(0, copies - 1)),
+                retune_at=draw(st.integers(0, cycles)),
+                retuned=draw(st.integers(0, copies - 1)),
+                retune_hz=draw(st.floats(f_min, f_max)))
 
 
 def bind(net: FastNetwork, config: NocConfig,
@@ -266,9 +264,13 @@ def bind(net: FastNetwork, config: NocConfig,
 def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
                        cycles: int, measure_from: int = 0,
                        measure_to: int = -1, freeze_at: int = -1,
-                       frozen: int = 0) -> FastNetwork:
+                       frozen: int = 0, retune_at: int = -1,
+                       retuned: int = 0,
+                       retune_hz: float = 1e9) -> FastNetwork:
     """Step a compiled and a NumPy-step engine drawing their own
-    arrivals from the same sources; compare them after every cycle."""
+    arrivals from the same sources; compare them after every cycle.
+    At ``retune_at`` replica ``retuned`` moves to ``retune_hz`` from
+    the end of that cycle on, as a DVFS control action does."""
     copies = len(points)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_PACKET_STORE", 1)
@@ -285,7 +287,11 @@ def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
             if copies > 1 and cycle == freeze_at:
                 net.freeze_copy(frozen)
                 assert_slots_grouped(net)
-            net.step_cycle(cycle, 0.0)
+            began = net.time_of(retuned)
+            net.step_cycle(cycle)
+            if cycle == retune_at:
+                period = 1e9 / retune_hz
+                net.retune(retuned, period, began + period)
         assert_same_state(compiled, fallback, cycle)
     for ours, theirs in zip(*sources):
         assert (ours.rng.bit_generator.state
@@ -339,9 +345,9 @@ def test_paper_baseline_batch_equals_the_numpy_step(monkeypatch):
     stepped, retired = [], []
     step, freeze = FastNetwork.step_cycle, FastNetwork.freeze_copy
 
-    def step_cycle(self, cycle, time_ns):
+    def step_cycle(self, cycle):
         stepped.append(cycle)
-        step(self, cycle, time_ns)
+        step(self, cycle)
 
     def freeze_copy(self, copy):
         retired.append(stepped[-1])
@@ -365,16 +371,14 @@ def test_cycles_past_the_int32_limit_raise(step_path):
     assert net.compiled == (step_path == "compiled")
     for cycle in range(last - 40, last + 1):
         if cycle % 5 == 0:
-            net.enqueue_packet(Packet(cycle % 9, (cycle + 4) % 9, 3,
-                                      created_cycle=cycle,
-                                      created_ns=float(cycle),
-                                      measured=True))
-        net.step_cycle(cycle, float(cycle))
-    assert net.delivered
+            net.enqueue_packet(cycle % 9, (cycle + 4) % 9, 3, cycle,
+                               float(cycle), True)
+        net.step_cycle(cycle)
+    assert net.counts()[1] > 0                 # deliveries logged
     with pytest.raises(ValueError, match="int32"):
-        net.step_cycle(last + 1, 0.0)
+        net.step_cycle(last + 1)
     with pytest.raises(ValueError, match="int32"):
-        FastNetwork(TINY).step_cycle(2**31 - 1, 0.0)
+        FastNetwork(TINY).step_cycle(2**31 - 1)
 
 
 def test_buffer_slots_past_the_int32_limit_raise(monkeypatch):
@@ -392,12 +396,10 @@ def test_packet_ids_past_the_store_limit_raise(step_path, monkeypatch):
     monkeypatch.setattr(engine, "_MAX_PACKET_ID", 5)
     net = FastNetwork(TINY)
     for _ in range(6):
-        net.enqueue_packet(Packet(0, 4, 3, created_cycle=0,
-                                  created_ns=0.0, measured=True))
+        net.enqueue_packet(0, 4, 3, 0, 0.0, True)
     assert net.pkt_dst.size == 6
     with pytest.raises(ValueError, match="packet store"):
-        net.enqueue_packet(Packet(0, 4, 3, created_cycle=0,
-                                  created_ns=0.0, measured=True))
+        net.enqueue_packet(0, 4, 3, 0, 0.0, True)
 
     monkeypatch.setattr(engine, "_MAX_PACKET_ID", 200)
     traffic = PatternTraffic(make_pattern("uniform", TINY.make_mesh()),
@@ -440,8 +442,8 @@ SATURATED = 0.9
     ("hotspot", 0.2, 0.5), ("uniform", SATURATED, 0.0)])
 def test_fixed_point_is_the_one_replica_batch(pattern, rate, speed, probe):
     """Fast ``run_fixed_point`` is the one-replica batch, and both
-    equal the ``Packet``-object run of the simulation kernel (this
-    budget ends before its first control window)."""
+    equal a pinned-frequency ``Simulation.run`` (this budget ends
+    before its first control window)."""
     freq_hz = TINY.f_min_hz + speed * (TINY.f_max_hz - TINY.f_min_hz)
     traffic = PatternTraffic(make_pattern(pattern, TINY.make_mesh()), rate)
     alone = run_fixed_point(TINY, traffic, freq_hz, BUDGET, 9,

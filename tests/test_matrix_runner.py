@@ -178,6 +178,19 @@ class TestMatrixCli:
         assert excinfo.value.code == 2
         assert "mmoo" in capsys.readouterr().err
 
+    def test_matrix_missing_trace_is_usage_error(self, tmp_path, capsys):
+        """A trace workload whose file is missing exits 2 naming
+        ``--workload`` and the path, before the queue is created."""
+        missing = tmp_path / "MISSING.trace"
+        queue = tmp_path / "Q"
+        err = usage_error(["matrix", "--tiny", "--engine", "fast",
+                           "--policy", "no-dvfs", "--rates", "0.05",
+                           "--workload", f"trace:path={missing}",
+                           "--backend", "distributed", "--queue",
+                           str(queue), "--workers", "1"], capsys)
+        assert "--workload" in err and str(missing) in err
+        assert not queue.exists()
+
     def test_matrix_rejects_orphan_queue_flags(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["matrix", "--tiny", "--policy", "no-dvfs",

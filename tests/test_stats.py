@@ -101,36 +101,6 @@ class TestStatsCollector:
         assert stats.percentile_latency(0.99) == 100.0
 
 
-class TestMeasurementWindows:
-    def test_take_sample_aggregates_window(self):
-        stats = StatsCollector()
-        stats.on_packet_generated(Packet(0, 1, 4, 0, 0.0))
-        stats.on_packet_delivered(delivered_packet(delay_ns=50.0))
-        sample = stats.take_sample(window_cycles=100,
-                                   window_node_cycles=100,
-                                   window_ns=100.0, freq_hz=1 * GHZ,
-                                   time_ns=100.0, num_nodes=2)
-        assert sample.generated_flits == 4
-        assert sample.delivered_packets == 1
-        assert sample.mean_delay_ns == pytest.approx(50.0)
-        assert sample.node_lambda == pytest.approx(4 / 200)
-
-    def test_take_sample_resets_window(self):
-        stats = StatsCollector()
-        stats.on_packet_generated(Packet(0, 1, 4, 0, 0.0))
-        stats.take_sample(100, 100, 100.0, 1 * GHZ, 100.0, 2)
-        empty = stats.take_sample(100, 100, 100.0, 1 * GHZ, 200.0, 2)
-        assert empty.generated_flits == 0
-        assert empty.mean_delay_ns is None
-
-    def test_lifetime_counters_survive_sampling(self):
-        stats = StatsCollector()
-        stats.on_packet_generated(Packet(0, 1, 4, 0, 0.0, measured=True))
-        stats.take_sample(100, 100, 100.0, 1 * GHZ, 100.0, 2)
-        assert stats.generated_flits == 4
-        assert stats.measured_created == 1
-
-
 class TestPowerWindow:
     def test_immutable_record(self):
         w = PowerWindow(duration_ns=10.0, cycles=10, freq_hz=1 * GHZ,
