@@ -15,10 +15,12 @@ Also records single-run stepping throughput for both engines at a
 saturated operating point, so per-run regressions are visible
 independently of batching, and the fast engine's per-cycle step cost
 on both of its paths (compiled kernel and NumPy fallback) on the 5x5
-paper baseline at 1, 18 and 72 replicas: the batch-width curve.  A
-timed step of a batched run includes drawing and queueing that
-cycle's arrivals, on both paths: the compiled step draws them itself,
-and the NumPy step calls ``InjectionProcess.arrivals`` inside
+paper baseline at 1, 18 and 72 replicas: the batch-width curve.  The
+step cost is the time spent in the engine's ``advance`` over the
+cycles it moved: the compiled path runs a whole segment per call, and
+the NumPy path one ``step_cycle`` per cycle.  It includes drawing and
+queueing the arrivals, on both paths: the compiled step draws them
+itself, and the NumPy step calls ``InjectionProcess.arrivals`` inside
 ``step_cycle``.
 
 Results land in ``BENCH_kernel.json`` at the repository root (CI
@@ -100,16 +102,17 @@ def _sweep_points() -> list[BatchPoint]:
 
 def _single_run_throughput(engine: str, rate: float = 0.35) -> dict:
     sim = Simulation(CONFIG, _traffic(rate), seed=1, engine=engine)
-    # The run's cycle count is its step count, counted around the
-    # engine's step (one more Python call per cycle).
+    # The run's cycle count: what each of the engine's advance calls
+    # moved.
     cycles = [0]
-    step = sim.network.step_cycle
+    advance = sim.network.advance
 
-    def counted(cycle):
-        cycles[0] += 1
-        step(cycle)
+    def counted(cycle, *args, **kwargs):
+        after = advance(cycle, *args, **kwargs)
+        cycles[0] += after - cycle
+        return after
 
-    sim.network.step_cycle = counted
+    sim.network.advance = counted
     start = time.perf_counter()
     sim.run(BUDGET.warmup_cycles, BUDGET.measure_cycles,
             BUDGET.drain_cycles)
@@ -167,18 +170,20 @@ def _width_points(width: int) -> list[BatchPoint]:
 
 
 def _step_cost_us(monkeypatch, width: int) -> tuple[float, int]:
-    """Mean wall time of one ``step_cycle`` over a batched run."""
+    """Mean wall time of one cycle in ``advance`` over a batched run,
+    and the run's cycle count."""
     spent = [0.0, 0]
-    step = FastNetwork.step_cycle
+    advance = FastNetwork.advance
 
-    def timed(self, *args):
+    def timed(self, cycle, *args, **kwargs):
         start = time.perf_counter()
-        step(self, *args)
+        after = advance(self, cycle, *args, **kwargs)
         spent[0] += time.perf_counter() - start
-        spent[1] += 1
+        spent[1] += after - cycle
+        return after
 
     with monkeypatch.context() as patch:
-        patch.setattr(FastNetwork, "step_cycle", timed)
+        patch.setattr(FastNetwork, "advance", timed)
         run_fixed_batch(PAPER_BASELINE, _width_points(width), STEP_BUDGET)
     return spent[0] / spent[1] * 1e6, spent[1]
 

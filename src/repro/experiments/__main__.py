@@ -631,6 +631,12 @@ def record_main(argv: list[str]) -> int:
     return 0
 
 
+#: How far ``replay --freq-rel`` may pass a bound and still be taken as
+#: that bound: one unit in the fourth decimal, to which the usage error
+#: rounds the bounds (Fmin/Fmax is 1/3 on both meshes).
+_FREQ_REL_SLACK = 1e-4
+
+
 def replay_main(argv: list[str]) -> int:
     """``python -m repro.experiments replay``: re-drive from a trace."""
     from ..noc.budget import run_fixed_point
@@ -648,8 +654,8 @@ def replay_main(argv: list[str]) -> int:
                              "subcommand")
     parser.add_argument("--freq-rel", type=float, default=1.0,
                         metavar="F",
-                        help="network frequency as a fraction of Fmax "
-                             "(default 1.0)")
+                        help="network frequency as a fraction of Fmax, "
+                             "from Fmin/Fmax to 1 (default 1.0)")
     parser.add_argument("--budget", default="default",
                         metavar="NAME|W:M:D",
                         help="simulation budget: fast, default, "
@@ -664,10 +670,14 @@ def replay_main(argv: list[str]) -> int:
                         help="replay on the tiny 3x3 smoke mesh "
                              "(the trace must match its shape)")
     args = parser.parse_args(argv)
-    if args.freq_rel <= 0:
-        parser.error("--freq-rel must be > 0")
     budget = _parse_budget(args.budget, parser.error)
     config = TINY_CONFIG if args.tiny else PAPER_BASELINE
+    lowest = config.f_min_hz / config.f_max_hz
+    # The network clock would clip a value outside the range in silence.
+    if not lowest - _FREQ_REL_SLACK <= args.freq_rel <= 1 + _FREQ_REL_SLACK:
+        parser.error(f"--freq-rel must be within Fmin/Fmax-1, "
+                     f"{lowest:.4f}-1 on this mesh; got {args.freq_rel:g}")
+    freq_hz = min(max(args.freq_rel, lowest), 1.0) * config.f_max_hz
     try:
         trace = InjectionTrace.load(args.trace)
     except TraceError as exc:
@@ -681,8 +691,7 @@ def replay_main(argv: list[str]) -> int:
         parser.error(f"trace records packet length "
                      f"{trace.packet_length} but the selected config "
                      f"uses {config.packet_length}")
-    result = run_fixed_point(config, TraceTraffic(trace),
-                             args.freq_rel * config.f_max_hz, budget,
+    result = run_fixed_point(config, TraceTraffic(trace), freq_hz, budget,
                              args.seed, engine=args.engine)
     delay = ("n/a" if result.mean_delay_ns is None
              else f"{result.mean_delay_ns:.2f} ns")

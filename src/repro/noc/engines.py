@@ -3,8 +3,9 @@
 The simulation driver (:func:`repro.noc.simulator.drive`) owns the
 measurement phases, the control loop and the results; an engine owns
 one or more replicas of the mesh, their network clocks and their
-arrivals, and advances them one cycle per step.  :class:`Engine` is the
-interface between the two.  Two engines ship:
+arrivals, and advances them by as many cycles as the driver allows
+(:meth:`Engine.advance`).  :class:`Engine` is the interface between
+the two.  Two engines ship:
 
 ``reference``
     The object-per-router cycle-level model (:class:`repro.noc.Network`)
@@ -23,6 +24,7 @@ the README ("Simulation engines").
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 from .config import NocConfig
@@ -54,8 +56,16 @@ class Engine(Protocol):
         """Draw replica ``c``'s arrivals from ``injections[c]`` in each
         step, on a network clock of period ``periods_ns[c]``."""
 
-    def step_cycle(self, cycle: int) -> None:
-        """Draw, then advance every replica by one network cycle."""
+    def advance(self, cycle: int, stop: int, stop_ns: float = math.inf,
+                until_done: bool = False) -> int:
+        """Step cycles ``cycle``, ``cycle + 1``, ... toward ``stop`` and
+        return the next cycle to step.  Each cycle draws, then advances
+        every replica by one network cycle.  Before each cycle, stop if
+        replica 0's time is at or past ``stop_ns``; with
+        ``until_done``, stop after any cycle that leaves more replicas
+        with all their measured packets delivered than there were at
+        the call.  The driver has no work between these stops, so an
+        engine may run the whole segment in one call."""
 
     def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
         """Set a replica's clock period and the time of its next step."""

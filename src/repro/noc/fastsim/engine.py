@@ -9,9 +9,10 @@ allocation, link traversal, credit return) advances for *all* routers
 at once.  The cycle step exists twice over the same arrays: compiled
 (``kernel.c``, loaded by :mod:`repro.noc.fastsim.kernel`) and as NumPy
 array operations (the ``_step_*`` methods below).  The compiled step
-runs whenever the kernel loaded; the NumPy step is the fallback on
-hosts without a C compiler and the oracle the tests compare it to.
-Both leave every array bit-identical.
+runs whenever the kernel loaded, a whole driver segment per call
+(:meth:`FastNetwork.advance`); the NumPy step is the fallback on hosts
+without a C compiler and the oracle the tests compare it to.  Both
+leave every array bit-identical.
 
 Every packet is a record in the packet store, and every delivery is
 logged.  The simulation driver (:func:`repro.noc.simulator.drive`)
@@ -57,10 +58,13 @@ Layout notes (all state is flat, integer and preallocated):
   the counters, per-replica tallies, sources, packet store and slot
   counts are int64.  Cycles (``ready``), line and buffer
   indices and packet ids must therefore fit in int32: the constructor,
-  :meth:`FastNetwork.step_cycle` and the packet store raise
-  ``ValueError`` rather than wrap.  The NumPy step turns the int32
-  values it indexes with into ``intp`` once, because NumPy converts
-  any other index array on every use.
+  :meth:`FastNetwork.advance`, :meth:`FastNetwork.step_cycle` and the
+  packet store raise ``ValueError`` rather than wrap.  The NumPy step
+  turns the int32 values it indexes with into ``intp`` once, because
+  NumPy converts any other index array on every use.
+* ``busy_bits`` has one bit per line, set while its FIFO holds a
+  flit: the compiled step keeps it and lists each replica's busy lines
+  from it.  The NumPy step neither reads nor keeps it.
 * The NumPy step finds round-robin winners with a ``minimum.at``
   scoreboard over rotated priorities rather than sorting; priorities
   are unique within a group, so each group gets exactly one champion.
@@ -72,6 +76,7 @@ Layout notes (all state is flat, integer and preallocated):
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -79,6 +84,7 @@ from ...traffic.injection import InjectionProcess
 from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
 from ..clock import NodeClockBridge, NodeSource
 from ..config import NocConfig
+from ..network import advance_by_cycles, completed_replicas
 from ..routing import get_routing_function
 from ..stats import ACTIVITY_FIELDS, ActivityCounters, StatsCollector
 from ..topology import LOCAL, NUM_PORTS, OPPOSITE
@@ -213,9 +219,10 @@ class FastNetwork:
         self.out_line = np.zeros(self._L, dtype=np.int32)
         self.ready = np.zeros(self._L, dtype=np.int32)
         self.fifo_head = np.zeros(self._L, dtype=np.int32)
-        # int16: the per-cycle busy-line scan reads this end to end,
-        # and VC depths never approach the dtype limit.
+        # int16: VC depths never approach the dtype limit.
         self.fifo_len = np.zeros(self._L, dtype=np.int16)
+        #: one bit per line, set while its FIFO holds a flit (kernel.DTYPES)
+        self.busy_bits = np.zeros(-(-self._L // 64), dtype=np.uint64)
         self.buf_pid = np.full(self._L * self._D, -1, dtype=np.int32)
         self.buf_fidx = np.full(self._L * self._D, -1, dtype=np.int32)
 
@@ -445,9 +452,10 @@ class FastNetwork:
     def _reserve_arrivals(self) -> None:
         """Size the store headroom a step's draws may use: the node
         cycles the longest clock period spans, plus one for rounding,
-        at every node (Python draws grow the store themselves)."""
-        elapsed = int(self.period_by_copy.max() / self._node_period) + 2
-        self._max_arrivals = elapsed * self._N
+        at every node, once sources are bound."""
+        if self._bound:
+            elapsed = int(self.period_by_copy.max() / self._node_period) + 2
+            self._max_arrivals = elapsed * self._N
 
     def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
         """Set replica ``copy``'s clock period and the time of its next
@@ -457,6 +465,38 @@ class FastNetwork:
         self._reserve_arrivals()
 
     # --- cycle advance ------------------------------------------------------
+    def advance(self, cycle: int, stop: int, stop_ns: float = math.inf,
+                until_done: bool = False) -> int:
+        """Step cycles from ``cycle`` toward ``stop``; return the next one.
+
+        Before each cycle it stops if replica 0's time is at or past
+        ``stop_ns`` (the driver's next control instant).  With
+        ``until_done`` it also stops after any cycle that leaves more
+        replicas with all their measured packets delivered than there
+        were at the call.  The compiled step runs the whole segment in
+        one call (``kernel.c``: fs_run), returning only to grow the
+        packet store.  While a live replica draws in Python, and on the
+        NumPy step, the segment steps one :meth:`step_cycle` at a time
+        (:func:`~repro.noc.network.advance_by_cycles`).  A cycle whose
+        pipeline latency would carry ``ready`` past int32 raises
+        ``ValueError``.
+        """
+        if self._kernel is None or self._python_sources:
+            return advance_by_cycles(self, cycle, stop, stop_ns, until_done)
+        done = completed_replicas(self) if until_done else 0
+        while cycle < stop and self.time_by_copy[0] < stop_ns:
+            self._check_cycle(cycle)
+            self._reserve_store(self._max_arrivals)
+            cycle = self._kernel.run(
+                self._layout, cycle, min(stop, self._last_cycle + 1),
+                stop_ns, self._max_arrivals, self.attribute_activity,
+                self.measuring, until_done)
+            # The kernel also returns for a store that must grow; only a
+            # completion since this call ends the segment.
+            if until_done and completed_replicas(self) > done:
+                break
+        return cycle
+
     def step_cycle(self, cycle: int) -> None:
         """Advance every component by one network clock cycle.
 
@@ -465,23 +505,35 @@ class FastNetwork:
         then advances by its period.  A cycle whose pipeline latency
         would carry ``ready`` past int32 raises ``ValueError``.
         """
+        self._check_cycle(cycle)
+        self._reserve_store(self._max_arrivals)
+        if self._python_sources:
+            self._draw_arrivals(cycle)
+        if self._kernel is None:
+            self._step_numpy(cycle)
+            self.time_by_copy += self.period_by_copy
+        else:
+            # A replayed trace draws every recorded event of its window,
+            # so the Python draws may take more than their share of the
+            # reserve: keep the compiled replicas' share free.
+            headroom = (self._max_arrivals // self.copies
+                        * (self.copies - len(self._python_sources)))
+            self._reserve_store(headroom)
+            self._kernel.run(self._layout, cycle, cycle + 1, math.inf,
+                             headroom, self.attribute_activity,
+                             self.measuring, 0)
+
+    def _check_cycle(self, cycle: int) -> None:
         if cycle > self._last_cycle:
             raise ValueError(f"fast engine: cycle {cycle} plus the "
                              f"pipeline latency passes the int32 "
                              f"limit {_INT32_MAX}")
-        if self._bound:
-            need = self.counters[_STORED] + self._max_arrivals
-            if need > self.pkt_dst.size:
-                self._grow_packet_store(need)
-            if self._python_sources:
-                self._draw_arrivals(cycle)
-        if self._kernel is None:
-            self._step_numpy(cycle)
-            self.time_by_copy += self.period_by_copy
-        elif self._kernel.step(self._layout, cycle, self.attribute_activity,
-                               self.measuring) < 0:
-            raise RuntimeError("fast engine: the packet store is too "
-                               "small for this cycle's arrivals")
+
+    def _reserve_store(self, headroom: int) -> None:
+        """Grow the packet store to hold ``headroom`` more records."""
+        need = int(self.counters[_STORED]) + headroom
+        if need > self.pkt_dst.size:
+            self._grow_packet_store(need)
 
     def _draw_arrivals(self, cycle: int) -> None:
         """Draw and queue the arrivals of the Python-drawn replicas, as
@@ -537,6 +589,13 @@ class FastNetwork:
             done = self._step_routers(cycle)
             if done.size:
                 self._log_deliveries(cycle, done)
+
+    def _sync_busy_bits(self) -> None:
+        """Recompute ``busy_bits`` from ``fifo_len``: the compiled step
+        maintains the bits as it pushes and pops flits."""
+        busy = np.zeros(self.busy_bits.size * 64, dtype=bool)
+        busy[:self._L] = self.fifo_len != 0
+        self.busy_bits[:] = np.packbits(busy, bitorder="little").view("<u8")
 
     def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
                     fidxs: np.ndarray) -> None:
@@ -970,6 +1029,8 @@ class FastNetwork:
         # Router lines: empty FIFOs and release allocations.
         counters[_BUFFERED] -= int(self.fifo_len[lo:hi].sum())
         self.fifo_len[lo:hi] = 0
+        if self._kernel is not None:
+            self._sync_busy_bits()
         self.fifo_head[lo:hi] = 0
         self.state[lo:hi] = IDLE
         self.owner[lo:hi] = -1

@@ -1,9 +1,10 @@
 /*
  * The fast engine's cycle step, compiled.
  *
- * fs_step() advances every source and router of a FastNetwork by one
- * network clock cycle, in place on the engine's NumPy arrays.  It is
- * the NumPy step of engine.py (which stays the fallback and the test
+ * fs_run() advances every source and router of a FastNetwork cycle by
+ * cycle, in place on the engine's NumPy arrays, until the simulation
+ * driver has work to do.  Its cycle step, step(), is the
+ * NumPy step of engine.py (which stays the fallback and the test
  * oracle) written as loops.  It draws every replica's arrivals first,
  * then runs each replica's whole cycle (its calendar entries, its
  * sources, its routers) before the next replica's.  Within a replica
@@ -26,6 +27,12 @@
  * step walks with a cursor.  Link and credit latencies are at least
  * one cycle, so no slot is read and appended to in the same cycle.
  *
+ * busy_bits holds one bit per VC line, set while the line's FIFO holds
+ * a flit: push_flit sets it and send clears it when the FIFO empties
+ * (FastNetwork.freeze_copy clears a retired replica's; the NumPy step
+ * does not use the array).  The busy-line scan lists a replica's lines
+ * from these bits, so it visits only the lines that hold flits.
+ *
  * Packets live in the packet store, one record per packet id: created
  * and ejected cycle and ns, measured flag and replica beside the
  * routing fields.  A replica whose arrival law compiles (law_by_copy)
@@ -38,7 +45,7 @@
  * line - (node * ports + port) * vcs.  Per-line, per-arbiter, calendar
  * and scratch arrays are int32 (FastNetwork keeps cycles, line and
  * buffer indices and packet ids within its range); counters, tallies,
- * sources and the packet store are int64.
+ * sources and the packet store are int64, and busy_bits uint64.
  *
  * fs_net mirrors kernel.py's SCALARS, REALS and ARRAYS, field for
  * field.
@@ -86,6 +93,7 @@ typedef struct {
     /* per VC line */
     int8_t *state;
     int16_t *fifo_len;
+    uint64_t *busy_bits;
     int32_t *fifo_head, *buf_pid, *buf_fidx, *out_port, *out_vc, *out_group;
     int32_t *out_line, *ready, *credits, *owner;
     /* per (node, port) arbiter */
@@ -133,8 +141,8 @@ static inline void tally(fs_net *n, int64_t copy, int field, int64_t count)
 }
 
 /* Buffer one arriving flit at the tail of its line's FIFO (the credit
- * protocol guarantees room, so head + len < 2 * depth); the caller
- * accounts the writes with buffered(). */
+ * protocol guarantees room, so head + len < 2 * depth) and mark the
+ * line busy; the caller accounts the writes with buffered(). */
 static inline void push_flit(fs_net *n, int64_t line, int32_t pid,
                              int32_t fidx)
 {
@@ -145,6 +153,7 @@ static inline void push_flit(fs_net *n, int64_t line, int32_t pid,
     n->buf_pid[pos] = pid;
     n->buf_fidx[pos] = fidx;
     n->fifo_len[line] += 1;
+    n->busy_bits[line >> 6] |= (uint64_t)1 << (line & 63);
 }
 
 /* Account `count` flits buffered in one replica's routers. */
@@ -355,7 +364,8 @@ static void send(fs_net *n, const int32_t *win, int64_t count, int64_t copy,
         int32_t pid = n->buf_pid[line * depth + front];
         int32_t fidx = n->buf_fidx[line * depth + front];
         n->fifo_head[line] = front + 1 == depth ? 0 : (int32_t)(front + 1);
-        n->fifo_len[line] -= 1;
+        if (--n->fifo_len[line] == 0)
+            n->busy_bits[line >> 6] &= ~((uint64_t)1 << (line & 63));
         if (fidx == 0)
             n->pkt_hops[pid] += 1;
         int tail = fidx == n->pkt_len[pid] - 1;
@@ -407,6 +417,27 @@ static void send(fs_net *n, const int32_t *win, int64_t count, int64_t copy,
     }
 }
 
+/* List the busy lines in [first, end) in ascending order, from the
+ * busy bits; the first and last words are masked to the range. */
+static int64_t list_busy(const fs_net *n, int64_t first, int64_t end,
+                         int32_t *busy)
+{
+    const int64_t head = first >> 6, tail = (end - 1) >> 6;
+    int64_t count = 0;
+    for (int64_t w = head; w <= tail; w++) {
+        uint64_t word = n->busy_bits[w];
+        if (w == head)
+            word &= ~(uint64_t)0 << (first & 63);
+        if (w == tail && (end & 63))
+            word &= ((uint64_t)1 << (end & 63)) - 1;
+        while (word) {
+            busy[count++] = (int32_t)((w << 6) + __builtin_ctzll(word));
+            word &= word - 1;
+        }
+    }
+    return count;
+}
+
 /* One cycle of one replica's router pipelines (engine.py:
  * _step_routers). */
 static void step_routers(fs_net *n, int64_t copy, int64_t cycle,
@@ -414,14 +445,13 @@ static void step_routers(fs_net *n, int64_t copy, int64_t cycle,
 {
     const int64_t span = n->lines_per_copy, first = copy * span;
     const int64_t vcs = n->vcs, ports = n->ports, depth = n->depth;
-    const int16_t *fifo_len = n->fifo_len;
     const int32_t *ready = n->ready, *credits = n->credits;
     const int32_t *out_line = n->out_line, *sa_in_ptr = n->sa_in_ptr;
     int8_t *state = n->state;
     /* Scratch: the VA requesters, then the busy lines, which the scan
      * below overwrites with the SA candidates behind its read cursor. */
     int32_t *va = n->scratch, *act = n->scratch + span, *busy = act;
-    int64_t num_va = 0, num_act = 0, num_busy = 0;
+    int64_t num_va = 0, num_act = 0;
     /* The input port whose SA candidates the scan is meeting (an input
      * port's VC lines are consecutive), one past its last line, its
      * champion so far, that champion's rotated priority, and how many
@@ -430,13 +460,10 @@ static void step_routers(fs_net *n, int64_t copy, int64_t cycle,
 
     /* Phase A (per-VC state advance) and the input stage of switch
      * allocation, in one ascending pass over the lines that hold
-     * flits, listed first without branches.  SA candidates are
-     * collected before VA grants: a VC granted an output VC this
-     * cycle cannot also win the switch this cycle. */
-    for (int64_t line = first; line < first + span; line++) {
-        busy[num_busy] = (int32_t)line;
-        num_busy += fifo_len[line] != 0;
-    }
+     * flits, listed first.  SA candidates are collected before VA
+     * grants: a VC granted an output VC this cycle cannot also win the
+     * switch this cycle. */
+    const int64_t num_busy = list_busy(n, first, first + span, busy);
     for (int64_t i = 0; i < num_busy; i++) {
         int64_t line = busy[i];
         switch (state[line]) {
@@ -538,21 +565,19 @@ static double factor_at(fs_net *n, int64_t copy, int64_t node_cycle)
  * (node cycle, then node), then one destination per hit in the same
  * order.  How many node cycles one call covers depends on the network
  * clock (1 per network cycle at Fmax, up to 3 at Fmin), so the
- * arrival sequence does too.  Returns -1 if the store is too small. */
-static int draw_arrivals(fs_net *n, int64_t copy, int64_t cycle,
-                         int measuring)
+ * arrival sequence does too.  fs_run leaves the store room for them. */
+static void draw_arrivals(fs_net *n, int64_t copy, int64_t cycle,
+                          int measuring)
 {
     int64_t completed = (int64_t)(n->time_by_copy[copy] / n->node_period
                                   + 1e-9);
     int64_t start = n->next_node_cycle[copy];
     int64_t cycles = completed + 1 - start;
     if (cycles <= 0)
-        return 0;
+        return;
     n->next_node_cycle[copy] = completed + 1;
     const int64_t local = n->local_nodes, base = copy * local;
     int64_t first = n->counters[STORED_PACKETS], lid = first;
-    if (first + cycles * local > n->capacity)
-        return -1;
     void *state = n->rng_state[copy];
     next_double_fn next_double = n->rng_double[copy];
     const double *prob = n->pkt_prob + base;
@@ -605,7 +630,6 @@ static int draw_arrivals(fs_net *n, int64_t copy, int64_t cycle,
     if (n->multi)
         n->backlog_by_copy[copy] += added * n->packet_length;
     n->measured_created_by_copy[copy] += measuring ? added : 0;
-    return 0;
 }
 
 /* The end of one replica's run of a calendar slot's entries, from
@@ -621,22 +645,16 @@ static inline int64_t run_end(const int32_t *entries, int64_t pos,
 /* Advance the whole mesh by one cycle: draw the arrivals of every
  * replica whose law compiles, then, replica by replica, apply its
  * calendar entries due this cycle, step its sources and routers and
- * advance its clock by its period.  `attribute_activity` mirrors
- * FastNetwork.attribute_activity and `measuring` tags new packets as
- * measured.  Returns 0, or -1, leaving the cycle unfinished, when the
- * packet store is too small for the arrivals (FastNetwork.step_cycle
- * grows it beforehand). */
-int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
-                int32_t measuring)
+ * advance its clock by its period.  `attribute` tallies activity per
+ * replica and `measuring` tags new packets as measured. */
+static void step(fs_net *n, int64_t cycle, int attribute, int measuring)
 {
-    const int attribute = n->multi && attribute_activity;
     const int64_t groups = n->nodes * n->ports, span = n->lines_per_copy;
     const int64_t slots_per_copy = n->local_nodes * n->vcs;
 
     for (int64_t copy = 0; copy < n->copies; copy++)
-        if (n->law_by_copy[copy] != LAW_NONE
-                && draw_arrivals(n, copy, cycle, measuring) < 0)
-            return -1;
+        if (n->law_by_copy[copy] != LAW_NONE)
+            draw_arrivals(n, copy, cycle, measuring);
 
     /* This cycle's calendar slots, and each one's read cursor. */
     const int64_t cslot = cycle % n->credit_horizon;
@@ -676,5 +694,39 @@ int64_t fs_step(fs_net *n, int64_t cycle, int32_t attribute_activity,
     n->credit_count[cslot] = 0;
     n->credit_src_count[cslot] = 0;
     n->flit_count[fslot] = 0;
-    return 0;
+}
+
+/* How many replicas have all their measured packets delivered. */
+static int64_t completed(const fs_net *n)
+{
+    int64_t count = 0;
+    for (int64_t copy = 0; copy < n->copies; copy++)
+        count += n->measured_delivered_by_copy[copy]
+            >= n->measured_created_by_copy[copy];
+    return count;
+}
+
+/* Step cycles `cycle`, `cycle` + 1, ... toward `stop` and return the
+ * next cycle to step.  Before each cycle it returns early when replica
+ * 0's time is at or past `stop_ns` (the next control instant), or when
+ * the packet store has fewer than `headroom` free records (the most
+ * one cycle's compiled draws add; FastNetwork grows the store and
+ * calls again).  With `until_done` it also returns after any cycle that
+ * leaves more replicas with all their measured packets delivered than
+ * there were at the call.  `attribute_activity` mirrors
+ * FastNetwork.attribute_activity and `measuring` tags new packets as
+ * measured. */
+int64_t fs_run(fs_net *n, int64_t cycle, int64_t stop, double stop_ns,
+               int64_t headroom, int32_t attribute_activity,
+               int32_t measuring, int32_t until_done)
+{
+    const int attribute = n->multi && attribute_activity;
+    const int64_t done = until_done ? completed(n) : 0;
+    while (cycle < stop && n->time_by_copy[0] < stop_ns
+           && n->counters[STORED_PACKETS] + headroom <= n->capacity) {
+        step(n, cycle++, attribute, measuring);
+        if (until_done && completed(n) > done)
+            break;
+    }
+    return cycle;
 }

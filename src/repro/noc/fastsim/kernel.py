@@ -58,9 +58,9 @@ REALS = ("node_period",)
 #: cycle step reads or writes, named as the engine's attributes.
 ARRAYS = ("counters", "activity_by_copy", "backlog_by_copy",
           "ejected_by_copy", "route", "link_base", "line_node",
-          "line_port", "state", "fifo_len", "fifo_head", "buf_pid",
-          "buf_fidx", "out_port", "out_vc", "out_group", "out_line",
-          "ready", "credits", "owner", "va_ptr", "sa_in_ptr",
+          "line_port", "state", "fifo_len", "busy_bits", "fifo_head",
+          "buf_pid", "buf_fidx", "out_port", "out_vc", "out_group",
+          "out_line", "ready", "credits", "owner", "va_ptr", "sa_in_ptr",
           "sa_out_ptr", "scoreboard", "group_counts", "q_head", "q_tail",
           "cur_lid", "cur_len", "cur_sent", "cur_vc", "src_rr",
           "src_credits", "pkt_dst", "pkt_len", "pkt_hops", "pkt_next",
@@ -94,11 +94,13 @@ COUNTERS = ACTIVITY_FIELDS + ("buffered", "in_link", "src_backlog",
 #: drawn to the fixed destinations of ``dest_table``.
 LAWS = ("none", "uniform", "table")
 
-#: Arrays that are not int64; the ``rng_*`` arrays hold addresses.
-#: The topology tables and the per-line, per-arbiter, calendar and
-#: scratch arrays are int32.
+#: Arrays that are not int64; the ``rng_*`` arrays hold addresses, and
+#: ``busy_bits`` one bit per VC line (line ``l`` is bit ``l % 64`` of
+#: word ``l // 64``).  The topology tables and the per-line,
+#: per-arbiter, calendar and scratch arrays are int32.
 DTYPES = {"state": np.dtype(np.int8), "fifo_len": np.dtype(np.int16),
           "pkt_measured": np.dtype(np.int8),
+          "busy_bits": np.dtype(np.uint64),
           **dict.fromkeys(("route", "link_base", "line_node", "line_port",
                            "fifo_head", "buf_pid", "buf_fidx", "out_port",
                            "out_vc", "out_group", "out_line", "ready",
@@ -132,7 +134,8 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
         flit_fidx=flit * groups, flit_count=flit,
         credit_line=credit * groups, credit_count=credit,
         credit_src=credit * nodes, credit_src_count=credit,
-        step_first=copies + 1, scratch=2 * scalars["lines_per_copy"])
+        busy_bits=-(-lines // 64), step_first=copies + 1,
+        scratch=2 * scalars["lines_per_copy"])
     for size, names in (
             (lines, ("line_node", "line_port", "state", "fifo_len",
                      "fifo_head", "out_port", "out_vc", "out_group",
@@ -163,10 +166,10 @@ class _Layout(ctypes.Structure):
 
 
 class Kernel:
-    """The loaded library: binds an engine's arrays and steps them."""
+    """The loaded library: binds an engine's arrays and runs them."""
 
     def __init__(self, path: Path) -> None:
-        # PyDLL keeps the interpreter lock through a step, so no other
+        # PyDLL keeps the interpreter lock through a run, so no other
         # thread sees the arrays mid-cycle; it also calls faster than
         # CDLL, which drops and retakes the lock.
         lib = ctypes.PyDLL(str(path))
@@ -175,14 +178,16 @@ class Kernel:
         if lib.fs_layout_size() != ctypes.sizeof(_Layout):
             raise KernelBuildError(
                 f"{path.name}: fs_net does not match kernel.py's layout")
-        step = lib.fs_step
-        step.argtypes = (ctypes.POINTER(_Layout), ctypes.c_int64,
-                         ctypes.c_int32, ctypes.c_int32)
-        step.restype = ctypes.c_int64
+        run = lib.fs_run
+        run.argtypes = (ctypes.POINTER(_Layout), ctypes.c_int64,
+                        ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                        ctypes.c_int32, ctypes.c_int32, ctypes.c_int32)
+        run.restype = ctypes.c_int64
         self._lib = lib
-        #: ``step(layout, cycle, attribute_activity, measuring)`` ->
-        #: 0, or -1 when the packet store is too small
-        self.step = step
+        #: ``run(layout, cycle, stop, stop_ns, headroom,
+        #: attribute_activity, measuring, until_done)`` -> the next
+        #: cycle (``kernel.c``: fs_run)
+        self.run = run
 
     @staticmethod
     def bind(scalars: dict, engine) -> ctypes.Structure:

@@ -9,10 +9,13 @@ injection process and a clock period, each step draws that cycle's
 arrivals as ``Packet`` objects, timestamps by the network's own clock
 and advances it.  Unbound, it takes packets through
 :meth:`Network.enqueue_packet` and the time of each step as an
-argument.
+argument.  :func:`advance_by_cycles` is the driver's ``advance`` for an
+engine that steps one cycle per call, this one included.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +29,31 @@ from .stats import ActivityCounters, StatsCollector
 from .topology import EAST, NORTH, OPPOSITE, SOUTH, WEST
 
 _DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
+
+
+def completed_replicas(net) -> int:
+    """How many of ``net``'s replicas have all their measured packets
+    delivered."""
+    created, delivered = net.measured_counts()
+    return sum(d >= c for c, d in zip(created, delivered))
+
+
+def advance_by_cycles(net, cycle: int, stop: int,
+                      stop_ns: float = math.inf,
+                      until_done: bool = False) -> int:
+    """:meth:`repro.noc.Engine.advance` through ``net.step_cycle``, one
+    cycle per call: step from ``cycle`` toward ``stop`` and return the
+    next cycle.  Before each cycle, stop if replica 0's time is at or
+    past ``stop_ns``; with ``until_done``, stop after any cycle that
+    leaves more replicas complete (:func:`completed_replicas`) than
+    there were at the call."""
+    done = completed_replicas(net) if until_done else 0
+    while cycle < stop and net.time_of(0) < stop_ns:
+        net.step_cycle(cycle)
+        cycle += 1
+        if until_done and completed_replicas(net) > done:
+            break
+    return cycle
 
 
 class Network:
@@ -184,6 +212,12 @@ class Network:
                 del self._active_routers[router]
 
     # --- the driver interface: per-replica clock, counts and records ----
+    def advance(self, cycle: int, stop: int, stop_ns: float = math.inf,
+                until_done: bool = False) -> int:
+        """Step cycles from ``cycle`` toward ``stop`` and return the next
+        one (:func:`advance_by_cycles`)."""
+        return advance_by_cycles(self, cycle, stop, stop_ns, until_done)
+
     def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
         """Set the clock's period and the time of the next step."""
         self._period_ns = period_ns
@@ -235,7 +269,7 @@ class Network:
 
     def aggregate_activity(self):
         """Sum of all routers' event counters (for power windows)."""
-        total = self.stats.activity.copy()
+        total = ActivityCounters()
         for router in self.routers:
             total = total + router.activity
         return total

@@ -229,14 +229,19 @@ def drive(net: Engine, points: list[BatchPoint], budget: "SimBudget",
     measurement window closes, it is done; in a batch the engine
     retires it (``freeze_copy``).
 
+    The engine advances phase by phase (:meth:`~repro.noc.Engine.advance`):
+    to the end of the warmup, to the end of the measurement window, and
+    then toward the drain cap, returning whenever a replica completes,
+    so each is retired at the cycle it completes.
+
     With a ``controller`` (one replica only), every
     ``control_period_node_cycles`` of the reference node clock the
     controller gets a sample of the window since the last one and sets
-    the next frequency.  Control runs after the step of the cycle it
-    samples: the sample counts the packets created up to and including
-    that cycle's draw and the deliveries made before its network step,
-    and a new frequency starts at that cycle's end.  Without one the
-    results carry no ``samples``.
+    the next frequency.  Each control cycle ends the engine's segment
+    and runs alone: the sample counts the packets created up to and
+    including that cycle's draw and the deliveries made before its
+    network step, and a new frequency starts at that cycle's end.
+    Without one the results carry no ``samples``.
     """
     config = net.config
     count = len(points)
@@ -263,82 +268,86 @@ def drive(net: Engine, points: list[BatchPoint], budget: "SimBudget",
     last_cycle = last_node_cycle = last_created = last_logged = 0
     last_ns = 0.0
 
+    def segment(cycle: int, stop: int, until_done: bool = False) -> int:
+        """Advance from ``cycle`` toward ``stop``, up to the next control
+        cycle, or run that cycle; return the next cycle."""
+        nonlocal next_control_ns, last_cycle, last_node_cycle, last_ns
+        nonlocal last_created, last_logged
+        if controller is None:
+            return net.advance(cycle, stop, until_done=until_done)
+        now_ns = net.time_of(0)
+        if now_ns < next_control_ns:
+            return net.advance(cycle, stop, next_control_ns, until_done)
+        logged = net.counts()[1]
+        activity = net.activity_of(0)
+        net.advance(cycle, cycle + 1)
+        created = net.counts()[0]
+        node_cycle = net.snapshot(0)[1]
+        clock = clocks[0]
+        delays, latencies = net.delivery_records(last_logged, logged)
+        delivered = len(delays)
+        delay_sum = latency_sum = 0.0
+        for delay, latency in zip(delays, latencies):
+            delay_sum += delay
+            latency_sum += latency
+        sample = MeasurementSample(
+            window_cycles=cycle - last_cycle,
+            window_node_cycles=node_cycle - last_node_cycle,
+            window_ns=now_ns - last_ns,
+            generated_flits=(created - last_created) * config.packet_length,
+            delivered_packets=delivered,
+            mean_delay_ns=delay_sum / delivered if delivered else None,
+            mean_latency_cycles=(latency_sum / delivered
+                                 if delivered else None),
+            freq_hz=clock.freq_hz,
+            time_ns=now_ns,
+            num_nodes=config.num_nodes)
+        samples.append(sample)
+        last_cycle, last_node_cycle, last_ns = cycle, node_cycle, now_ns
+        last_created, last_logged = created, logged
+        next_control_ns += period_ns
+        new_freq = controller.update(sample)
+        if new_freq != clock.freq_hz:
+            if warmup <= cycle < measure_end:
+                # The window closes where this cycle began.
+                w_ns, w_cycle, w_activity = opened[0]
+                windows[0].append(PowerWindow(
+                    duration_ns=now_ns - w_ns, cycles=cycle - w_cycle,
+                    freq_hz=clock.freq_hz,
+                    activity=activity - w_activity))
+                opened[0] = (now_ns, cycle, activity)
+            traces[0].append((now_ns, clock.set_frequency(new_freq)))
+            net.retune(0, clock.period_ns, now_ns + clock.period_ns)
+        return cycle + 1
+
     # Per-copy activity attribution costs a few tallies per event;
     # power windows only need measurement-phase deltas.
     net.attribute_activity = False
+    cycle = 0
+    while cycle < warmup:
+        cycle = segment(cycle, warmup)
+    # Snapshots are taken before this cycle's arrivals and network step.
+    net.measuring = net.attribute_activity = True
+    start = [net.snapshot(i) for i in range(count)]
+    opened = [(s[0], warmup, net.activity_of(i))
+              for i, s in enumerate(start)]
+    while cycle < measure_end:
+        cycle = segment(cycle, measure_end)
+    net.measuring = net.attribute_activity = False
+    end = [net.snapshot(i) for i in range(count)]
+    for i, (w_ns, w_cycle, w_activity) in enumerate(opened):
+        windows[i].append(PowerWindow(
+            duration_ns=end[i][0] - w_ns, cycles=cycle - w_cycle,
+            freq_hz=clocks[i].freq_hz,
+            activity=net.activity_of(i) - w_activity))
+    saturated = [probe and backlog_diverged(
+        config, point.traffic.mean_node_rate(),
+        max(1, end[i][1] - start[i][1]), end[i][3] - start[i][3])
+        for i, point in enumerate(points)]
+
     complete = [False] * count
     active = list(range(count))         # replicas still simulating
-    step = net.step_cycle
-    cycle = 0
     while True:
-        if cycle == warmup:
-            # Snapshots are taken before this cycle's arrivals and
-            # network step.
-            net.measuring = net.attribute_activity = True
-            start = [net.snapshot(i) for i in range(count)]
-            opened = [(s[0], warmup, net.activity_of(i))
-                      for i, s in enumerate(start)]
-        if controller is None or net.time_of(0) < next_control_ns:
-            step(cycle)
-        else:
-            now_ns = net.time_of(0)
-            logged = net.counts()[1]
-            activity = net.activity_of(0)
-            step(cycle)
-            created = net.counts()[0]
-            node_cycle = net.snapshot(0)[1]
-            clock = clocks[0]
-            delays, latencies = net.delivery_records(last_logged, logged)
-            delivered = len(delays)
-            delay_sum = latency_sum = 0.0
-            for delay, latency in zip(delays, latencies):
-                delay_sum += delay
-                latency_sum += latency
-            sample = MeasurementSample(
-                window_cycles=cycle - last_cycle,
-                window_node_cycles=node_cycle - last_node_cycle,
-                window_ns=now_ns - last_ns,
-                generated_flits=((created - last_created)
-                                 * config.packet_length),
-                delivered_packets=delivered,
-                mean_delay_ns=(delay_sum / delivered
-                               if delivered else None),
-                mean_latency_cycles=(latency_sum / delivered
-                                     if delivered else None),
-                freq_hz=clock.freq_hz,
-                time_ns=now_ns,
-                num_nodes=config.num_nodes)
-            samples.append(sample)
-            last_cycle, last_node_cycle, last_ns = cycle, node_cycle, now_ns
-            last_created, last_logged = created, logged
-            next_control_ns += period_ns
-            new_freq = controller.update(sample)
-            if new_freq != clock.freq_hz:
-                if warmup <= cycle < measure_end:
-                    # The window closes where this cycle began.
-                    w_ns, w_cycle, w_activity = opened[0]
-                    windows[0].append(PowerWindow(
-                        duration_ns=now_ns - w_ns, cycles=cycle - w_cycle,
-                        freq_hz=clock.freq_hz,
-                        activity=activity - w_activity))
-                    opened[0] = (now_ns, cycle, activity)
-                traces[0].append((now_ns, clock.set_frequency(new_freq)))
-                net.retune(0, clock.period_ns, now_ns + clock.period_ns)
-        cycle += 1
-        if cycle < measure_end:
-            continue
-        if cycle == measure_end:
-            net.measuring = net.attribute_activity = False
-            end = [net.snapshot(i) for i in range(count)]
-            for i, (w_ns, w_cycle, w_activity) in enumerate(opened):
-                windows[i].append(PowerWindow(
-                    duration_ns=end[i][0] - w_ns, cycles=cycle - w_cycle,
-                    freq_hz=clocks[i].freq_hz,
-                    activity=net.activity_of(i) - w_activity))
-            saturated = [probe and backlog_diverged(
-                config, point.traffic.mean_node_rate(),
-                max(1, end[i][1] - start[i][1]), end[i][3] - start[i][3])
-                for i, point in enumerate(points)]
         created, delivered = net.measured_counts()
         still = []
         for i in active:
@@ -354,6 +363,7 @@ def drive(net: Engine, points: list[BatchPoint], budget: "SimBudget",
         active = still
         if not active or cycle >= hard_end:
             break
+        cycle = segment(cycle, hard_end, until_done=True)
 
     results = []
     for i, (point, stats) in enumerate(zip(points, net.measured_stats())):

@@ -127,7 +127,6 @@ class StatsCollector:
     """Aggregates packet statistics and raw event counts for one run."""
 
     def __init__(self) -> None:
-        self.activity = ActivityCounters()
         # lifetime counters
         self.generated_packets = 0
         self.generated_flits = 0

@@ -63,14 +63,16 @@ def small_config() -> NocConfig:
 
 @pytest.fixture
 def step_calls(monkeypatch) -> list[int]:
-    """Count ``step_cycle`` calls on every engine (a one-element list,
-    so a test can read and reset it)."""
+    """Count the cycles every engine steps: what each ``advance`` call
+    moved, its return value minus its ``cycle`` argument (a one-element
+    list, so a test can read and reset it)."""
     steps = [0]
     for cls in ENGINES.values():
-        def counting(self, *args, _step=cls.step_cycle):
-            steps[0] += 1
-            return _step(self, *args)
-        monkeypatch.setattr(cls, "step_cycle", counting)
+        def counting(self, cycle, *args, _advance=cls.advance, **kwargs):
+            after = _advance(self, cycle, *args, **kwargs)
+            steps[0] += after - cycle
+            return after
+        monkeypatch.setattr(cls, "advance", counting)
     return steps
 
 

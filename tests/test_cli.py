@@ -407,6 +407,46 @@ class TestWorkerCli:
         assert "1 failed" in capsys.readouterr().err
 
 
+class TestReplayCli:
+    @pytest.mark.parametrize("tiny", [True, False],
+                             ids=["tiny", "baseline"])
+    @pytest.mark.parametrize("freq_rel", ["5", "1.01", "0.1", "0", "-1"])
+    def test_freq_rel_outside_fmin_to_fmax_is_usage_error(
+            self, capsys, tmp_path, freq_rel, tiny):
+        """The network clock clips a frequency outside Fmin-Fmax, so
+        the run would not be the one asked for."""
+        mesh = ["--tiny"] if tiny else []
+        trace = tmp_path / "u.trace"
+        assert main(["record", "--out", str(trace), "--rate", "0.1",
+                     "--cycles", "300", *mesh]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--trace", str(trace), "--freq-rel", freq_rel,
+                  *mesh])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--freq-rel" in err and "0.3333-1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("freq_rel, bound",
+                             [("0.3333", repr(1 / 3)), ("1.00005", "1")])
+    def test_freq_rel_within_rounding_of_a_bound_runs_at_it(
+            self, capsys, tmp_path, freq_rel, bound):
+        """The usage error prints Fmin/Fmax as 0.3333, which must run,
+        at Fmin."""
+        trace = tmp_path / "u.trace"
+        assert main(["record", "--out", str(trace), "--rate", "0.1",
+                     "--cycles", "300", "--tiny"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for value in (freq_rel, bound):
+            assert main(["replay", "--trace", str(trace), "--freq-rel",
+                         value, "--budget", "fast", "--tiny"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "delivered" in outputs[0]
+
+
 class TestDistributedDriverCli:
     def test_workers_zero_with_prestarted_external_worker(
             self, capsys, monkeypatch, tmp_path):

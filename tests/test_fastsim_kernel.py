@@ -17,7 +17,17 @@ cycle, and after every retirement, each calendar slot must hold its
 entries grouped by replica in ascending order: the compiled step walks
 each replica's run of a slot with a cursor.  A fixed case runs the
 paper baseline's 8-VC routers, which the random configurations reach
-only sometimes.  The int32 state limits raise on both paths rather
+only sometimes.  The per-cycle comparisons include ``busy_bits``, which
+the compiled step maintains as it pushes and pops flits: it must hold
+the lines the NumPy engine's ``fifo_len`` shows busy.
+
+``advance`` runs many cycles per compiled call.  Its lockstep tests
+advance a compiled engine through random segments (a random stop, a
+stop time on replica 0's clock, and ``until_done`` with retirements)
+against a NumPy-step engine stepped one cycle at a time under the same
+stop rules, fed with records or drawing from bound sources, with a
+packet store that grows mid-segment; every return must give the same
+cycle and state.  The int32 state limits raise on both paths rather
 than wrap.
 
 The loader tests cover the fallback (a failing build warns once, quotes
@@ -29,6 +39,7 @@ read-only, refused when another user owns it.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -48,9 +59,10 @@ from repro.noc import (PAPER_BASELINE, NocConfig, SimBudget, Simulation,
 from repro.noc.clock import NetworkClock
 from repro.noc.fastsim import (BatchPoint, FastNetwork, engine, kernel,
                                run_fixed_batch)
+from repro.noc.network import advance_by_cycles
 from repro.traffic import (InjectionProcess, PatternTraffic,
                            PiecewiseRateTraffic, make_pattern)
-from repro.workload import make_workload
+from repro.workload import InjectionTrace, TraceTraffic, make_workload
 
 HAVE_COMPILER = shutil.which(kernel.COMPILER[0]) is not None
 needs_compiler = pytest.mark.skipif(
@@ -144,14 +156,28 @@ def assert_slots_grouped(net: FastNetwork) -> None:
             assert (np.diff(copies) >= 0).all(), (slot, copies)
 
 
+def busy_bits(net: FastNetwork) -> np.ndarray:
+    """One bit per line whose FIFO holds a flit, bit ``l % 64`` of word
+    ``l // 64``: the compiled step's ``busy_bits``."""
+    lines = np.flatnonzero(net.fifo_len)
+    words = np.zeros(net.busy_bits.size, dtype=np.uint64)
+    np.bitwise_or.at(words, lines // 64,
+                     np.uint64(1) << (lines % 64).astype(np.uint64))
+    return words
+
+
 def assert_same_state(compiled: FastNetwork, fallback: FastNetwork,
                       cycle: int) -> None:
+    """Every state array equal; the NumPy step keeps no ``busy_bits``,
+    so the compiled one must match the fallback's ``fifo_len``."""
     for net in (compiled, fallback):
         assert_slots_grouped(net)
     for name in kernel.ARRAYS:
         if name not in NOT_STATE:
             np.testing.assert_array_equal(
-                getattr(compiled, name), getattr(fallback, name),
+                getattr(compiled, name),
+                busy_bits(fallback) if name == "busy_bits"
+                else getattr(fallback, name),
                 err_msg=f"{name} differs after cycle {cycle}")
     assert (compiled.aggregate_activity()
             == fallback.aggregate_activity()), cycle
@@ -221,13 +247,17 @@ def law_traffic(config: NocConfig, law: str, rate: float,
 
 
 @st.composite
-def bound_scenarios(draw):
+def bound_scenarios(draw, python_draws: bool = True):
+    """Bound-source scenarios; without ``python_draws``, every replica's
+    law compiles and the node clocks are homogeneous."""
     config = draw(scenarios())["config"]
-    if draw(st.booleans()):
+    if python_draws and draw(st.booleans()):
         config = config.with_(node_freqs_hz=tuple(
             draw(st.floats(0.4e9, 1.6e9))
             for _ in range(config.num_nodes)))
     laws = LAWS if config.node_freqs_hz is None else CONSTANT_LAWS
+    if not python_draws:
+        laws = tuple(law for law in laws if law != "hotspot")
     copies = draw(st.integers(1, 4))
     f_min, f_max = config.f_min_hz, config.f_max_hz
     # Steps land inside the 1-3 node cycles of one network cycle.
@@ -261,6 +291,18 @@ def bind(net: FastNetwork, config: NocConfig,
     return injections
 
 
+def small_store_engines(config: NocConfig, copies: int
+                        ) -> tuple[FastNetwork, FastNetwork]:
+    """A compiled and a NumPy-step engine whose packet stores start
+    with one entry."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_PACKET_STORE", 1)
+        compiled = FastNetwork(config, copies)
+        fallback = numpy_engine(config, copies)
+    assert compiled.compiled and not fallback.compiled
+    return compiled, fallback
+
+
 def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
                        cycles: int, measure_from: int = 0,
                        measure_to: int = -1, freeze_at: int = -1,
@@ -272,11 +314,7 @@ def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
     At ``retune_at`` replica ``retuned`` moves to ``retune_hz`` from
     the end of that cycle on, as a DVFS control action does."""
     copies = len(points)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_PACKET_STORE", 1)
-        compiled = FastNetwork(config, copies)
-        fallback = numpy_engine(config, copies)
-    assert compiled.compiled and not fallback.compiled
+    compiled, fallback = small_store_engines(config, copies)
     sources = [bind(net, config, points) for net in (compiled, fallback)]
     for cycle in range(cycles):
         for net in (compiled, fallback):
@@ -306,6 +344,148 @@ def run_bound_lockstep(config: NocConfig, points: list[BatchPoint],
 def test_compiled_arrivals_match_numpy_step_every_cycle(scenario):
     net = run_bound_lockstep(**scenario)
     assert net.pkt_dst.size > 1            # the store grew mid-run
+
+
+def advance_in_segments(nets: tuple[FastNetwork, FastNetwork], data,
+                        cycles: int, measure_from: int = 0,
+                        measure_to: int = -1, feed=None) -> None:
+    """Advance a compiled engine through random segments toward
+    ``cycles`` and a NumPy-step engine one cycle at a time under the
+    same stop rules; compare them at every return.
+
+    Segments end at ``measure_from`` and ``measure_to``, where
+    ``measuring`` toggles, and ``feed(cycle)`` may queue packets before
+    each.  A segment whose stop time has already passed runs one cycle
+    alone and retunes replica 0, as a control cycle does; after an
+    ``until_done`` segment every replica that completed in it retires.
+    """
+    compiled, fallback = nets
+    config = compiled.config
+    cycle = 0
+    while cycle < cycles:
+        for net in nets:
+            net.measuring = measure_from <= cycle < measure_to
+        if feed is not None:
+            feed(cycle)
+        stop = min([cycle + data.draw(st.integers(1, 50), label="length")]
+                   + [b for b in (measure_from, measure_to, cycles)
+                      if b > cycle])
+        stop_ns = data.draw(st.one_of(
+            st.just(math.inf),
+            st.floats(0.0, 40.0).map(compiled.time_of(0).__add__)),
+            label="stop_ns")
+        until_done = data.draw(st.booleans(), label="until_done")
+        was_done = completed(compiled)
+        reached = compiled.advance(cycle, stop, stop_ns, until_done)
+        assert advance_by_cycles(fallback, cycle, stop, stop_ns,
+                                 until_done) == reached
+        assert_same_state(compiled, fallback, reached)
+        if reached == cycle:
+            period = 1e9 / data.draw(st.floats(config.f_min_hz,
+                                               config.f_max_hz),
+                                     label="retune_hz")
+            for net in nets:
+                began = net.time_of(0)
+                assert net.advance(cycle, cycle + 1) == cycle + 1
+                net.retune(0, period, began + period)
+            reached = cycle + 1
+            assert_same_state(compiled, fallback, reached)
+        if until_done and compiled.copies > 1:
+            for copy in completed(compiled) - was_done:
+                for net in nets:
+                    net.freeze_copy(copy)
+        cycle = reached
+
+
+def completed(net: FastNetwork) -> set[int]:
+    """The replicas whose measured packets have all been delivered."""
+    created, delivered = net.measured_counts()
+    return {copy for copy, (c, d) in enumerate(zip(created, delivered))
+            if d >= c}
+
+
+@needs_compiler
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios(), data=st.data())
+def test_advance_matches_numpy_step_with_enqueued_packets(scenario, data):
+    config, copies = scenario["config"], scenario["copies"]
+    nets = small_store_engines(config, copies)
+    for net in nets:
+        for copy in range(copies):
+            net.retune(copy, 1.0 + copy, 0.0)
+    local = config.num_nodes
+    rng = np.random.default_rng(scenario["seed"])
+
+    def feed(cycle):
+        for node in np.flatnonzero(rng.random(local * copies)
+                                   < scenario["rate"]).tolist():
+            src = node % local
+            dst = (src + 1 + int(rng.integers(local - 1))) % local
+            length = int(rng.integers(1, config.packet_length + 1))
+            measured = bool(rng.integers(2))
+            for net in nets:
+                net.enqueue_packet(node, dst, length, cycle, float(cycle),
+                                   measured)
+
+    advance_in_segments(nets, data, 200, feed=feed)
+
+
+@needs_compiler
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=st.one_of(bound_scenarios(),
+                          bound_scenarios(python_draws=False)),
+       data=st.data())
+def test_advance_matches_numpy_step_with_bound_sources(scenario, data):
+    config, points = scenario["config"], scenario["points"]
+    nets = small_store_engines(config, len(points))
+    sources = [bind(net, config, points) for net in nets]
+    advance_in_segments(nets, data, 240, scenario["measure_from"],
+                        scenario["measure_to"])
+    assert nets[0].pkt_dst.size > 1            # the store grew
+    for ours, theirs in zip(*sources):
+        assert (ours.rng.bit_generator.state
+                == theirs.rng.bit_generator.state)
+
+
+@needs_compiler
+def test_compiled_laws_advance_in_whole_segments(monkeypatch):
+    """With no replica drawn in Python, the driver reaches the compiled
+    step once per segment and never through ``step_cycle``; a closed
+    loop's control cycles each take one call."""
+    calls, advance = [], FastNetwork.advance
+
+    def advance_counted(self, cycle, *args, **kwargs):
+        calls.append(advance(self, cycle, *args, **kwargs) - cycle)
+        return cycle + calls[-1]
+
+    def no_step_cycle(self, cycle):
+        raise AssertionError("the driver stepped one cycle at a time")
+
+    monkeypatch.setattr(FastNetwork, "advance", advance_counted)
+    monkeypatch.setattr(FastNetwork, "step_cycle", no_step_cycle)
+    mesh = TINY.make_mesh()
+    points = [BatchPoint(PatternTraffic(make_pattern(name, mesh), rate),
+                         freq, seed)
+              for seed, (name, rate, freq) in enumerate((
+                  ("uniform", 0.2, TINY.f_min_hz),
+                  ("transpose", 0.1, TINY.f_max_hz),
+                  ("uniform", SATURATED, TINY.f_min_hz)))]
+    run_fixed_batch(TINY, points, BUDGET)
+    # Warmup, measurement, then one segment per retirement and the cap.
+    assert len(calls) <= 2 + len(points)
+    assert sum(calls) == BUDGET.warmup_cycles + BUDGET.measure_cycles \
+        + BUDGET.drain_cycles
+
+    calls.clear()
+    sim = Simulation(TINY, points[0].traffic, controller=TINY.f_max_hz,
+                     seed=1, control_period_node_cycles=25, engine="fast")
+    result = sim.run(BUDGET.warmup_cycles, BUDGET.measure_cycles,
+                     BUDGET.drain_cycles)
+    samples = len(result.samples)
+    assert samples > 5 and calls.count(1) >= samples
+    assert len(calls) <= 2 * samples + 4
 
 
 def paper_points() -> list[BatchPoint]:
@@ -342,24 +522,75 @@ def test_paper_baseline_batch_equals_the_numpy_step(monkeypatch):
     """Whole results of a paper-baseline batch whose light replicas
     retire while the saturated one still runs."""
     budget = SimBudget(100, 200, 400)
-    stepped, retired = [], []
-    step, freeze = FastNetwork.step_cycle, FastNetwork.freeze_copy
+    reached, retired = [], []
+    advance, freeze = FastNetwork.advance, FastNetwork.freeze_copy
 
-    def step_cycle(self, cycle):
-        stepped.append(cycle)
-        step(self, cycle)
+    def advance_to(self, *args, **kwargs):
+        reached.append(advance(self, *args, **kwargs))
+        return reached[-1]
 
     def freeze_copy(self, copy):
-        retired.append(stepped[-1])
+        retired.append(reached[-1])
         freeze(self, copy)
 
-    monkeypatch.setattr(FastNetwork, "step_cycle", step_cycle)
+    monkeypatch.setattr(FastNetwork, "advance", advance_to)
     monkeypatch.setattr(FastNetwork, "freeze_copy", freeze_copy)
     compiled = run_fixed_batch(PAPER_BASELINE, paper_points(), budget)
-    assert retired and min(retired) < stepped[-1]
+    assert retired and min(retired) < reached[-1]
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "load_kernel", lambda: None)
         fallback = run_fixed_batch(PAPER_BASELINE, paper_points(), budget)
+    assert compiled == fallback
+
+
+def trace_with_bursts(config: NocConfig, cycles: int, first_burst: int,
+                      seed: int) -> TraceTraffic:
+    """A trace whose first node cycle holds ``first_burst`` events and
+    whose later bursts hold up to 15 events at one source in one node
+    cycle."""
+    rng = np.random.default_rng(seed)
+    nodes = config.num_nodes
+    rows = [(0, i % nodes, (i + 1) % nodes) for i in range(first_burst)]
+    rows += [(cycle, src, (src + 1 + int(rng.integers(nodes - 1))) % nodes)
+             for cycle in range(1, cycles) if rng.random() < 0.1
+             for src in range(nodes) for _ in range(rng.integers(16))]
+    return TraceTraffic(InjectionTrace(nodes, config.packet_length,
+                                       cycles, np.array(rows)))
+
+
+@needs_compiler
+def test_trace_bursts_leave_the_compiled_draws_their_headroom(
+        monkeypatch):
+    """A replayed trace draws all of a node cycle's recorded events in
+    Python, before the compiled replicas draw theirs: a burst that
+    fills the packet store must still leave those draws room.  The
+    first cycle's burst fills a one-entry store as far as the reserve
+    for one cycle's draws grows it, beside a replica that draws at
+    nearly every node; no step leaves more records than the store
+    holds, and the batch equals the NumPy step's results."""
+    monkeypatch.setattr(engine, "_PACKET_STORE", 1)
+    mesh = TINY.make_mesh()
+    dense = BatchPoint(PatternTraffic(make_pattern("uniform", mesh),
+                                      0.9 * TINY.packet_length),
+                       TINY.f_max_hz, 2)
+    net = FastNetwork(TINY, 2)
+    bind(net, TINY, [dense, dense])
+    net.step_cycle(0)                  # the store grows to its reserve
+    points = [BatchPoint(trace_with_bursts(TINY, 1200, net.pkt_dst.size,
+                                           3), TINY.f_max_hz, 1), dense]
+
+    stored = kernel.COUNTERS.index("stored_packets")
+    step = FastNetwork.step_cycle
+
+    def step_within_store(self, cycle):
+        step(self, cycle)
+        assert self.counters[stored] <= self.pkt_dst.size
+
+    monkeypatch.setattr(FastNetwork, "step_cycle", step_within_store)
+    compiled = run_fixed_batch(TINY, points, BUDGET)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load_kernel", lambda: None)
+        fallback = run_fixed_batch(TINY, points, BUDGET)
     assert compiled == fallback
 
 
@@ -379,6 +610,18 @@ def test_cycles_past_the_int32_limit_raise(step_path):
         net.step_cycle(last + 1)
     with pytest.raises(ValueError, match="int32"):
         FastNetwork(TINY).step_cycle(2**31 - 1)
+
+    # advance steps through the last cycle, then raises.
+    stepped, net = FastNetwork(TINY), FastNetwork(TINY)
+    for each in (stepped, net):
+        each.enqueue_packet(0, 4, 3, last - 2, float(last - 2), True)
+    assert stepped.advance(last - 2, last + 1) == last + 1
+    with pytest.raises(ValueError, match="int32"):
+        stepped.advance(last + 1, last + 2)
+    with pytest.raises(ValueError, match="int32"):
+        net.advance(last - 2, last + 5)
+    assert net.counters[kernel.COUNTERS.index("injected_flits")] > 0
+    np.testing.assert_array_equal(net.counters, stepped.counters)
 
 
 def test_buffer_slots_past_the_int32_limit_raise(monkeypatch):
