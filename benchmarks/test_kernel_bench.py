@@ -9,16 +9,21 @@ fixed-frequency operating points (the raw material of every figure):
   ``run_fixed_point`` per unit;
 * the **fast** engine runs the same points as one
   :func:`repro.noc.fastsim.run_fixed_batch` call — its intended sweep
-  execution mode, where one cycle step advances every point.
+  execution mode, where one cycle step advances every point of an
+  engine, and the compiled step runs the points as engines of at most
+  1 MiB of stepping state each.
 
 Also records single-run stepping throughput for both engines at a
 saturated operating point, so per-run regressions are visible
 independently of batching, and the fast engine's per-cycle step cost
 on both of its paths (compiled kernel and NumPy fallback) on the 5x5
-paper baseline at 1, 18 and 72 replicas: the batch-width curve.  The
-step cost is the time spent in the engine's ``advance`` over the
-cycles it moved: the compiled path runs a whole segment per call, and
-the NumPy path one ``step_cycle`` per cycle.  It includes drawing and
+paper baseline in one engine of 1, 18 and 72 replicas: the
+batch-width curve.  Its engines are built and driven directly
+(:func:`repro.noc.simulator.drive`), so each row times one engine of
+its width on both paths.  The step cost is the time spent in the
+engine's ``advance`` over the cycles it moved: the compiled path runs
+a whole segment per call, and the NumPy path one ``step_cycle`` per
+cycle.  It includes drawing and
 queueing the arrivals, on both paths: the compiled step draws them
 itself, and the NumPy step calls ``InjectionProcess.arrivals`` inside
 ``step_cycle``.
@@ -48,6 +53,7 @@ from repro.noc import (PAPER_BASELINE, SimBudget, Simulation,
                        run_fixed_point)
 from repro.noc.fastsim import (BatchPoint, FastNetwork, kernel,
                                run_fixed_batch)
+from repro.noc.simulator import drive
 from repro.traffic import PatternTraffic, make_pattern
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,8 +176,8 @@ def _width_points(width: int) -> list[BatchPoint]:
 
 
 def _step_cost_us(monkeypatch, width: int) -> tuple[float, int]:
-    """Mean wall time of one cycle in ``advance`` over a batched run,
-    and the run's cycle count."""
+    """Mean wall time of one cycle in ``advance`` over a run of one
+    engine of ``width`` replicas, and the run's cycle count."""
     spent = [0.0, 0]
     advance = FastNetwork.advance
 
@@ -184,7 +190,8 @@ def _step_cost_us(monkeypatch, width: int) -> tuple[float, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(FastNetwork, "advance", timed)
-        run_fixed_batch(PAPER_BASELINE, _width_points(width), STEP_BUDGET)
+        drive(FastNetwork(PAPER_BASELINE, copies=width),
+              _width_points(width), STEP_BUDGET)
     return spent[0] / spent[1] * 1e6, spent[1]
 
 

@@ -76,18 +76,21 @@ Layout notes (all state is flat, integer and preallocated):
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
-from ...traffic.injection import InjectionProcess
+from ...traffic.injection import (ArrivalLaw, InjectionProcess,
+                                  TrafficSpec, compiled_law)
 from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
 from ..clock import NodeClockBridge, NodeSource
 from ..config import NocConfig
 from ..network import advance_by_cycles, completed_replicas
-from ..routing import get_routing_function
+from ..routing import RoutingFunction, get_routing_function
 from ..stats import ACTIVITY_FIELDS, ActivityCounters, StatsCollector
-from ..topology import LOCAL, NUM_PORTS, OPPOSITE
+from ..topology import LOCAL, NUM_PORTS, OPPOSITE, Mesh
 from . import kernel
 from .kernel import COUNTERS, LAWS
 
@@ -127,7 +130,7 @@ def _store_array(name: str, capacity: int,
                  old: np.ndarray | None = None) -> np.ndarray:
     """A packet-store array of ``capacity``, holding ``old`` first."""
     array = np.full(capacity, -1 if name == "pkt_next" else 0,
-                    dtype=kernel.DTYPES.get(name, np.int64))
+                    dtype=kernel.dtype_of(name))
     if old is not None:
         array[:old.size] = old
     return array
@@ -137,6 +140,79 @@ def _address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
+@functools.cache
+def _topology(width: int, height: int, vcs: int,
+              routing: RoutingFunction) -> tuple[np.ndarray, np.ndarray]:
+    """One replica's read-only ``route`` and ``link_base`` tables.
+
+    Built once per mesh, VC count and routing function in a process
+    (one routing call per node pair); every engine tiles its own copy.
+    """
+    mesh = Mesh(width, height)
+    nodes, pv = mesh.num_nodes, NUM_PORTS * vcs
+    route = np.array([routing(mesh, src, dst) for src in range(nodes)
+                      for dst in range(nodes)], dtype=np.int32)
+    link_base = np.full(nodes * NUM_PORTS, -1, dtype=np.int32)
+    for node in range(nodes):
+        for port, opp in OPPOSITE.items():
+            nbr = mesh.neighbor(node, port)
+            if nbr is not None:
+                link_base[node * NUM_PORTS + port] = nbr * pv + opp * vcs
+    route.flags.writeable = link_base.flags.writeable = False
+    return route, link_base
+
+
+def layout_scalars(config: NocConfig, copies: int,
+                   capacity: int = _PACKET_STORE) -> dict:
+    """The compiled step's scalar fields (:data:`kernel.SCALARS` and
+    :data:`kernel.REALS`) for ``copies`` replicas of ``config``'s mesh
+    and a packet store of ``capacity``."""
+    local_nodes = config.num_nodes
+    nodes = local_nodes * copies
+    lines_per_copy = local_nodes * NUM_PORTS * config.num_vcs
+    return dict(nodes=nodes, local_nodes=local_nodes, ports=NUM_PORTS,
+                vcs=config.num_vcs, depth=config.vc_buf_depth,
+                lines=lines_per_copy * copies,
+                lines_per_copy=lines_per_copy,
+                route_latency=config.route_latency,
+                va_latency=config.va_latency,
+                link_latency=config.link_latency,
+                credit_latency=config.credit_latency,
+                flit_horizon=config.link_latency + 1,
+                credit_horizon=config.credit_latency + 1,
+                multi=copies > 1, copies=copies,
+                packet_length=config.packet_length, capacity=capacity,
+                node_period=NodeClockBridge(config.f_node_hz).period_ns)
+
+
+def replica_bytes(config: NocConfig) -> int:
+    """The stepping state one replica of ``config``'s mesh adds to an
+    engine: a one-replica engine's :data:`kernel.ARRAYS`, the packet
+    store aside (:func:`kernel.state_bytes`)."""
+    return kernel.state_bytes(layout_scalars(config, 1))
+
+
+def kernel_law(config: NocConfig, spec: TrafficSpec) -> ArrivalLaw | None:
+    """The law by which the compiled step draws ``spec``'s arrivals on
+    ``config``'s node clocks, or ``None``: on heterogeneous node clocks,
+    and for a spec whose law does not compile, the arrivals are drawn
+    in Python (:class:`~repro.noc.clock.NodeSource`)."""
+    if config.node_freqs_hz is not None:
+        return None
+    return compiled_law(spec)
+
+
+def runs_whole_segments(config: NocConfig,
+                        specs: Iterable[TrafficSpec]) -> bool:
+    """True when the compiled step will run an engine of these
+    replicas a whole segment per call (:meth:`FastNetwork.advance`):
+    the kernel loads and it draws every replica's arrivals
+    (:func:`kernel_law`)."""
+    return (kernel.load_kernel() is not None
+            and all(kernel_law(config, spec) is not None
+                    for spec in specs))
+
+
 class FastNetwork:
     """Array-based mesh engine, flit-schedule-equivalent to ``Network``.
 
@@ -144,8 +220,11 @@ class FastNetwork:
     inside one engine (block-diagonal topology tables): replica ``c``
     owns global nodes ``c*N .. (c+1)*N - 1``.  Replicas share nothing
     but the cycle step, so each behaves exactly like a ``copies=1``
-    engine while the per-cycle overhead is amortized across the batch
-    — the substrate of :func:`repro.noc.fastsim.run_fixed_batch`.
+    engine.  Width spreads the per-cycle cost of the NumPy step and of
+    the Python draws over the batch; the compiled step costs about the
+    same per replica-cycle at any width, so
+    :func:`repro.noc.fastsim.run_fixed_batch` runs its points as
+    engines no wider than a fixed budget of stepping state.
     """
 
     def __init__(self, config: NocConfig, copies: int = 1) -> None:
@@ -188,24 +267,14 @@ class FastNetwork:
 
         # Routing table, flat over (global node * NL + local dest); the
         # per-replica blocks are identical, so one tile covers all.
-        routing = get_routing_function(config.routing)
-        route = np.empty(local_nodes * local_nodes, dtype=np.int32)
-        for src in range(local_nodes):
-            for dst in range(local_nodes):
-                route[src * local_nodes + dst] = routing(self.mesh, src,
-                                                         dst)
+        # Neighbour line bases shift by each replica's first line.
+        route, link_base = _topology(
+            config.width, config.height, self._V,
+            get_routing_function(config.routing))
         self.route = np.tile(route, copies)
-
-        link_base = np.full(local_nodes * self._P, -1, dtype=np.int32)
-        for node in range(local_nodes):
-            for port, opp in OPPOSITE.items():
-                nbr = self.mesh.neighbor(node, port)
-                if nbr is not None:
-                    link_base[node * self._P + port] = (nbr * self._PV
-                                                        + opp * self._V)
-        self.link_base = np.concatenate(
-            [np.where(link_base >= 0, link_base + c * self._CL, -1)
-             for c in range(copies)])
+        shift = np.arange(copies, dtype=np.int32)[:, None] * self._CL
+        self.link_base = np.where(link_base >= 0, link_base + shift,
+                                  np.int32(-1)).ravel()
 
         # --- per-VC state, struct-of-arrays over all L lines ----------
         self.state = np.full(self._L, IDLE, dtype=np.int8)
@@ -325,19 +394,7 @@ class FastNetwork:
     def _bind_kernel(self) -> None:
         """Point the compiled step at the current state arrays."""
         self._layout = self._kernel.bind(
-            dict(nodes=self._N, local_nodes=self._NL, ports=self._P,
-                 vcs=self._V, depth=self._D, lines=self._L,
-                 lines_per_copy=self._CL,
-                 route_latency=self._route_latency,
-                 va_latency=self._va_latency,
-                 link_latency=self._link_latency,
-                 credit_latency=self._credit_latency,
-                 flit_horizon=self._flit_horizon,
-                 credit_horizon=self._credit_horizon,
-                 multi=self._multi, copies=self.copies,
-                 packet_length=self.config.packet_length,
-                 capacity=self.pkt_dst.size,
-                 node_period=self._node_period),
+            layout_scalars(self.config, self.copies, self.pkt_dst.size),
             self)
 
     @property
@@ -396,11 +453,10 @@ class FastNetwork:
         ``periods_ns[c]`` from time 0 (:meth:`retune` changes it), and
         draws from ``injections[c]`` in the node cycles that clock
         completes, one draw per step.  The compiled step draws the
-        replicas whose law compiles
-        (:meth:`InjectionProcess.compiled_law`) on homogeneous node
-        clocks; :meth:`step_cycle` draws the others, and all of them on
-        the NumPy step, through a :class:`~repro.noc.clock.NodeSource`,
-        the Python-drawn ones first.
+        replicas that have a :func:`kernel_law`; :meth:`step_cycle`
+        draws the others, and all of them on the NumPy step, through a
+        :class:`~repro.noc.clock.NodeSource`, the Python-drawn ones
+        first.
         """
         if self._bound or int(self.counters[_STORED]):
             raise ValueError("bind sources once, to an engine without "
@@ -412,17 +468,17 @@ class FastNetwork:
         self._injections = injections   # keeps the generators alive
         self.period_by_copy[:] = periods_ns
         config, local = self.config, self._NL
-        heterogeneous = config.node_freqs_hz is not None
         python, compiled, cycles, factors = [], [], [], []
         for copy, injection in enumerate(injections):
             base = copy * local
             self.pkt_prob[base:base + local] = injection.packet_prob
             source = (copy, NodeSource(injection, config.f_node_hz,
                                        config.node_freqs_hz))
-            law = None if heterogeneous else injection.compiled_law()
+            law = kernel_law(config, injection.spec)
             if law is None:
                 python.append(source)
             else:
+                injection.check_law(law)
                 compiled.append(source)
                 self.law_by_copy[copy] = LAWS.index(
                     "uniform" if law.dests is None else "table")

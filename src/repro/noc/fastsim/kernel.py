@@ -117,6 +117,20 @@ DTYPES = {"state": np.dtype(np.int8), "fifo_len": np.dtype(np.int16),
                           np.dtype(np.uint64))}
 
 
+def dtype_of(name: str) -> np.dtype:
+    """The dtype of array ``name``: :data:`DTYPES`, else int64."""
+    return DTYPES.get(name, np.dtype(np.int64))
+
+
+def state_bytes(scalars: dict[str, int]) -> int:
+    """Bytes of an engine's stepping state: every :data:`ARRAYS` entry
+    but the packet store (:data:`STORE`).  The step tables count as
+    empty, as they are until ``bind_sources`` fills them."""
+    lengths = _lengths(scalars)
+    return sum(lengths.get(name, 0) * dtype_of(name).itemsize
+               for name in ARRAYS if name not in STORE)
+
+
 def _lengths(scalars: dict[str, int]) -> dict[str, int]:
     """The element count ``kernel.c`` assumes for each array; the step
     tables (``step_cycles``, ``step_factors``) may have any length."""
@@ -204,7 +218,7 @@ class Kernel:
         lengths = _lengths(scalars)
         for name in ARRAYS:
             array = getattr(engine, name)
-            dtype = DTYPES.get(name, np.dtype(np.int64))
+            dtype = dtype_of(name)
             length = lengths.get(name, array.size)
             if (array.dtype != dtype or array.size != length
                     or not array.flags.c_contiguous):

@@ -77,7 +77,7 @@ class RunReport:
     #: backend that executed the plan ("serial", "batched",
     #: "distributed")
     backend: str = "serial"
-    #: batch groups (shards) executed as single engine invocations
+    #: batch groups (shards) executed, one ``run_fixed_batch`` each
     groups: int = 0
     #: executed units that ran inside batch groups
     batched_units: int = 0

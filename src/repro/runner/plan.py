@@ -30,12 +30,15 @@ from dataclasses import dataclass
 
 from ..noc.budget import SimBudget
 from ..noc.config import NocConfig
+from ..noc.fastsim.batch import even_widths
 from .cache import UnitCache
 from .units import UnitResult, WorkUnit
 
-#: Widest shard a batched backend executes as one engine.  Bounds the
-#: batched engine's working set; groups wider than this split even on
-#: a single worker.
+#: Most units in one shard, one ``run_fixed_batch`` call: groups wider
+#: than this split even on a single worker.  It bounds a shard's unit
+#: count, so a worker's task and its results stay small; the engines a
+#: shard runs as are bounded by their stepping state instead
+#: (:data:`repro.noc.fastsim.batch.ENGINE_STATE_BYTES`).
 MAX_SHARD_POINTS = 96
 
 #: Narrowest shard worth carving out of a batch-eligible group when
@@ -81,15 +84,11 @@ class BatchGroup:
         """
         if shard_size < 1:
             raise ValueError("shard size must be >= 1")
-        n = len(self.units)
-        if n <= shard_size:
+        if len(self.units) <= shard_size:
             return [self]
-        shards = -(-n // shard_size)            # ceil div
-        base, extra = divmod(n, shards)
         out: list[BatchGroup] = []
         start = 0
-        for i in range(shards):
-            width = base + (1 if i < extra else 0)
+        for width in even_widths(len(self.units), shard_size):
             out.append(BatchGroup(self.config, self.budget, self.engine,
                                   self.units[start:start + width]))
             start += width

@@ -134,8 +134,9 @@ class WorkUnit:
         """Ask the strategy for the steady-state frequency.
 
         Public because the batched backend resolves frequencies before
-        handing the whole group to one engine (strategies with a
-        ``frequency_search`` generator it drives itself, in lockstep).
+        handing the whole group to one ``run_fixed_batch`` call
+        (strategies with a ``frequency_search`` generator it drives
+        itself, in lockstep).
 
         Built-in strategies accept the unit's engine so their search
         simulations run on it too.  User strategies written before the

@@ -139,7 +139,7 @@ def _declared(obj, name: str):
     return getattr(obj, name) if name in type(obj).__dict__ else None
 
 
-def _compiled_law(spec: TrafficSpec) -> ArrivalLaw | None:
+def compiled_law(spec: TrafficSpec) -> ArrivalLaw | None:
     """``spec.arrival_law()`` if ``spec``'s own class defines it."""
     arrival_law = _declared(spec, "arrival_law")
     return arrival_law() if arrival_law is not None else None
@@ -220,7 +220,7 @@ class PiecewiseRateTraffic(TrafficSpec):
     def arrival_law(self) -> ArrivalLaw | None:
         """The base's compiled law under this step table (a base that
         steps itself is drawn in Python)."""
-        base = _compiled_law(self.base)
+        base = compiled_law(self.base)
         if base is None or base.step_cycles is not None:
             return None
         return ArrivalLaw(base.dests, self._step_cycles,
@@ -353,12 +353,17 @@ class InjectionProcess:
 
     def compiled_law(self) -> ArrivalLaw | None:
         """The spec's compiled arrival law (``None`` unless the spec's
-        own class declares one), its step table checked against
-        ``max_factor()``."""
-        law = _compiled_law(self.spec)
-        if law is not None and law.step_factors is not None:
-            self._check_factors(law.step_factors)
+        own class declares one), checked (:meth:`check_law`)."""
+        law = compiled_law(self.spec)
+        if law is not None:
+            self.check_law(law)
         return law
+
+    def check_law(self, law: ArrivalLaw) -> None:
+        """Check the spec's compiled ``law``: its step table against
+        ``max_factor()``."""
+        if law.step_factors is not None:
+            self._check_factors(law.step_factors)
 
     def arrivals(self, num_node_cycles: int) -> list[tuple[int, int, int]]:
         """Draw arrivals for the next ``num_node_cycles`` node cycles.
