@@ -19,8 +19,10 @@ independently of batching, and the fast engine's per-cycle step cost
 on both of its paths (compiled kernel and NumPy fallback) on the 5x5
 paper baseline in one engine of 1, 18 and 72 replicas: the
 batch-width curve.  Its engines are built and driven directly
-(:func:`repro.noc.simulator.drive`), so each row times one engine of
-its width on both paths.  The step cost is the time spent in the
+(:func:`repro.noc.simulator.drive`), which pins each row to one engine
+of its width on both paths whatever rule ``run_fixed_batch`` splits
+by (today the hotspot replicas keep that batch in one engine anyway).
+The step cost is the time spent in the
 engine's ``advance`` over the cycles it moved: the compiled path runs
 a whole segment per call, and the NumPy path one ``step_cycle`` per
 cycle.  It includes drawing and

@@ -10,8 +10,10 @@ but its stepping state grows with width.  So when the compiled step
 runs every replica in whole segments (:func:`runs_whole_segments`),
 the batch runs as consecutive, evenly sized engines, each holding at
 most :data:`ENGINE_STATE_BYTES` of stepping state and so staying in a
-core's cache; otherwise it runs as one engine.  This is the engine's
-intended execution mode for sweeps: the batched execution backend
+core's cache; otherwise it runs as one engine (splitting a batch with
+Python-drawn replicas, timed against one engine, gained on some batch
+shapes and lost on others).  This is the engine's intended execution
+mode for sweeps: the batched execution backend
 (:mod:`repro.runner.backends`) routes eligible work-unit groups here,
 runs its lockstep frequency searches here round by round
 (:func:`run_probe_round`), and it is what

@@ -351,17 +351,9 @@ class InjectionProcess:
                 f"its max_factor() {self._peak_factor!r}; override "
                 f"{name}.max_factor() to return the peak factor")
 
-    def compiled_law(self) -> ArrivalLaw | None:
-        """The spec's compiled arrival law (``None`` unless the spec's
-        own class declares one), checked (:meth:`check_law`)."""
-        law = compiled_law(self.spec)
-        if law is not None:
-            self.check_law(law)
-        return law
-
     def check_law(self, law: ArrivalLaw) -> None:
-        """Check the spec's compiled ``law``: its step table against
-        ``max_factor()``."""
+        """Check the spec's compiled ``law`` (:func:`compiled_law`): its
+        step table against ``max_factor()``."""
         if law.step_factors is not None:
             self._check_factors(law.step_factors)
 

@@ -96,8 +96,10 @@ def heterogeneous(config: NocConfig) -> NocConfig:
 @pytest.mark.parametrize("case", ["numpy", "node-clocks", "python-law"])
 def test_batches_the_compiled_step_cannot_segment_run_as_one_engine(
         widths, monkeypatch, case):
-    """The NumPy step and Python draws pay a cost per engine per cycle,
-    so these batches keep one engine whatever their width."""
+    """The NumPy step pays a cost per engine per cycle that width
+    spreads, and splitting batches with Python-drawn replicas gained
+    on some batch shapes and lost on others, so these batches keep one
+    engine whatever their width."""
     config, points = CONFIG, nine_points()
     if case == "numpy":
         monkeypatch.setattr(kernel, "load_kernel", lambda: None)

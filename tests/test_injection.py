@@ -7,6 +7,7 @@ from repro.noc import Mesh
 from repro.traffic import (InjectionProcess, MatrixTraffic, PatternTraffic,
                            PiecewiseRateTraffic, UniformTraffic,
                            TrafficMatrix, make_pattern)
+from repro.traffic.injection import compiled_law
 
 
 def uniform_spec(mesh, rate):
@@ -107,10 +108,7 @@ class TestInjectionProcess:
 class TestCompiledLaws:
     """Which arrival laws the fast engine's compiled step may draw."""
 
-    @staticmethod
-    def law(spec):
-        return InjectionProcess(spec, 4, np.random.default_rng(0)
-                                ).compiled_law()
+    law = staticmethod(compiled_law)
 
     def test_uniform_and_its_rate_steps_compile(self, mesh4):
         uniform = uniform_spec(mesh4, 0.2)

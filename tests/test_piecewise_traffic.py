@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DmsdController
 from repro.noc import Mesh, NocConfig, Simulation
+from repro.noc.fastsim import FastNetwork
 from repro.traffic import (InjectionProcess, PatternTraffic,
                            PiecewiseRateTraffic, make_pattern)
 
@@ -84,7 +85,8 @@ class TestInjectionWithSteps:
         with pytest.raises(ValueError, match="Unbounded"):
             proc.arrivals(100)
 
-    def test_compiled_step_table_checked_once_at_bind(self, base, rng):
+    def test_compiled_step_table_checked_once_at_bind(self, base, rng,
+                                                      tiny_config):
         class Understated(PiecewiseRateTraffic):
             arrival_law = PiecewiseRateTraffic.arrival_law  # opts in
 
@@ -94,7 +96,7 @@ class TestInjectionWithSteps:
         spec = Understated(base, [(0, 1.0), (10, 3.0)])
         proc = InjectionProcess(spec, packet_length=4, rng=rng)
         with pytest.raises(ValueError, match="Understated"):
-            proc.compiled_law()
+            FastNetwork(tiny_config).bind_sources([proc], [1.0])
 
 
 class TestClosedLoopLoadStep:
