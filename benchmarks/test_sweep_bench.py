@@ -261,7 +261,7 @@ def test_distributed_backend_bit_identical_for_any_worker_count():
                                "cores": default_jobs(),
                                **timings}
     if default_jobs() >= 4:
-        # Cold one-shot fleets, so allow measurement slack — the bug
+        # Cold fleets (a fresh context per count), so allow slack — the bug
         # this pins was 1.9x *slower* at 4 workers, not 20%.
         assert (timings["distributed_4w_s"]
                 <= timings["distributed_1w_s"] * 1.2), (
@@ -376,7 +376,7 @@ def test_pool_scaling_16x16_full_matrix():
             with tempfile.TemporaryDirectory() as queue_dir:
                 context = ExecutionContext(
                     backend="distributed", queue=queue_dir,
-                    workers=workers, pool=True, claim_batch=2,
+                    workers=workers, claim_batch=2,
                     cache=None, engine="fast")
                 try:
                     context.run(_warmup_units_16())

@@ -80,7 +80,8 @@ from ..core.registry import POLICY_REGISTRY, Ref
 from ..noc.config import NocConfig, PAPER_BASELINE
 from ..noc.engines import DEFAULT_ENGINE, engine_names
 from ..runner import (ExecutionContext, UnitCache, backend_names,
-                      default_jobs, print_progress)
+                      print_progress)
+from ..runner.context import KNOBS, check_knobs
 from ..traffic.patterns import PATTERN_REGISTRY
 from .common import FULL, QUICK, Workbench
 from .fig2 import figure2
@@ -361,18 +362,15 @@ def _execution_flags() -> argparse.ArgumentParser:
                             "can execute sweep shards)")
     flags.add_argument("--workers", type=int, default=0, metavar="N",
                        help="local worker subprocesses to self-spawn "
-                            "for --backend distributed (default 0 = "
-                            "wait for externally started workers)")
-    flags.add_argument("--pool", action="store_true",
-                       help="keep the self-spawned workers warm across "
-                            "every sweep this run submits instead of "
-                            "spawning a fresh fleet per sweep (needs "
-                            "--workers >= 1)")
+                            "for --backend distributed, kept for every "
+                            "sweep this run submits (default 0 = wait "
+                            "for externally started workers)")
     flags.add_argument("--claim-batch", type=int, default=1,
                        metavar="N",
                        help="tasks each self-spawned worker claims per "
                             "queue round-trip (default 1; higher cuts "
-                            "queue chatter on shared filesystems)")
+                            "queue chatter on shared filesystems; needs "
+                            "--workers >= 1)")
     flags.add_argument("--register", action="append", metavar="MODULE",
                        help="import MODULE before anything else (a "
                             "plugin registering custom policies, "
@@ -398,33 +396,20 @@ def _execution_context(args, error) -> ExecutionContext:
     unusable queue directory exits with a usage message naming the
     flag, before any simulation runs.
     """
-    if args.jobs < 0:
-        error("--jobs must be >= 0")
-    if args.workers < 0:
-        error("--workers must be >= 0")
-    if args.claim_batch < 1:
-        error("--claim-batch must be >= 1")
+    knobs = {knob: getattr(args, knob) for knob in KNOBS}
+    try:
+        check_knobs("cli", **knobs)
+    except ValueError as exc:
+        error(str(exc))
     if args.backend == "distributed":
-        if not args.queue:
-            error("--backend distributed requires --queue DIR "
-                  "(the shared work-queue directory)")
-        if args.pool and args.workers < 1:
-            error("--pool needs self-spawned workers (--workers >= 1)")
         from ..runner.distributed import QueueError, WorkQueue
         try:
             WorkQueue(args.queue).ensure()
         except QueueError as exc:
             error(str(exc))
-    elif args.queue or args.workers or args.pool or args.claim_batch != 1:
-        error("--queue/--workers/--pool/--claim-batch are only "
-              "meaningful with --backend distributed")
     return ExecutionContext(
-        backend=args.backend, jobs=args.jobs or default_jobs(),
         cache=None if args.no_cache else UnitCache(),
-        engine=args.engine,
-        progress=print_progress if args.progress else None,
-        queue=args.queue, workers=args.workers,
-        pool=args.pool, claim_batch=args.claim_batch)
+        progress=print_progress if args.progress else None, **knobs)
 
 
 def _scenario_grid(args, error):
@@ -773,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{name} regenerated in {elapsed:.1f}s]")
             print()
     finally:
-        # Retire backend-held resources (the --pool warm worker
+        # Retire backend-held resources (the self-spawned worker
         # fleet) even when a figure fails mid-run.
         context.close()
     totals = bench.runner.totals

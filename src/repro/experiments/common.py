@@ -328,11 +328,11 @@ class Workbench:
         default registry ordering the keys are exactly the old
         ``"no-dvfs"/"rmsd"/"dmsd"`` strings).  With a parallel,
         batched or distributed backend every policy's pending points
-        are submitted as *one* batch, so the worker pool (or the
-        batched engine, or the work queue — whose backend spawns its
-        worker fleet once per submission) sees ``len(policies) x
-        len(rates)`` independent units instead of separate sweeps —
-        per-sweep results are then served from the unit cache.
+        are submitted as *one* batch, so the process pool (or the
+        batched engine, or the work queue and the context's worker
+        fleet) sees ``len(policies) x len(rates)`` independent units
+        instead of separate sweeps — per-sweep results are then served
+        from the unit cache.
         """
         refs = self.policy_refs(policies)
         wide = (self.context.jobs > 1

@@ -20,9 +20,8 @@ to the runner in one object.
 from .backends import (BACKENDS, Backend, BackendRun, BatchedBackend,
                        SerialBackend, backend_names, make_backend)
 from .cache import CacheStats, UnitCache
-from .context import ExecutionContext, context_from_env
-from .executor import (RunReport, RunTotals, SweepRunner, default_jobs,
-                       print_progress)
+from .context import ExecutionContext, context_from_env, default_jobs
+from .executor import RunReport, RunTotals, SweepRunner, print_progress
 from .plan import (BatchGroup, ExecutionPlan, MAX_SHARD_POINTS,
                    MIN_SHARD_POINTS, batch_eligible)
 from .seeding import derive_unit_seed, unit_generator, unit_seed_sequence

@@ -6,7 +6,8 @@ passed down whole, CLI -> Workbench -> run_sweep -> SweepRunner:
 
 * ``backend`` — execution-backend name (:mod:`repro.runner.backends`):
   ``serial``, ``batched``, ``distributed``, or ``auto``;
-* ``jobs`` — worker processes for per-unit fan-out and batch shards;
+* ``jobs`` — worker processes for per-unit fan-out and batch shards
+  (``0`` = all cores, :func:`default_jobs`);
 * ``cache`` — the shared :class:`~repro.runner.cache.UnitCache`
   (``None`` disables unit caching);
 * ``engine`` — default simulation engine for units built under this
@@ -16,16 +17,23 @@ passed down whole, CLI -> Workbench -> run_sweep -> SweepRunner:
   self-spawned local worker count for the ``distributed`` backend
   (``workers=0`` waits on externally started workers; see
   :mod:`repro.runner.distributed`);
-* ``pool`` — keep the self-spawned distributed workers *warm* across
-  submissions (spawn once, serve every sweep this context runs;
-  :meth:`ExecutionContext.close` retires them);
-* ``claim_batch`` — tasks a distributed worker claims per queue
+* ``claim_batch`` — tasks each self-spawned worker claims per queue
   round-trip.
 
+Every rule on these knobs is written once, in :func:`check_knobs`, and
+each front end runs it in its own spelling (:data:`SPELLINGS`):
+``ExecutionContext(claim_batch=0)`` fails naming ``claim_batch``, the
+CLI's ``--claim-batch 0`` naming ``--claim-batch`` and
+``REPRO_CLAIM_BATCH=0`` naming ``REPRO_CLAIM_BATCH``.
+
 The context memoizes its backend instance, so repeated ``run`` calls
-share state the backend keeps across plans (the warm worker pool).
-Call :meth:`~ExecutionContext.close` when done with a context whose
-backend holds external resources; in-process backends make it a no-op.
+share state the backend keeps across plans: the distributed backend's
+self-spawned worker fleet spawns for the first submission that
+publishes work and serves every later one.  Call
+:meth:`~ExecutionContext.close` when done with a context whose backend
+holds external resources; the fleet also retires when the context is
+collected or the interpreter exits, and in-process backends make it a
+no-op.
 
 ``auto`` resolves to ``batched`` when the context's engine is the fast
 engine (its sweeps then execute through
@@ -54,10 +62,85 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Progress callback signature: (units done, units total, latest result).
 ProgressFn = Callable[[int, int, "UnitResult"], None]
 
+#: The knobs :func:`check_knobs` rules on, as context field names.
+KNOBS = ("backend", "jobs", "engine", "queue", "workers", "claim_batch")
+
+#: How each front end writes a knob: the name it gives a field, and
+#: what separates that name from a value (``claim_batch=2`` in code,
+#: ``--claim-batch 2`` on the command line, ``REPRO_CLAIM_BATCH=2`` in
+#: the environment).
+SPELLINGS = {
+    "code": (lambda name: name, "="),
+    "cli": (lambda name: "--" + name.replace("_", "-"), " "),
+    "env": (lambda name: "REPRO_" + name.upper(), "="),
+}
+
+
+def default_jobs() -> int:
+    """A sensible worker count for this host (at least 1).
+
+    Prefers the scheduling affinity mask over the raw core count so
+    containers with a CPU quota don't oversubscribe.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # non-Linux platforms
+        cores = os.cpu_count() or 1
+    return max(1, cores)
+
 
 def default_cache() -> UnitCache:
     """A fresh unit cache (the context default)."""
     return UnitCache()
+
+
+def check_knobs(spelling: str, backend: str, jobs: int, engine: str,
+                queue: str | None, workers: int,
+                claim_batch: int) -> None:
+    """Raise ``ValueError`` unless the knobs describe a valid context.
+
+    The one place each rule on the context's knobs is written.  The
+    message names every knob as ``spelling`` (a :data:`SPELLINGS` key)
+    writes it, so the user reads back what they typed.
+    """
+    name, sep = SPELLINGS[spelling]
+
+    def setting(knob: str, value) -> str:
+        return f"{name(knob)}{sep}{value}"
+
+    if backend != "auto" and backend not in backend_names():
+        known = ", ".join(backend_names() + ("auto",))
+        raise ValueError(f"unknown {name('backend')} {backend!r}; "
+                         f"known: {known}")
+    if engine not in engine_names():
+        raise ValueError(f"unknown {name('engine')} {engine!r}; known: "
+                         f"{', '.join(engine_names())}")
+    if jobs < 0:
+        raise ValueError(f"{name('jobs')} must be >= 0 (0 = all cores)")
+    if workers < 0:
+        raise ValueError(f"{name('workers')} must be >= 0")
+    if claim_batch < 1:
+        raise ValueError(f"{name('claim_batch')} must be >= 1")
+    distributed = setting("backend", "distributed")
+    if backend == "distributed":
+        if not queue:
+            raise ValueError(f"{distributed} requires "
+                             f"{setting('queue', 'DIR')} (the shared "
+                             f"work-queue directory)")
+    else:
+        # A queue knob that would be silently ignored is a
+        # misconfiguration, not a default.
+        orphans = [name(knob) for knob, given in
+                   (("queue", queue), ("workers", workers),
+                    ("claim_batch", claim_batch != 1)) if given]
+        if orphans:
+            verb = "is" if len(orphans) == 1 else "are"
+            raise ValueError(f"{'/'.join(orphans)} {verb} only "
+                             f"meaningful with {distributed}")
+    if claim_batch != 1 and workers < 1:
+        raise ValueError(f"{setting('claim_batch', claim_batch)} needs "
+                         f"self-spawned workers ({name('workers')} >= "
+                         f"1), the only workers it configures")
 
 
 @dataclass
@@ -71,34 +154,13 @@ class ExecutionContext:
     progress: ProgressFn | None = None
     queue: str | None = None
     workers: int = 0
-    pool: bool = False
     claim_batch: int = 1
 
     def __post_init__(self) -> None:
-        if (self.backend != "auto"
-                and self.backend not in backend_names()):
-            known = ", ".join(backend_names() + ("auto",))
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"known: {known}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.claim_batch < 1:
-            raise ValueError("claim_batch must be >= 1")
-        if self.engine not in engine_names():
-            raise ValueError(f"unknown engine {self.engine!r}; known: "
-                             f"{', '.join(engine_names())}")
-        if self.backend == "distributed" and not self.queue:
-            raise ValueError("backend 'distributed' requires queue=DIR "
-                             "(the shared work-queue directory)")
-        if self.pool:
-            if self.backend != "distributed":
-                raise ValueError("pool=True is only meaningful with "
-                                 "backend='distributed'")
-            if self.workers < 1:
-                raise ValueError("pool=True needs self-spawned workers "
-                                 "(workers >= 1)")
+        check_knobs("code", **{knob: getattr(self, knob)
+                               for knob in KNOBS})
+        if self.jobs == 0:
+            self.jobs = default_jobs()
         self._runner: "SweepRunner" | None = None
         self._backend = None
 
@@ -124,15 +186,15 @@ class ExecutionContext:
         if self.resolved_backend() != "distributed":
             return {}
         return {"queue_dir": self.queue, "workers": self.workers,
-                "pool": self.pool, "claim_batch": self.claim_batch}
+                "claim_batch": self.claim_batch}
 
     def make_backend(self):
         """The context's backend instance (created on first use).
 
         Memoized so state a backend keeps *across* plans — the
-        distributed backend's warm worker pool — survives repeated
-        ``run`` calls under one context.  In-process backends are
-        stateless; for them this is just an allocation saved.
+        distributed backend's self-spawned worker fleet — survives
+        repeated ``run`` calls under one context.  In-process backends
+        are stateless; for them this is just an allocation saved.
         """
         from .backends import make_backend
 
@@ -143,7 +205,7 @@ class ExecutionContext:
         return self._backend
 
     def close(self) -> None:
-        """Release backend-held resources (warm worker pools).
+        """Release backend-held resources (a self-spawned fleet).
 
         Safe to call any number of times; a context keeps working
         after ``close()`` (the next ``run`` builds a fresh backend).
@@ -189,23 +251,13 @@ def _env_int(name: str, default: str) -> int:
 
 def context_from_env() -> ExecutionContext:
     """Build a context from ``REPRO_BACKEND``/``REPRO_JOBS``/
-    ``REPRO_ENGINE``/``REPRO_QUEUE``/``REPRO_WORKERS``/``REPRO_POOL``/
+    ``REPRO_ENGINE``/``REPRO_QUEUE``/``REPRO_WORKERS``/
     ``REPRO_CLAIM_BATCH`` (the benchmark harness entry point)."""
-    backend = os.environ.get("REPRO_BACKEND", "auto")
-    queue = os.environ.get("REPRO_QUEUE") or None
-    workers = _env_int("REPRO_WORKERS", "0")
-    pool = os.environ.get("REPRO_POOL", "") not in ("", "0")
-    claim_batch = _env_int("REPRO_CLAIM_BATCH", "1")
-    if backend != "distributed" and (queue or workers or pool
-                                     or claim_batch != 1):
-        # Same guard as the CLI: a queue that would be silently
-        # ignored is a misconfiguration, not a default.
-        raise ValueError("REPRO_QUEUE/REPRO_WORKERS/REPRO_POOL/"
-                         "REPRO_CLAIM_BATCH are only meaningful with "
-                         "REPRO_BACKEND=distributed")
-    return ExecutionContext(
-        backend=backend,
-        jobs=_env_int("REPRO_JOBS", "1"),
-        engine=os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE),
-        queue=queue, workers=workers, pool=pool,
-        claim_batch=claim_batch)
+    knobs = {"backend": os.environ.get("REPRO_BACKEND", "auto"),
+             "jobs": _env_int("REPRO_JOBS", "1"),
+             "engine": os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE),
+             "queue": os.environ.get("REPRO_QUEUE") or None,
+             "workers": _env_int("REPRO_WORKERS", "0"),
+             "claim_batch": _env_int("REPRO_CLAIM_BATCH", "1")}
+    check_knobs("env", **knobs)
+    return ExecutionContext(**knobs)

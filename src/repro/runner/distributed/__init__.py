@@ -14,18 +14,19 @@ problem.  This package solves it with files:
 * :mod:`.worker` — the claim/execute/complete loop behind
   ``python -m repro.experiments worker --queue DIR``, with multi-claim
   leases (``--claim-batch``) and backed-off idle polling;
-* :mod:`.pool` — :class:`WorkerPool`: warm local worker fleets that
+* :mod:`.pool` — :class:`WorkerPool`: local worker fleets that
   outlive a single sweep and retire via the queue's shutdown sentinel;
 * :mod:`.collector` — the driver side: block until the plan completes,
   re-enqueue expired leases, surface exhausted retries;
 * :mod:`.backend` — :class:`DistributedBackend`, registered as
   ``backend="distributed"`` (CLI ``--backend distributed --queue DIR
-  --workers N [--pool] [--claim-batch N]``).
+  --workers N [--claim-batch N]``); its self-spawned fleet lives as
+  long as its execution context.
 
 The determinism guarantee extends unchanged: a distributed sweep is
-bit-identical to a serial one for any worker count, pool lifetime,
-claim batch size, crash schedule or claim interleaving — enforced by
-the fault-injection harness in ``tests/test_distributed.py``.
+bit-identical to a serial one for any worker count, claim batch size,
+crash schedule or claim interleaving — enforced by the fault-injection
+harness in ``tests/test_distributed.py``.
 """
 
 from .backend import DistributedBackend

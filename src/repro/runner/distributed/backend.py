@@ -7,19 +7,20 @@ through the runner exactly like any other backend.  Who the workers
 are is the deployment's choice:
 
 * ``workers=N`` (CLI ``--workers N``) self-spawns ``N`` local worker
-  subprocesses — zero-setup multi-process distribution on one machine;
-* ``workers=N, pool=True`` (CLI ``--pool``) keeps that fleet **warm**:
-  the subprocesses spawn once and serve every subsequent ``execute()``
-  call (a Workbench regenerating several figures, repeated sweeps in
-  one session) instead of paying interpreter+import startup per sweep
-  — the cost that made small multi-worker sweeps *slower* than one
-  worker.  ``close()`` (via ``ExecutionContext.close()``) retires the
-  fleet;
+  subprocesses — zero-setup multi-process distribution on one machine.
+  The fleet spawns for the first ``execute()`` call that publishes
+  work and serves every later one (a Workbench regenerating several
+  figures, repeated sweeps in one session), so interpreter and import
+  start-up is paid once per backend, not once per sweep.  It retires
+  on ``close()`` (via ``ExecutionContext.close()``), or when the
+  backend is collected or the interpreter exits: no worker outlives
+  its driver;
 * ``workers=0`` publishes and waits for *external* workers: processes
   started by hand, by a cluster scheduler, or on other hosts sharing
   the queue directory (``python -m repro.experiments worker --queue
   DIR`` on each).
 
+The knobs arrive validated (:func:`repro.runner.context.check_knobs`).
 Self-spawned workers are babysat from the collector's poll hook: a
 worker that dies while shards remain is respawned (within a bounded,
 per-round budget), and if no subprocess can run at all the driver
@@ -29,13 +30,13 @@ process pool gives.
 Teardown is graceful: the driver publishes a shutdown sentinel, idle
 workers exit on their own within the poll cap, and only stragglers are
 terminated.  Results are bit-identical to ``serial`` for any worker
-count, pool lifetime, claim batch size, crash schedule or claim
-interleaving, because every unit's seed derives from its spec digest
-alone.
+count, claim batch size, crash schedule or claim interleaving, because
+every unit's seed derives from its spec digest alone.
 """
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 from ..backends import BackendRun, FinishFn
@@ -63,59 +64,45 @@ class DistributedBackend:
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  poll_s: float = 0.05,
                  timeout_s: float | None = None,
-                 pool: bool = False,
                  claim_batch: int = 1) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if pool and workers < 1:
-            raise ValueError("pool=True needs self-spawned workers "
-                             "(workers >= 1); external fleets manage "
-                             "their own lifecycle")
-        if claim_batch < 1:
-            raise ValueError("claim_batch must be >= 1")
         self.queue_dir = Path(queue_dir)
         self.workers = workers
         self.lease_ttl_s = lease_ttl_s
         self.max_attempts = max_attempts
         self.poll_s = poll_s
         self.timeout_s = timeout_s
-        self.pool = pool
         self.claim_batch = claim_batch
-        #: the warm fleet, kept across execute() calls when pool=True
+        #: the self-spawned fleet, kept across execute() calls
         self._pool: WorkerPool | None = None
+        self._retire: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
     def _fleet(self) -> WorkerPool:
-        """The fleet for this round: warm (reused) or one-shot."""
-        if self.pool:
-            if self._pool is None or self._pool.closed:
-                self._pool = WorkerPool(
-                    self.queue_dir, self.workers,
-                    lease_ttl_s=self.lease_ttl_s, poll_s=self.poll_s,
-                    max_attempts=self.max_attempts,
-                    claim_batch=self.claim_batch)
-            return self._pool
-        return WorkerPool(
-            self.queue_dir, self.workers,
-            lease_ttl_s=self.lease_ttl_s, poll_s=self.poll_s,
-            max_attempts=self.max_attempts,
-            claim_batch=self.claim_batch,
-            max_idle_s=max(WorkerPool.ONESHOT_MAX_IDLE_S,
-                           5.0 * self.lease_ttl_s))
+        """The self-spawned fleet, spawned on first use."""
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.queue_dir, self.workers,
+                lease_ttl_s=self.lease_ttl_s, poll_s=self.poll_s,
+                max_attempts=self.max_attempts,
+                claim_batch=self.claim_batch)
+            # The fleet retires with its driver: at close(), or when
+            # this backend is collected or the interpreter exits.
+            self._retire = weakref.finalize(self, self._pool.close)
+        return self._pool
 
     def close(self) -> None:
-        """Retire the warm fleet (no-op without ``pool=True``)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Retire the self-spawned fleet (no-op if none was spawned)."""
+        if self._retire is not None:
+            self._retire()
+        self._pool = self._retire = None
 
     # ------------------------------------------------------------------
     def execute(self, plan: ExecutionPlan, jobs: int,
                 finish: FinishFn) -> BackendRun:
         queue = WorkQueue(self.queue_dir,
                           lease_ttl_s=self.lease_ttl_s).ensure()
-        # A sentinel left by an earlier round's teardown must not
-        # retire workers spawned for this one.
+        # A sentinel left by an earlier fleet's teardown must not
+        # retire the workers serving this round.
         queue.clear_shutdown()
         # Shard so every worker stays busy; a lone worker still
         # batches.  With an external fleet (workers=0) the count is
@@ -153,18 +140,9 @@ class DistributedBackend:
                 # sweep still completes, identically.
                 fallback.run_once()
 
-        try:
-            Collector(queue, [t.task_id for t in tasks],
-                      max_attempts=self.max_attempts,
-                      poll_s=self.poll_s,
-                      timeout_s=self.timeout_s).collect(
-                finish, on_poll=tend)
-        finally:
-            if fleet is not None and not self.pool:
-                # One-shot fleet: sentinel-retire it now.  A warm pool
-                # stays up for the next round (close() ends it).
-                fleet.close()
-                queue.clear_shutdown()
+        Collector(queue, [t.task_id for t in tasks],
+                  max_attempts=self.max_attempts, poll_s=self.poll_s,
+                  timeout_s=self.timeout_s).collect(finish, on_poll=tend)
         # Honest accounting: a plan served wholly from pre-existing
         # results/ (enqueued == 0) never left this process.
         run.parallel = peak_alive > 0 or (self.workers == 0

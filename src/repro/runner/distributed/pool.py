@@ -1,12 +1,11 @@
-"""Warm worker pools: local worker subprocesses that outlive a sweep.
+"""Worker pools: local worker subprocesses that outlive a sweep.
 
-The PR-4 backend paid the full interpreter+import spawn cost for every
-``execute()`` call — fatal on small sweeps, where spawning N pythons
-costs more than the work itself (the measured inverse scaling on the
-8x8 sweep).  A :class:`WorkerPool` spawns the fleet **once** and keeps
-it alive across any number of published plans: workers idle between
-rounds (cheap — idle polling backs off exponentially) and pick the
-next plan's shards up within the bounded poll cap.
+Spawning a worker costs an interpreter start and the package's
+imports, more than the work itself on a small sweep.  A
+:class:`WorkerPool` spawns the fleet **once** and keeps it alive
+across any number of published plans: workers idle between rounds
+(cheap — idle polling backs off exponentially) and pick the next
+plan's shards up within the bounded poll cap.
 
 Lifecycle:
 
@@ -20,11 +19,11 @@ Lifecycle:
   first), then terminate stragglers.  Workers exiting via the sentinel
   finish cleanly: logs flushed, exit code 0.
 
-If the driver dies so hard its ``close()`` never runs (SIGKILL, OOM),
-workers self-exit after ``max_idle_s`` without claimable work — the
-orphan bound.  It is set generously (pool workers are *meant* to idle
-between sweeps) and ``ensure()`` respawns any worker the bound reaped
-prematurely.
+If the driver dies so hard that ``close()`` never runs (SIGKILL, OOM),
+workers self-exit after :attr:`WorkerPool.MAX_IDLE_S` without
+claimable work — the orphan bound.  A worker that idles out between
+two rounds of a live driver costs only a respawn: ``ensure()`` tops
+the fleet back up when the next round publishes.
 """
 
 from __future__ import annotations
@@ -69,22 +68,16 @@ def _worker_env() -> dict[str, str]:
 class WorkerPool:
     """A persistent fleet of local worker subprocesses on one queue."""
 
-    #: Orphan bound for one-shot (non-pool) self-spawned workers: only
-    #: reached if the driver dies so hard its teardown never runs; the
-    #: sentinel retires workers promptly on every normal path.
-    ONESHOT_MAX_IDLE_S = 60.0
-
-    #: Orphan bound for warm pool workers — generous, because idling
-    #: between sweeps is their normal state, and ``ensure()`` respawns
-    #: any worker it reaps under a still-live driver.
-    POOL_MAX_IDLE_S = 600.0
+    #: Orphan bound: a worker idle this long (or five lease TTLs, if
+    #: longer) exits on its own; it matters only if the driver died
+    #: without retiring the fleet.
+    MAX_IDLE_S = 60.0
 
     def __init__(self, queue_dir: str | Path, workers: int,
                  lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
                  poll_s: float = 0.05,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 claim_batch: int = 1,
-                 max_idle_s: float | None = None) -> None:
+                 claim_batch: int = 1) -> None:
         if workers < 1:
             raise ValueError("a worker pool needs workers >= 1")
         self.queue_dir = Path(queue_dir)
@@ -93,8 +86,7 @@ class WorkerPool:
         self.poll_s = poll_s
         self.max_attempts = max_attempts
         self.claim_batch = claim_batch
-        self.max_idle_s = (max(self.POOL_MAX_IDLE_S, 5.0 * lease_ttl_s)
-                           if max_idle_s is None else max_idle_s)
+        self.max_idle_s = max(self.MAX_IDLE_S, 5.0 * lease_ttl_s)
         self.procs: list[subprocess.Popen] = []
         self._spawned = 0
         self.spawns_left = 0

@@ -208,8 +208,6 @@ class WorkQueue:
         built on it) is unchanged; losing a rename race skips to the
         next ticket.
         """
-        if n < 1:
-            raise ValueError("claim batch size must be >= 1")
         worker_id = worker_id or default_worker_id()
         ttl_s = self.lease_ttl_s if ttl_s is None else ttl_s
         todo, claimed = self._dir("todo"), self._dir("claimed")
@@ -459,7 +457,7 @@ class WorkQueue:
         return self._dir("control") / "shutdown.json"
 
     def request_shutdown(self, now: float | None = None) -> None:
-        """Ask idle workers to exit (the self-spawn/pool teardown).
+        """Ask idle workers to exit (a self-spawned fleet's teardown).
 
         The sentinel is timestamped so only workers that started
         *before* the request honour it: a stale sentinel left on disk

@@ -54,8 +54,6 @@ class Worker:
     def __init__(self, queue: WorkQueue, worker_id: str | None = None,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  claim_batch: int = 1) -> None:
-        if claim_batch < 1:
-            raise ValueError("claim_batch must be >= 1")
         self.queue = queue
         self.worker_id = (worker_id or
                           f"{default_worker_id()}-{next(_worker_counter)}")
@@ -157,7 +155,7 @@ class Worker:
         unbounded), after ``max_idle_s`` seconds without claimable work
         (``None`` = wait forever), or as soon as the queue is idle and
         the driver has published a shutdown sentinel at or after
-        ``since`` (the warm-pool/self-spawn teardown path — workers
+        ``since`` (the self-spawned fleet's teardown — workers
         always drain claimable work before honouring it).  ``since``
         defaults to this loop's start; a spawning driver passes the
         spawn time instead, so a sentinel published while the worker

@@ -27,7 +27,6 @@ and use its shared runner (``context.runner``); ``Workbench`` and
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (see
@@ -39,19 +38,6 @@ from typing import Sequence
 from .context import ExecutionContext
 from .plan import ExecutionPlan
 from .units import UnitResult, WorkUnit
-
-
-def default_jobs() -> int:
-    """A sensible worker count for this host (at least 1).
-
-    Prefers the scheduling affinity mask over the raw core count so
-    containers with a CPU quota don't oversubscribe.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux platforms
-        cores = os.cpu_count() or 1
-    return max(1, cores)
 
 
 def print_progress(done: int, total: int, latest: UnitResult) -> None:
@@ -170,7 +156,7 @@ class SweepRunner:
 
         backend_name = context.resolved_backend()
         # The context memoizes its backend, so backend-held state (the
-        # distributed backend's warm worker pool) spans run() calls.
+        # distributed backend's self-spawned fleet) spans run() calls.
         outcome = context.make_backend().execute(
             plan, context.jobs, finish)
 

@@ -6,6 +6,7 @@ The contract under test: the planner only changes *how* units execute
 group accounting is correct, and the context spellings never warn.
 """
 
+import re
 import warnings
 from collections import Counter
 
@@ -23,7 +24,8 @@ from repro.noc import NocConfig, SimBudget
 from repro.noc.fastsim import batch as batch_module
 from repro.runner import (BatchGroup, ExecutionContext, ExecutionPlan,
                           SweepRunner, UnitCache, WorkUnit,
-                          backend_names, batch_eligible, make_backend)
+                          backend_names, batch_eligible, default_jobs,
+                          make_backend)
 from repro.runner.backends import _execute_group
 from repro.traffic import PatternTraffic, make_pattern
 
@@ -65,6 +67,83 @@ def fingerprint(unit_result):
                   for w in r.power_windows))
 
 
+#: Every rule on the execution knobs: its name, knob settings that
+#: break it, and the fragments its message must hold.  A fragment
+#: writes a knob as ``{knob}`` and a setting as ``{knob value}``, for
+#: :func:`spelled` to render as each front end writes it; a ``queue``
+#: is a directory name under the test's ``tmp_path``.  The CLI tests
+#: (``test_cli.py``), the ``REPRO_*`` tests (``test_distributed.py``)
+#: and the constructor test below all run this one table.
+KNOB_RULES = {
+    "unknown-backend": ({"backend": "warp"}, ("{backend}", "'warp'")),
+    "unknown-engine": ({"engine": "warp"}, ("{engine}", "'warp'")),
+    "negative-jobs": ({"jobs": -1}, ("{jobs} must be >= 0",)),
+    "negative-workers": (
+        {"backend": "distributed", "queue": "q", "workers": -1},
+        ("{workers} must be >= 0",)),
+    "claim-batch-below-1": (
+        {"backend": "distributed", "queue": "q", "workers": 1,
+         "claim_batch": 0},
+        ("{claim_batch} must be >= 1",)),
+    "distributed-without-queue": (
+        {"backend": "distributed"},
+        ("{backend distributed} requires {queue DIR}",)),
+    "orphan-queue": (
+        {"queue": "q"},
+        ("{queue} is only meaningful with {backend distributed}",)),
+    "orphan-workers": (
+        {"workers": 2},
+        ("{workers} is only meaningful with {backend distributed}",)),
+    "orphan-queue-and-workers": (
+        {"queue": "q", "workers": 3},
+        ("{queue}/{workers} are only meaningful with "
+         "{backend distributed}",)),
+    "orphan-claim-batch": (
+        {"claim_batch": 2},
+        ("{claim_batch} is only meaningful with {backend distributed}",)),
+    "claim-batch-without-workers": (
+        {"backend": "distributed", "queue": "q", "workers": 0,
+         "claim_batch": 3},
+        ("{claim_batch 3} needs self-spawned workers ({workers} >= 1)",)),
+}
+
+#: Marks of the other front ends, absent from each one's messages.
+_FOREIGN = {"code": ("--", "REPRO_"), "cli": ("REPRO_",), "env": ("--",)}
+
+
+def spell(spelling: str, knob: str, value=None) -> str:
+    """``knob`` (with ``value``) as ``spelling`` writes it:
+    ``claim_batch=2``, ``--claim-batch 2`` or ``REPRO_CLAIM_BATCH=2``."""
+    name = {"code": knob, "cli": "--" + knob.replace("_", "-"),
+            "env": "REPRO_" + knob.upper()}[spelling]
+    if value is None:
+        return name
+    return f"{name}{' ' if spelling == 'cli' else '='}{value}"
+
+
+def spelled(fragment: str, spelling: str) -> str:
+    """A :data:`KNOB_RULES` message fragment in ``spelling``."""
+    return re.sub(r"\{(\w+)(?: ([^}]+))?\}",
+                  lambda m: spell(spelling, m.group(1), m.group(2)),
+                  fragment)
+
+
+def rule_knobs(rule: str, tmp_path) -> dict:
+    """The knob settings of ``rule``, its queue under ``tmp_path``."""
+    knobs = dict(KNOB_RULES[rule][0])
+    if "queue" in knobs:
+        knobs["queue"] = str(tmp_path / knobs["queue"])
+    return knobs
+
+
+def check_knob_message(message: str, rule: str, spelling: str) -> None:
+    """``message`` states ``rule`` naming each knob in ``spelling``."""
+    for fragment in KNOB_RULES[rule][1]:
+        assert spelled(fragment, spelling) in message, message
+    assert not any(mark in message for mark in _FOREIGN[spelling]), \
+        message
+
+
 class TestBackendRegistry:
     def test_all_backends_registered(self):
         assert set(backend_names()) == {"serial", "batched",
@@ -90,11 +169,14 @@ class TestExecutionContext:
         ctx = ExecutionContext(backend="serial", engine="fast")
         assert ctx.resolved_backend() == "serial"
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(jobs=0)
-        with pytest.raises(ValueError):
-            ExecutionContext(engine="warp")
+    def test_validation(self, tmp_path):
+        """The constructor enforces every knob rule, naming fields."""
+        for rule in KNOB_RULES:
+            with pytest.raises(ValueError) as excinfo:
+                ExecutionContext(**rule_knobs(rule, tmp_path))
+            check_knob_message(str(excinfo.value), rule, "code")
+        # jobs=0 means all cores here too, as --jobs 0 does.
+        assert ExecutionContext(jobs=0).jobs == default_jobs()
 
     def test_context_runner_is_shared(self):
         ctx = ExecutionContext()

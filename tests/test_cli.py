@@ -14,9 +14,10 @@ from repro.experiments.__main__ import (FIGURES, list_scenarios_main,
 from repro.traffic import pattern_names
 from repro.experiments.common import Profile, Workbench
 from repro.noc import SimBudget
-from repro.runner import ExecutionPlan, Worker, WorkQueue
+from repro.runner import ExecutionPlan, Worker, WorkQueue, default_jobs
 from repro.runner.distributed import publish_plan
-from test_backends import factory, make_units  # noqa: F401
+from test_backends import (check_knob_message, factory,  # noqa: F401
+                           make_units, rule_knobs, spell)
 
 
 class TestCli:
@@ -64,26 +65,38 @@ class TestBadArgumentDiagnostics:
         assert "Traceback" not in err
         return err
 
-    def test_bad_engine_name(self, capsys):
+    def _check_rules(self, capsys, tmp_path, *rules):
+        """Each knob rule of ``test_backends.KNOB_RULES``, broken
+        through the flags of both verbs, exits 2 naming the flags,
+        before any queue directory exists."""
+        for rule in rules:
+            flags = [part for knob, value
+                     in rule_knobs(rule, tmp_path).items()
+                     for part in (spell("cli", knob), str(value))]
+            for argv in EXECUTION_VERBS:
+                err = self._error_output(argv(*flags), capsys)
+                check_knob_message(err, rule, "cli")
+                assert not (tmp_path / "q").exists()
+
+    def test_bad_engine_name(self, capsys, tmp_path):
         err = self._error_output(["--engine", "warp", "fig5"], capsys)
-        assert "--engine" in err
-        assert "invalid choice" in err and "warp" in err
+        assert "invalid choice" in err
         # The message teaches the valid values.
         assert "reference" in err and "fast" in err
+        self._check_rules(capsys, tmp_path, "unknown-engine")
 
     def test_non_integer_jobs(self, capsys):
         err = self._error_output(["--jobs", "many", "fig5"], capsys)
         assert "--jobs" in err
         assert "invalid int value" in err
 
-    def test_negative_jobs(self, capsys):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(argv("--jobs", "-3"), capsys)
-            assert "--jobs must be >= 0" in err
+    def test_negative_jobs(self, capsys, tmp_path):
+        self._check_rules(capsys, tmp_path, "negative-jobs")
 
     def test_engine_flag_reaches_workbench(self, capsys, monkeypatch):
-        """`--engine fast` must reach the Workbench's execution context
-        (fig5 is analytic, so the run itself stays instant)."""
+        """`--engine fast` must reach the Workbench's execution context,
+        and `--jobs 0` as all cores (fig5 is analytic, so the run itself
+        stays instant)."""
         import repro.experiments.__main__ as cli
 
         captured = {}
@@ -94,23 +107,21 @@ class TestBadArgumentDiagnostics:
                 super().__init__(**kwargs)
 
         monkeypatch.setattr(cli, "Workbench", SpyWorkbench)
-        assert main(["--engine", "fast", "fig5"]) == 0
+        assert main(["--engine", "fast", "--jobs", "0", "fig5"]) == 0
         assert captured["context"].engine == "fast"
+        assert captured["context"].jobs == default_jobs()
         assert captured["context"].resolved_backend() == "batched"
         assert "fig5" in capsys.readouterr().out
 
-    def test_bad_backend_name(self, capsys):
+    def test_bad_backend_name(self, capsys, tmp_path):
         err = self._error_output(["--backend", "warp", "fig5"], capsys)
-        assert "--backend" in err
-        assert "invalid choice" in err and "warp" in err
+        assert "invalid choice" in err
         assert "serial" in err and "batched" in err
         assert "distributed" in err
+        self._check_rules(capsys, tmp_path, "unknown-backend")
 
-    def test_distributed_requires_queue(self, capsys):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(
-                argv("--backend", "distributed"), capsys)
-            assert "--backend distributed requires --queue" in err
+    def test_distributed_requires_queue(self, capsys, tmp_path):
+        self._check_rules(capsys, tmp_path, "distributed-without-queue")
 
     def test_bad_queue_dir_reports_usable_message(self, capsys,
                                                   tmp_path):
@@ -130,42 +141,25 @@ class TestBadArgumentDiagnostics:
 
     def test_queue_and_workers_need_distributed_backend(self, capsys,
                                                         tmp_path):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(
-                argv("--queue", str(tmp_path / "q")), capsys)
-            assert "only meaningful with --backend distributed" in err
-            err = self._error_output(argv("--workers", "2"), capsys)
-            assert "only meaningful with --backend distributed" in err
+        self._check_rules(capsys, tmp_path, "orphan-queue",
+                          "orphan-workers", "orphan-queue-and-workers")
 
     def test_negative_workers(self, capsys, tmp_path):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(
-                argv("--backend", "distributed", "--queue",
-                     str(tmp_path / "q"), "--workers", "-1"), capsys)
-            assert "--workers must be >= 0" in err
+        self._check_rules(capsys, tmp_path, "negative-workers")
 
-    def test_pool_and_claim_batch_need_distributed_backend(
-            self, capsys):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(argv("--pool"), capsys)
-            assert "only meaningful with --backend distributed" in err
-            err = self._error_output(argv("--claim-batch", "2"),
-                                     capsys)
-            assert "only meaningful with --backend distributed" in err
+    def test_claim_batch_needs_distributed_backend(self, capsys,
+                                                   tmp_path):
+        self._check_rules(capsys, tmp_path, "orphan-claim-batch")
+        # The warm fleet is the only fleet now; its switch is gone.
+        err = self._error_output(EXECUTION_VERBS[0]("--pool"), capsys)
+        assert "unrecognized arguments: --pool" in err
 
-    def test_pool_needs_self_spawned_workers(self, capsys, tmp_path):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(
-                argv("--backend", "distributed", "--queue",
-                     str(tmp_path / "q"), "--pool"), capsys)
-            assert "--pool needs self-spawned workers" in err
+    def test_claim_batch_needs_self_spawned_workers(self, capsys,
+                                                    tmp_path):
+        self._check_rules(capsys, tmp_path, "claim-batch-without-workers")
 
     def test_claim_batch_must_be_positive(self, capsys, tmp_path):
-        for argv in EXECUTION_VERBS:
-            err = self._error_output(
-                argv("--backend", "distributed", "--queue",
-                     str(tmp_path / "q"), "--claim-batch", "0"), capsys)
-            assert "--claim-batch must be >= 1" in err
+        self._check_rules(capsys, tmp_path, "claim-batch-below-1")
 
 
 class TestScenarioFlags:

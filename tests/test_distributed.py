@@ -14,6 +14,7 @@ hangs, never drops or corrupts a unit.
 import contextlib
 import json
 import os
+import textwrap
 import threading
 import time
 
@@ -29,8 +30,9 @@ from repro.runner.distributed import (CollectTimeout, Collector,
                                       plan_tasks, publish_plan,
                                       read_lease)
 from repro.runner.distributed.pool import _worker_env
-from test_backends import (POLICY_STRATEGIES, factory,  # noqa: F401
-                           fingerprint, make_units)
+from test_backends import (KNOB_RULES, POLICY_STRATEGIES,  # noqa: F401
+                           check_knob_message, factory, fingerprint,
+                           make_units, rule_knobs, spell)
 
 #: Short lease so expiry-recovery tests run in milliseconds.
 FAST_TTL = 0.15
@@ -924,17 +926,31 @@ class TestDistributedBackend:
 
     def test_env_rejects_orphan_queue_like_the_cli(self, monkeypatch,
                                                    tmp_path):
-        from repro.runner import context_from_env
+        """``REPRO_*`` enforces every knob rule the CLI does, naming the
+        variable; ``REPRO_JOBS=0`` means all cores, as ``--jobs 0``
+        does; and ``REPRO_POOL`` is no longer read."""
+        from repro.runner import context_from_env, default_jobs
+        from repro.runner.context import KNOBS
 
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_QUEUE", str(tmp_path / "q"))
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            context_from_env()
-        monkeypatch.setenv("REPRO_BACKEND", "distributed")
+        def environ(**knobs):
+            for knob in KNOBS:
+                monkeypatch.delenv(spell("env", knob), raising=False)
+            for knob, value in knobs.items():
+                monkeypatch.setenv(spell("env", knob), str(value))
+
+        for rule in KNOB_RULES:
+            environ(**rule_knobs(rule, tmp_path))
+            with pytest.raises(ValueError) as excinfo:
+                context_from_env()
+            check_knob_message(str(excinfo.value), rule, "env")
+        environ(backend="distributed", queue=tmp_path / "q")
         ctx = context_from_env()
         assert ctx.resolved_backend() == "distributed"
         assert ctx.queue == str(tmp_path / "q")
+        environ(jobs=0, pool="false")
+        ctx = context_from_env()
+        assert ctx.jobs == default_jobs()
+        assert not hasattr(ctx, "pool")
 
     def test_env_integer_knobs_fail_readably(self, monkeypatch,
                                              tmp_path):
@@ -965,12 +981,9 @@ class TestDistributedBackend:
                                queue=str(tmp_path / "q"), workers=3)
         assert ctx.backend_options() == {
             "queue_dir": str(tmp_path / "q"), "workers": 3,
-            "pool": False, "claim_batch": 1}
+            "claim_batch": 1}
         assert ExecutionContext().backend_options() == {}
-        # auto never resolves to distributed, even with a queue set
-        auto = ExecutionContext(queue=str(tmp_path / "q"), workers=3)
-        assert auto.resolved_backend() == "serial"
-        assert auto.backend_options() == {}
+        assert ExecutionContext(backend="batched").backend_options() == {}
 
     def test_spawned_workers_end_to_end_bit_identical(
             self, tmp_path, tiny_config, factory):
@@ -980,7 +993,10 @@ class TestDistributedBackend:
         ctx = ExecutionContext(backend="distributed",
                                queue=str(tmp_path / "q"), workers=2,
                                cache=UnitCache(), engine="fast")
-        results = ctx.run(units)
+        try:
+            results = ctx.run(units)
+        finally:
+            ctx.close()
         assert [fingerprint(r) for r in results] == serial
         report = ctx.runner.last_report
         assert report.backend == "distributed"
@@ -992,8 +1008,11 @@ class TestDistributedBackend:
                                      queue=str(tmp_path / "q"),
                                      workers=2, cache=None,
                                      engine="fast")
-        assert ([fingerprint(r) for r in rerun_ctx.run(units)]
-                == serial)
+        try:
+            assert ([fingerprint(r) for r in rerun_ctx.run(units)]
+                    == serial)
+        finally:
+            rerun_ctx.close()
         assert rerun_ctx.runner.last_report.parallel is False
 
     def test_falls_back_in_process_when_spawning_impossible(
@@ -1011,7 +1030,10 @@ class TestDistributedBackend:
         ctx = ExecutionContext(backend="distributed",
                                queue=str(tmp_path / "q"), workers=2,
                                cache=None, engine="fast")
-        results = ctx.run(units)
+        try:
+            results = ctx.run(units)
+        finally:
+            ctx.close()
         assert [fingerprint(r) for r in results] == serial
         assert ctx.runner.last_report.parallel is False
 
@@ -1024,7 +1046,10 @@ class TestDistributedBackend:
         ctx = ExecutionContext(backend="distributed",
                                queue=str(tmp_path / "q"), workers=2,
                                cache=cache, engine="fast")
-        again = ctx.run(units)
+        try:
+            again = ctx.run(units)
+        finally:
+            ctx.close()
         assert all(r.from_cache for r in again)
         assert ctx.runner.last_report.executed == 0
 
@@ -1125,13 +1150,6 @@ class TestClaimBatch:
         rest = queue.claim_batch(10, "w2")
         assert [c.task_id for c in rest] == ["d-4", "e-5"]
         assert queue.claim_batch(1, "w3") == []
-
-    def test_claim_batch_validates(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q").ensure()
-        with pytest.raises(ValueError, match=">= 1"):
-            queue.claim_batch(0, "w")
-        with pytest.raises(ValueError, match="claim_batch"):
-            Worker(queue, claim_batch=0)
 
     def test_renew_many_extends_every_lease(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", lease_ttl_s=0.2).ensure()
@@ -1367,10 +1385,20 @@ class TestWorkerPool:
         assert all(p.terminated for p in procs)  # sentinel in time
 
 
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live (not zombie) process?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 # ---------------------------------------------------------------------
 class TestWarmPool:
-    """Self-spawned fleets end to end: one-shot teardown and pool
-    reuse across rounds (the PR-6 inverse-scaling fix)."""
+    """Self-spawned fleets end to end: one fleet serves every round of
+    its context and retires with it (the PR-6 inverse-scaling fix)."""
 
     @pytest.fixture
     def record_spawns(self, monkeypatch):
@@ -1388,29 +1416,31 @@ class TestWarmPool:
         monkeypatch.setattr(pool_mod.subprocess, "Popen", recording)
         return spawned
 
-    def test_oneshot_fleet_gone_when_run_returns(
+    def test_fleet_gone_after_close(
             self, tmp_path, tiny_config, factory, record_spawns):
-        """Without --pool, run_sweep leaves no worker subprocess
-        behind — and the sentinel retires them gracefully (exit 0),
-        not by SIGTERM."""
+        """``close()`` leaves no worker subprocess behind — and the
+        sentinel retires them gracefully (exit 0), not by SIGTERM."""
         units = three_policy_units(tiny_config, factory)
         serial = serial_fingerprints(units)
         ctx = ExecutionContext(backend="distributed",
                                queue=str(tmp_path / "q"), workers=2,
                                cache=None, engine="fast")
-        results = ctx.run(units)
+        try:
+            results = ctx.run(units)
+        finally:
+            ctx.close()
         assert [fingerprint(r) for r in results] == serial
         assert record_spawns, "fleet never spawned"
         for proc in record_spawns:
-            assert proc.poll() is not None, "live worker after run()"
+            assert proc.poll() is not None, "live worker after close()"
             assert proc.returncode == 0, "worker was terminated, " \
                 "not sentinel-retired"
 
     def test_warm_pool_reuses_workers_across_rounds(
             self, tmp_path, tiny_config, factory, record_spawns):
-        """pool=True: two sweeps, one fleet — the processes serving
-        round 2 are the same ones spawned for round 1, and both
-        rounds are bit-identical to serial."""
+        """Two sweeps, one fleet — the processes serving round 2 are
+        the same ones spawned for round 1, and both rounds are
+        bit-identical to serial."""
         units_a = make_units(tiny_config, factory,
                              rates=(0.04, 0.08, 0.12))
         units_b = make_units(tiny_config, factory,
@@ -1419,8 +1449,7 @@ class TestWarmPool:
         serial_b = serial_fingerprints(units_b)
         ctx = ExecutionContext(backend="distributed",
                                queue=str(tmp_path / "q"), workers=2,
-                               pool=True, claim_batch=2,
-                               cache=None, engine="fast")
+                               claim_batch=2, cache=None, engine="fast")
         try:
             assert ([fingerprint(r) for r in ctx.run(units_a)]
                     == serial_a)
@@ -1441,9 +1470,68 @@ class TestWarmPool:
             assert proc.returncode == 0
         # A closed context still works: the next run builds a fresh
         # backend (and fleet) transparently.
-        assert ([fingerprint(r) for r in ctx.run(units_a)]
-                == serial_a)
-        ctx.close()
+        try:
+            assert ([fingerprint(r) for r in ctx.run(units_a)]
+                    == serial_a)
+        finally:
+            ctx.close()
+
+    def test_fleet_retires_with_its_driver(self, tmp_path):
+        """A driver that never calls ``close()`` still leaves no
+        worker behind: a collected context retires its fleet, and so
+        does an interpreter that exits holding one — at once, not
+        after the orphan bound (``WorkerPool.MAX_IDLE_S``)."""
+        import subprocess
+        import sys
+
+        script = textwrap.dedent("""
+            import gc, json, sys
+            from repro.analysis import NoDvfsSteadyState, sweep_units
+            from repro.noc import NocConfig, SimBudget
+            from repro.runner import ExecutionContext
+            from repro.traffic import PatternTraffic, make_pattern
+
+            config = NocConfig(width=3, height=3, num_vcs=2,
+                               vc_buf_depth=2, packet_length=3)
+            pattern = make_pattern("uniform", config.make_mesh())
+
+            def fleet(queue, rate):
+                ctx = ExecutionContext(backend="distributed",
+                                       queue=queue, workers=1,
+                                       cache=None, engine="fast")
+                ctx.run(sweep_units(
+                    config, lambda r: PatternTraffic(pattern, r),
+                    [rate], NoDvfsSteadyState(),
+                    SimBudget(200, 500, 1500), 7, "fast"))
+                return ctx, list(ctx.make_backend()._pool.procs)
+
+            ctx, procs = fleet(sys.argv[1] + "/collected", 0.05)
+            del ctx
+            gc.collect()
+            print(json.dumps([p.poll() for p in procs]))
+            ctx, procs = fleet(sys.argv[1] + "/exited", 0.1)
+            print(json.dumps([p.pid for p in procs]))
+            """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=_worker_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        collected_codes, exited_pids = map(json.loads,
+                                           proc.stdout.splitlines())
+        assert collected_codes == [0], "collection did not retire " \
+            "the fleet gracefully"
+        deadline = time.monotonic() + 5.0
+        while (any(_running(pid) for pid in exited_pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert not any(_running(pid) for pid in exited_pids), \
+            "a worker outlived its driver"
+        # Both fleets exited through the sentinel, logging their tally.
+        for name in ("collected", "exited"):
+            logs = "".join(path.read_text() for path in
+                           (tmp_path / name / "logs").glob("*.log"))
+            assert logs.count("task(s) handled") == 1, logs
 
     def test_warm_rounds_survive_mid_round_crash_inprocess(
             self, tmp_path, tiny_config, factory):

@@ -12,7 +12,7 @@ from repro.analysis import (DmsdSteadyState, NoDvfsSteadyState,
                             RmsdSteadyState, run_sweep, sweep_units)
 from repro.noc import GHZ, SimBudget
 from repro.runner import (ExecutionContext, UnitCache, WorkUnit,
-                          derive_unit_seed, unit_generator)
+                          default_jobs, derive_unit_seed, unit_generator)
 from repro.runner import executor as executor_mod
 from repro.traffic import PatternTraffic, make_pattern
 
@@ -218,8 +218,10 @@ class TestSerialFallback:
                 == [result_fingerprint(r) for r in clean])
 
     def test_rejects_nonpositive_jobs(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(jobs=0, cache=None).runner
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            ExecutionContext(jobs=-1, cache=None).runner
+        assert (ExecutionContext(jobs=0, cache=None).runner.context.jobs
+                == default_jobs())
 
 
 class TestReporting:
