@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Sequence
 
 from ..control.adaptive import GCC_ALPHA
 from ..core.registry import Ref, make_strategy, register_strategy
@@ -53,6 +53,7 @@ __all__ = [
     "SteadyStateStrategy", "StrategyResources", "SweepPoint",
     "SweepSeries", "THOROUGH", "UtilitySteadyState", "point_from_unit",
     "probe_delay_ns", "run_fixed_point", "run_sweep", "strategy_from_ref",
+    "sweep_series",
 ]
 
 
@@ -461,6 +462,14 @@ def point_from_unit(unit_result: UnitResult,
     )
 
 
+def sweep_series(policy: str, results: Sequence[UnitResult],
+                 power_model: PowerModel) -> SweepSeries:
+    """One sweep's series from its unit results, in sweep order."""
+    return SweepSeries(policy=policy,
+                       points=[point_from_unit(out, power_model)
+                               for out in results])
+
+
 def run_sweep(config: NocConfig,
               traffic_factory: Callable[[float], TrafficSpec],
               xs: list[float],
@@ -498,6 +507,5 @@ def run_sweep(config: NocConfig,
         strategy = strategy_from_ref(strategy)
     units = sweep_units(config, traffic_factory, xs, strategy, budget,
                         seed, context.engine, scenario=scenario)
-    points = [point_from_unit(out, power_model)
-              for out in context.runner.run(units)]
-    return SweepSeries(policy=strategy.name, points=points)
+    return sweep_series(strategy.name, context.runner.run(units),
+                        power_model)

@@ -32,7 +32,6 @@ import ast
 import inspect
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -215,11 +214,6 @@ class Registry:
     def names(self) -> tuple[str, ...]:
         """Registered names, in registration order."""
         return tuple(self._factories)
-
-    @property
-    def mapping(self) -> Mapping[str, Callable]:
-        """Live read-only name -> factory view (compatibility dict)."""
-        return MappingProxyType(self._factories)
 
     def factory(self, name: str) -> Callable:
         try:

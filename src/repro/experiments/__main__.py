@@ -380,7 +380,7 @@ def _execution_flags() -> argparse.ArgumentParser:
     flags.add_argument("--no-cache", action="store_true",
                        help="disable the per-unit result cache (no "
                             "simulation reuse across different sweep "
-                            "grids or batched submissions)")
+                            "grids)")
     flags.add_argument("--tiny", action="store_true",
                        help="run on a tiny 3x3 mesh (smoke runs/CI, "
                             "not the paper's numbers)")

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from ..analysis.saturation import SaturationEstimate, find_saturation_rate
 from ..analysis.sweep import (FAST, SimBudget, StrategyResources,
-                              SweepSeries, run_fixed_point, run_sweep,
-                              strategy_from_ref)
+                              SweepSeries, run_fixed_point,
+                              strategy_from_ref, sweep_series,
+                              sweep_units)
 from ..core.registry import (POLICY_REGISTRY, Ref, as_policy_ref,
                              default_policies)
 from ..noc.config import NocConfig
 from ..power.model import PowerModel
-from ..runner import ExecutionContext, context_from_env
-from ..scenario import ScenarioSpec, run_scenario_sweep
+from ..runner import ExecutionContext, RunReport, context_from_env
+from ..scenario import ScenarioSpec
 from ..traffic.injection import PatternTraffic, TrafficSpec
 from ..traffic.patterns import as_pattern_ref, make_pattern
 
@@ -161,12 +162,24 @@ class Workbench:
     def saturation(self, config: NocConfig,
                    pattern: Ref | str) -> SaturationEstimate:
         """Saturation rate and ``lambda_max`` for a scenario (cached)."""
-        key = (config, as_pattern_ref(pattern))
+        return self.family_saturation(config, as_pattern_ref(pattern),
+                                      self.pattern_factory(config, pattern))
+
+    def family_saturation(self, config: NocConfig, family: Hashable,
+                          traffic_at: Callable[[float], TrafficSpec],
+                          hi: float = 1.0) -> SaturationEstimate:
+        """:meth:`saturation` for any keyed traffic family (cached).
+
+        ``family`` keys the memo with ``config`` (a pattern ref, or an
+        application's matrix); ``traffic_at`` maps a mean node rate to
+        the family's traffic and ``hi`` tops the bisection bracket.
+        """
+        key = (config, family)
         if key not in self._saturation:
             self._saturation[key] = find_saturation_rate(
-                config, self.pattern_factory(config, pattern),
-                budget=self.budget_for(config), seed=self.seed,
-                iterations=self.profile.saturation_iterations,
+                config, traffic_at, budget=self.budget_for(config),
+                seed=self.seed,
+                iterations=self.profile.saturation_iterations, hi=hi,
                 engine=self.engine)
         return self._saturation[key]
 
@@ -178,11 +191,20 @@ class Workbench:
         target is the full-speed delay at that rate (150 ns for the
         paper's baseline).
         """
-        key = (config, as_pattern_ref(pattern))
+        return self.family_target_ns(config, as_pattern_ref(pattern),
+                                     self.pattern_factory(config, pattern))
+
+    def family_target_ns(self, config: NocConfig, family: Hashable,
+                         traffic_at: Callable[[float], TrafficSpec],
+                         hi: float = 1.0) -> float:
+        """:meth:`dmsd_target_ns` for any keyed traffic family (cached;
+        arguments as for :meth:`family_saturation`)."""
+        key = (config, family)
         if key not in self._target:
-            lam_max = self.saturation(config, pattern).lambda_max
-            traffic = self.pattern_factory(config, pattern)(lam_max)
-            result = run_fixed_point(config, traffic, config.f_max_hz,
+            lam_max = self.family_saturation(config, family, traffic_at,
+                                             hi).lambda_max
+            result = run_fixed_point(config, traffic_at(lam_max),
+                                     config.f_max_hz,
                                      self.budget_for(config).scaled(1.5),
                                      self.seed, engine=self.engine)
             if result.mean_delay_ns is None:
@@ -217,98 +239,91 @@ class Workbench:
         return strategy_from_ref(policy,
                                  self.resources_for(config, pattern))
 
-    def _sweep_key(self, config: NocConfig, pattern: Ref | str,
-                   policy: Ref | str, rates: tuple[float, ...]) -> tuple:
-        return (config, as_pattern_ref(pattern), as_policy_ref(policy),
-                rates)
+    def sweeps(self, requests: Sequence[tuple[Hashable, Sequence[float]]],
+               build: Callable[[Hashable], tuple]
+               ) -> tuple[list[SweepSeries], RunReport | None]:
+        """Memoized sweeps; the missing ones run as ONE submission.
+
+        Each request is a ``(scenario, rates)`` pair, the sweep's memo
+        key.  For each one not yet memoized — a repeated one too, so
+        the planner collapses it — ``build(scenario)`` returns the
+        sweep's ``(config, traffic_factory, strategy, metadata)``
+        (``metadata`` rides on its units as ``WorkUnit.scenario``), and
+        the units of all of them go to the runner in a single
+        :meth:`~repro.runner.SweepRunner.run` call.  Each series is
+        built from its own slice of the results by
+        :func:`~repro.analysis.sweep.sweep_series`, as ``run_sweep``
+        builds its one.  Returns the series in request order and the
+        submission's report (``None`` when all were memoized).
+        """
+        requests = [(scenario, tuple(rates)) for scenario, rates in requests]
+        todo = [(key, *build(key[0])) for key in requests
+                if key not in self._sweeps]
+        report = None
+        if todo:
+            units = [sweep_units(config, traffic, list(key[1]), strategy,
+                                 self.budget_for(config), self.seed,
+                                 self.engine, scenario=metadata)
+                     for key, config, traffic, strategy, metadata in todo]
+            results = iter(self.runner.run(
+                [unit for sweep in units for unit in sweep]))
+            report = self.runner.last_report
+            for (key, config, _, strategy, _), sweep in zip(todo, units):
+                self._sweeps.setdefault(key, sweep_series(
+                    strategy.name, [next(results) for _ in sweep],
+                    self.power_model(config)))
+        return [self._sweeps[key] for key in requests], report
+
+    def _scenario_parts(self, spec: ScenarioSpec) -> tuple:
+        """What :meth:`sweeps` builds a :class:`ScenarioSpec`'s sweep from.
+
+        Strategy resources (saturation searches, DMSD targets) derive
+        per (config, pattern) from the *plain* pattern traffic — the
+        workload dimension normalizes to the same mean rate, so cells
+        sharing a pattern share one saturation search.
+        """
+        return (spec.config, spec.traffic_factory(),
+                spec.strategy(self.resources_for(spec.config,
+                                                 spec.pattern)), spec)
 
     def pattern_sweep(self, config: NocConfig, pattern: Ref | str,
                       policy: Ref | str,
                       rates: tuple[float, ...]) -> SweepSeries:
         """One policy's sweep over injection rates (cached)."""
-        key = self._sweep_key(config, pattern, policy, rates)
-        if key not in self._sweeps:
-            self._sweeps[key] = run_sweep(
-                config, self.pattern_factory(config, pattern), list(rates),
-                self.strategy_for(policy, config, pattern),
-                budget=self.budget_for(config), seed=self.seed,
-                power_model=self.power_model(config),
-                context=self.context,
-                scenario=self.scenario(config, pattern, policy))
-        return self._sweeps[key]
+        return self.scenario_sweep(self.scenario(config, pattern, policy),
+                                   rates)
 
     def scenario_sweep(self, spec: ScenarioSpec,
                        rates: tuple[float, ...] | None = None
                        ) -> SweepSeries:
-        """Sweep one :class:`ScenarioSpec` (rates default to its grid).
-
-        Workload-bearing scenarios are memoized under the full spec —
-        the (config, pattern, policy) key of :meth:`pattern_sweep`
-        would alias a workload sweep with its plain-traffic sibling.
-        """
+        """Sweep one :class:`ScenarioSpec` (rates default to its grid;
+        cached)."""
         if rates is None:
             rates = self.rate_grid(spec.config, spec.pattern)
-        rates = tuple(rates)
-        if spec.workload is None:
-            return self.pattern_sweep(spec.config, spec.pattern,
-                                      spec.policy, rates)
-        key = self.scenario_sweep_key(spec, rates)
-        if key not in self._sweeps:
-            self._sweeps[key] = run_scenario_sweep(
-                spec, list(rates), budget=self.budget_for(spec.config),
-                seed=self.seed,
-                power_model=self.power_model(spec.config),
-                context=self.context,
-                resources=self.resources_for(spec.config, spec.pattern))
-        return self._sweeps[key]
+        return self.sweeps([(spec, rates)], self._scenario_parts)[0][0]
 
     def scenario_matrix(self, scenarios: Sequence[ScenarioSpec],
                         rates: tuple[float, ...]):
         """Run a scenario cross product as ONE planned submission.
 
-        Every sweep unit of every scenario goes to the runner in a
-        single :meth:`~repro.runner.SweepRunner.run` call: the planner
+        Every sweep unit of every scenario not yet memoized goes to the
+        runner in a single :meth:`~repro.runner.SweepRunner.run` call
+        (:meth:`sweeps`), with or without a unit cache: the planner
         deduplicates units shared between cells (and duplicate rate
         points), the backend sees the whole matrix at once, and the
         returned :class:`~repro.experiments.matrix.MatrixResult`
         carries the run report whose ``executed`` count proves each
-        distinct unit ran exactly once.  Per-cell series are then
-        assembled entirely from the unit cache.
-
-        Strategy resources (saturation searches, DMSD targets) are
-        derived per (config, pattern) from the *plain* pattern traffic
-        — the workload dimension normalizes to the same mean rate, so
-        cells sharing a pattern share one saturation search.
+        distinct unit ran exactly once.
         """
         from .matrix import MatrixResult
         scenarios = tuple(scenarios)
         rates = tuple(rates)
-        report = None
-        if self.context.cache is not None:
-            units = []
-            for spec in scenarios:
-                if self.scenario_sweep_key(spec, rates) in self._sweeps:
-                    continue
-                units.extend(spec.units(
-                    rates, self.budget_for(spec.config), self.seed,
-                    self.engine,
-                    resources=self.resources_for(spec.config,
-                                                 spec.pattern)))
-            if units:
-                self.runner.run(units)
-                report = self.runner.last_report
-        series = {spec.label: self.scenario_sweep(spec, rates)
-                  for spec in scenarios}
+        series, report = self.sweeps([(spec, rates) for spec in scenarios],
+                                     self._scenario_parts)
         return MatrixResult(scenarios=scenarios, rates=rates,
-                            series=series, report=report)
-
-    def scenario_sweep_key(self, spec: ScenarioSpec,
-                           rates: tuple[float, ...]) -> tuple:
-        """The memo key :meth:`scenario_sweep` files ``spec`` under."""
-        if spec.workload is None:
-            return self._sweep_key(spec.config, spec.pattern,
-                                   spec.policy, tuple(rates))
-        return ("scenario", spec, tuple(rates))
+                            series={spec.label: cell for spec, cell
+                                    in zip(scenarios, series)},
+                            report=report)
 
     def policy_refs(self, policies: Sequence[Ref | str] | None = None
                     ) -> tuple[Ref, ...]:
@@ -326,46 +341,17 @@ class Workbench:
 
         Returns ``{ref.label: series}`` in policy order (for the
         default registry ordering the keys are exactly the old
-        ``"no-dvfs"/"rmsd"/"dmsd"`` strings).  With a parallel,
-        batched or distributed backend every policy's pending points
-        are submitted as *one* batch, so the process pool (or the
-        batched engine, or the work queue and the context's worker
-        fleet) sees ``len(policies) x len(rates)`` independent units
-        instead of separate sweeps — per-sweep results are then served
-        from the unit cache.
+        ``"no-dvfs"/"rmsd"/"dmsd"`` strings).  Every policy's pending
+        points go to the runner as *one* submission (:meth:`sweeps`),
+        so the process pool (or the batched engine, or the work queue
+        and the context's worker fleet) sees ``len(policies) x
+        len(rates)`` independent units instead of separate sweeps.
         """
         refs = self.policy_refs(policies)
-        wide = (self.context.jobs > 1
-                or self.context.resolved_backend() in ("batched",
-                                                       "distributed"))
-        if wide and self.context.cache is not None:
-            units = []
-            for ref in refs:
-                if self._sweep_key(config, pattern, ref,
-                                   rates) in self._sweeps:
-                    continue
-                units.extend(self.scenario(config, pattern, ref).units(
-                    rates, self.budget_for(config), self.seed,
-                    self.engine,
-                    resources=self.resources_for(config, pattern)))
-            if units:
-                self.runner.run(units)
-        return {ref.label: self.pattern_sweep(config, pattern, ref,
-                                              rates)
-                for ref in refs}
-
-    def custom_sweep(self, key: tuple, config: NocConfig,
-                     traffic_factory: Callable[[float], TrafficSpec],
-                     xs: tuple[float, ...], strategy) -> SweepSeries:
-        """Cached sweep for non-pattern traffic (apps); caller keys it."""
-        cache_key = ("custom", key, xs)
-        if cache_key not in self._sweeps:
-            self._sweeps[cache_key] = run_sweep(
-                config, traffic_factory, list(xs), strategy,
-                budget=self.budget_for(config), seed=self.seed,
-                power_model=self.power_model(config),
-                context=self.context)
-        return self._sweeps[cache_key]
+        series, _ = self.sweeps(
+            [(self.scenario(config, pattern, ref), rates) for ref in refs],
+            self._scenario_parts)
+        return {ref.label: sweep for ref, sweep in zip(refs, series)}
 
     # --- standard rate grids -----------------------------------------------
     def rate_grid(self, config: NocConfig, pattern: str,

@@ -9,9 +9,7 @@ H.264 and ~2.1x for VCE at mid speeds).
 
 from __future__ import annotations
 
-from ..analysis.saturation import find_saturation_rate
 from ..analysis.sweep import StrategyResources, strategy_from_ref
-from ..noc.budget import run_fixed_point
 from ..noc.config import NocConfig
 from ..traffic.apps import ApplicationGraph, h264_encoder, vce_encoder
 from ..traffic.injection import MatrixTraffic
@@ -30,64 +28,48 @@ def app_config(app: ApplicationGraph, base: NocConfig) -> NocConfig:
     return base.with_(width=app.mesh_width, height=app.mesh_height)
 
 
-def _app_strategies(bench: Workbench, app: ApplicationGraph,
-                    config: NocConfig):
-    """Per-app lambda_max and DMSD target, derived like the paper.
+def figure10_app(bench: Workbench, app: ApplicationGraph,
+                 base: NocConfig,
+                 speeds: tuple[float, ...] = SPEED_GRID
+                 ) -> list[FigureResult]:
+    """Delay + power panels for one application.
 
     The app's spatial traffic distribution differs from any synthetic
-    pattern, so saturation is found by scaling the app matrix itself:
-    the sweep coordinate is the mean node rate of the scaled matrix.
+    pattern, so its ``lambda_max`` and DMSD target come from scaling
+    the app matrix itself (the search coordinate is the mean node rate
+    of the scaled matrix), memoized by the workbench like a pattern's.
     Strategies come from the policy registry with these app-derived
     resources, so plugin policies flow through the multimedia figure
-    like any other sweep.
+    like any other sweep, and every policy's sweep runs in one
+    submission.
     """
+    config = app_config(app, base)
     base_matrix = app.traffic_at_speed(config, 1.0)
     mean_at_speed1 = base_matrix.mean_node_rate()
+    family = ("app", app.name, base_matrix.digest())
 
     def traffic_at(mean_rate: float) -> MatrixTraffic:
         return MatrixTraffic(
             base_matrix.scaled(mean_rate / mean_at_speed1))
 
-    est = find_saturation_rate(
-        config, traffic_at, budget=bench.budget_for(config),
-        seed=bench.seed,
-        iterations=bench.profile.saturation_iterations,
-        hi=min(1.0, 3.0 * mean_at_speed1), engine=bench.engine)
-    lam_max = est.lambda_max
-    result = run_fixed_point(config, traffic_at(lam_max),
-                             config.f_max_hz,
-                             bench.budget_for(config).scaled(1.5),
-                             bench.seed, engine=bench.engine)
-    target_ns = result.mean_delay_ns
-    if target_ns is None:
-        raise RuntimeError(f"no packets delivered deriving {app.name} "
-                           "DMSD target")
+    hi = min(1.0, 3.0 * mean_at_speed1)
+    lam_max = bench.family_saturation(config, family, traffic_at,
+                                      hi).lambda_max
+    target_ns = bench.family_target_ns(config, family, traffic_at, hi)
     resources = StrategyResources(
         lambda_max=lambda: lam_max,
         target_delay_ns=lambda: target_ns,
         dmsd_iterations=bench.profile.dmsd_iterations)
-    strategies = {ref.label: strategy_from_ref(ref, resources)
-                  for ref in bench.policies}
-    return strategies, lam_max, target_ns
-
-
-def figure10_app(bench: Workbench, app: ApplicationGraph,
-                 base: NocConfig,
-                 speeds: tuple[float, ...] = SPEED_GRID
-                 ) -> list[FigureResult]:
-    """Delay + power panels for one application."""
-    config = app_config(app, base)
-    strategies, lam_max, target_ns = _app_strategies(bench, app, config)
 
     def traffic_factory(speed: float) -> MatrixTraffic:
         return MatrixTraffic(app.traffic_at_speed(config, speed))
 
-    sweeps = {
-        label: bench.custom_sweep(
-            (app.name, label, config), config, traffic_factory, speeds,
-            strategy)
-        for label, strategy in strategies.items()
-    }
+    series, _ = bench.sweeps(
+        [((config, family, ref), speeds) for ref in bench.policies],
+        lambda scenario: (config, traffic_factory,
+                          strategy_from_ref(scenario[2], resources), None))
+    sweeps = {ref.label: sweep
+              for ref, sweep in zip(bench.policies, series)}
     ref = min(speeds, key=lambda s: abs(s - REFERENCE_SPEED))
 
     annotations: dict[str, float] = {

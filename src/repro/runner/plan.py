@@ -42,10 +42,13 @@ from .units import UnitResult, WorkUnit
 MAX_SHARD_POINTS = 96
 
 #: Narrowest shard worth carving out of a batch-eligible group when
-#: fanning out.  The batched kernel's >=5x advantage comes from
-#: amortizing per-invocation setup over many mesh replicas; below
-#: about this many replicas the setup dominates and a "parallel" shard
-#: is slower than its share of one wide batch.  When ``jobs`` exceeds
+#: fanning out.  The floor dates from the NumPy step, when one wide
+#: batch ran >=5x faster than its points one by one.  The compiled
+#: step costs about the same per replica-cycle at any width, so a
+#: shard now saves only what its units share per invocation: engine
+#: set-up, the per-round driver work of its lockstep searches, and one
+#: task's pickling and dispatch.  Whether that still pays for this
+#: floor on the compiled step is unmeasured.  When ``jobs`` exceeds
 #: ``len(group) / MIN_SHARD_POINTS``, sharding deliberately leaves
 #: workers idle rather than shred the group into degenerate slivers
 #: (the inverse-scaling bug the distributed backend exhibited when

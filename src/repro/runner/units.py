@@ -20,7 +20,6 @@ unit runs can never change its result.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
@@ -138,22 +137,11 @@ class WorkUnit:
         (strategies with a ``frequency_search`` generator it drives
         itself, in lockstep).
 
-        Built-in strategies accept the unit's engine so their search
-        simulations run on it too.  User strategies written before the
-        engine parameter existed keep working on the reference engine.
+        The strategy runs any search simulations on the unit's engine.
         """
-        params = inspect.signature(self.strategy.frequency_for).parameters
-        if "engine" in params:
-            return self.strategy.frequency_for(
-                self.config, self.traffic, self.budget, seed,
-                engine=self.engine)
-        if self.engine != DEFAULT_ENGINE:
-            raise TypeError(
-                f"strategy {type(self.strategy).__name__} does not "
-                f"accept an 'engine' argument; it cannot run on "
-                f"engine {self.engine!r}")
         return self.strategy.frequency_for(self.config, self.traffic,
-                                           self.budget, seed)
+                                           self.budget, seed,
+                                           engine=self.engine)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from .apps import (APPLICATIONS, ApplicationGraph, H264_PUBLISHED_WEIGHTS,
 from .injection import (InjectionProcess, MatrixTraffic, PatternTraffic,
                         PiecewiseRateTraffic, TrafficSpec)
 from .matrix import TrafficMatrix
-from .patterns import (PATTERN_REGISTRY, PATTERNS, ComplementTraffic,
+from .patterns import (PATTERN_REGISTRY, ComplementTraffic,
                        HotspotTraffic, NeighborTraffic, ShuffleTraffic,
                        TornadoTraffic, TrafficPattern, TransposeTraffic,
                        UniformTraffic, as_pattern_ref, make_pattern,
@@ -21,7 +21,6 @@ __all__ = [
     "InjectionProcess",
     "MatrixTraffic",
     "NeighborTraffic",
-    "PATTERNS",
     "PATTERN_REGISTRY",
     "PEAK_NODE_RATE_AT_SPEED1",
     "PatternTraffic",

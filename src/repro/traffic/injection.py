@@ -246,13 +246,8 @@ class PatternTraffic(TrafficSpec):
             raise ValueError("injection rate must be non-negative")
         self.pattern = pattern
         self.node_rate = node_rate
-        n = pattern.mesh.num_nodes
-        self._rates = np.full(n, node_rate)
-        if pattern.is_deterministic:
-            rng = np.random.default_rng(0)
-            for src in range(n):
-                if pattern.dest(src, rng) == src:
-                    self._rates[src] = 0.0
+        self._rates = np.zeros(pattern.mesh.num_nodes)
+        self._rates[pattern.active_sources()] = node_rate
 
     def node_rates(self) -> np.ndarray:
         return self._rates
@@ -274,10 +269,7 @@ class PatternTraffic(TrafficSpec):
             return ArrivalLaw()
         if law == "table":
             # Permutation patterns never draw from the generator.
-            rng = np.random.default_rng(0)
-            return ArrivalLaw(np.array([self.pattern.dest(src, rng)
-                                        for src in range(n)],
-                                       dtype=np.int64))
+            return ArrivalLaw(self.pattern.destinations)
         return None
 
     def scaled(self, factor: float) -> "PatternTraffic":

@@ -21,6 +21,7 @@ as in Booksim.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
@@ -96,12 +97,26 @@ class TrafficPattern(ABC):
         """True when every source always targets the same destination."""
         return True
 
+    @cached_property
+    def destinations(self) -> np.ndarray:
+        """Each source's destination, walked once per instance (read-only).
+
+        Meaningful for deterministic patterns only: sources are asked in
+        node order, sharing one generator seeded 0.
+        """
+        rng = np.random.default_rng(0)
+        table = np.array([self.dest(src, rng)
+                          for src in range(self.mesh.num_nodes)],
+                         dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
     def active_sources(self) -> list[int]:
         """Nodes that generate traffic (i.e. have a destination != self)."""
-        rng = np.random.default_rng(0)
-        return [s for s in range(self.mesh.num_nodes)
-                if self.is_deterministic and self.dest(s, rng) != s
-                or not self.is_deterministic]
+        if not self.is_deterministic:
+            return list(range(self.mesh.num_nodes))
+        return [s for s, d in enumerate(self.destinations.tolist())
+                if d != s]
 
 
 @register_pattern
@@ -254,11 +269,6 @@ class HotspotTraffic(TrafficPattern):
         if src != self.hotspot and rng.random() < self.fraction:
             return self.hotspot
         return self._uniform.dest(src, rng)
-
-
-#: Backward-compatible name -> class view of the registry.  Live: a
-#: pattern registered later (e.g. by a plugin module) appears here too.
-PATTERNS = PATTERN_REGISTRY.mapping
 
 
 def make_pattern(pattern: "Ref | str", mesh: Mesh,

@@ -25,7 +25,7 @@ from repro.noc.fastsim.batch import ENGINE_STATE_BYTES, even_widths
 from repro.noc.routing import get_routing_function
 from repro.noc.simulator import SimResult
 from repro.noc.topology import NUM_PORTS, OPPOSITE
-from repro.traffic import PatternTraffic, make_pattern
+from repro.traffic import PatternTraffic, TransposeTraffic, make_pattern
 from repro.workload import make_workload
 
 needs_compiler = pytest.mark.skipif(
@@ -115,6 +115,35 @@ def test_batches_the_compiled_step_cannot_segment_run_as_one_engine(
     short = SimBudget(10, 20, 20)
     assert len(batch.run_fixed_batch(config, points, short)) == 9
     assert widths == [9]
+
+
+def test_permutation_batch_walks_its_destinations_once(monkeypatch):
+    """A 12-point 8x8 transpose batch asks its pattern for each node's
+    destination once: building the specs, splitting the batch and
+    binding each engine's sources all read one table.  Its results
+    equal the same points drawn in Python, where every arrival asks
+    the pattern."""
+    calls, dest = [0], TransposeTraffic.dest
+
+    def counting(self, src, rng):
+        calls[0] += 1
+        return dest(self, src, rng)
+
+    monkeypatch.setattr(TransposeTraffic, "dest", counting)
+    transpose = make_pattern("transpose", CONFIG.make_mesh())
+    freqs = (CONFIG.f_max_hz, 6e8, CONFIG.f_min_hz)
+    points = [BatchPoint(PatternTraffic(transpose, 0.02 * (i + 1)),
+                         freqs[i % 3], 90 + i) for i in range(12)]
+    table = batch.run_fixed_batch(CONFIG, points, BUDGET)
+    assert calls[0] == CONFIG.num_nodes
+
+    class Drawn(TransposeTraffic):
+        """Declares no compiled law, so arrivals draw in Python."""
+
+    drawn = Drawn(CONFIG.make_mesh())
+    assert_same_results(table, batch.run_fixed_batch(CONFIG, [
+        dataclasses.replace(p, traffic=PatternTraffic(
+            drawn, p.traffic.node_rate)) for p in points], BUDGET))
 
 
 def test_engine_widths_follow_the_state_budget():

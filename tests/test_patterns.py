@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.noc import Mesh
-from repro.traffic import make_pattern
+from repro.traffic import make_pattern, pattern_names
 from repro.traffic.patterns import (BitReverseTraffic, ComplementTraffic,
                                     HotspotTraffic, NeighborTraffic,
-                                    PATTERNS, ShuffleTraffic,
-                                    TornadoTraffic, TransposeTraffic,
-                                    UniformTraffic)
+                                    ShuffleTraffic, TornadoTraffic,
+                                    TransposeTraffic, UniformTraffic)
 
 
 @pytest.fixture
@@ -136,7 +135,7 @@ class TestRegistry:
     def test_all_paper_patterns_registered(self):
         for name in ("uniform", "tornado", "bitcomp", "transpose",
                      "neighbor"):
-            assert name in PATTERNS
+            assert name in pattern_names()
 
     def test_make_pattern(self, mesh4):
         pat = make_pattern("tornado", mesh4)

@@ -18,9 +18,8 @@ from repro.analysis.sweep import (DmsdSteadyState, NoDvfsSteadyState,
                                   RmsdSteadyState, StrategyResources,
                                   strategy_from_ref)
 from repro.noc import NocConfig
-from repro.traffic import (PATTERN_REGISTRY, PATTERNS, TrafficPattern,
-                           UniformTraffic, make_pattern, pattern_names,
-                           register_pattern)
+from repro.traffic import (PATTERN_REGISTRY, TrafficPattern,
+                           make_pattern, pattern_names, register_pattern)
 
 from conftest import sample
 
@@ -303,18 +302,8 @@ def probe_pattern():
 
 
 class TestPatternRegistry:
-    def test_patterns_view_is_live(self, mesh3, probe_pattern):
-        # PATTERNS is the old dict API, now a read-only live view.
-        assert "uniform" in PATTERNS
-        assert PATTERNS["uniform"] is UniformTraffic
-        assert "probe-pattern" in PATTERNS
-        assert "probe-pattern" in pattern_names()
-
-    def test_patterns_view_rejects_mutation(self):
-        with pytest.raises(TypeError):
-            PATTERNS["hack"] = UniformTraffic
-
     def test_round_trip_with_params(self, mesh3, probe_pattern):
+        assert "probe-pattern" in pattern_names()
         pat = make_pattern("probe-pattern:shift=4", mesh3)
         assert pat.shift == 4
         assert pat.spec_key() == ("probe-pattern", 3, 3, 4)
