@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..noc.network import Network
+from ..noc.stats import percentile
 
 #: CSV column order (stable, part of the public format).
 TRACE_FIELDS = ("pid", "src", "dst", "length", "hops", "created_cycle",
@@ -43,9 +44,9 @@ class DelayDistribution:
         return cls(
             count=int(data.size),
             mean_ns=float(data.mean()),
-            p50_ns=float(np.percentile(data, 50)),
-            p95_ns=float(np.percentile(data, 95)),
-            p99_ns=float(np.percentile(data, 99)),
+            p50_ns=percentile(data, 50),
+            p95_ns=percentile(data, 95),
+            p99_ns=percentile(data, 99),
             max_ns=float(data.max()),
         )
 

@@ -24,8 +24,9 @@ def figure2(bench: Workbench,
     lam_min = lambda_min_for(config, lam_max)
     rates = bench.rate_grid(config, pattern)
 
-    no_dvfs = bench.pattern_sweep(config, pattern, "no-dvfs", rates)
-    rmsd = bench.pattern_sweep(config, pattern, "rmsd", rates)
+    sweeps = bench.policy_comparison(config, pattern, rates,
+                                     policies=("no-dvfs", "rmsd"))
+    no_dvfs, rmsd = sweeps["no-dvfs"], sweeps["rmsd"]
 
     latency_fig = FigureResult(
         figure_id="fig2a",

@@ -17,7 +17,9 @@ mode for sweeps: the batched execution backend
 (:mod:`repro.runner.backends`) routes eligible work-unit groups here,
 runs its lockstep frequency searches here round by round
 (:func:`run_probe_round`), and it is what
-``BENCH_kernel.json``/``BENCH_sweep.json`` benchmark.
+``BENCH_kernel.json``/``BENCH_sweep.json`` benchmark.  A group fanned
+out to several workers is planned as shards of at most one engine
+(:func:`engine_width`), so each task runs one engine.
 
 Each engine runs through the one simulation driver
 (:func:`repro.noc.simulator.drive`), of which a lone
@@ -42,7 +44,7 @@ closes retires there too, as its standalone probe run would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ...traffic.injection import TrafficSpec
 from ..config import NocConfig
@@ -73,18 +75,24 @@ def even_widths(count: int, most: int) -> list[int]:
     return [base + (i < extra) for i in range(parts)]
 
 
+def engine_width(config: NocConfig, specs: Sequence[TrafficSpec]) -> int:
+    """The most replicas one engine of a batch of ``specs`` holds: as
+    many as fit :data:`ENGINE_STATE_BYTES` of stepping state when the
+    compiled step runs them in whole segments, else all of them."""
+    if not runs_whole_segments(config, specs):
+        return len(specs)
+    return max(1, ENGINE_STATE_BYTES // replica_bytes(config))
+
+
 def engine_widths(config: NocConfig, points: list[BatchPoint]
                   ) -> list[int]:
     """The widths of the engines :func:`run_fixed_batch` runs
-    ``points`` as, in order: at most :data:`ENGINE_STATE_BYTES` of
-    stepping state each when the compiled step runs them in whole
-    segments, else one engine."""
+    ``points`` as, in order: :func:`engine_width` at most, evenly
+    sized."""
     if not points:
         return []
-    if not runs_whole_segments(config, [p.traffic for p in points]):
-        return [len(points)]
     return even_widths(len(points),
-                       max(1, ENGINE_STATE_BYTES // replica_bytes(config)))
+                       engine_width(config, [p.traffic for p in points]))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .clock import NetworkClock
 from .config import NocConfig
 from .engines import DEFAULT_ENGINE, Engine, make_engine
 from .fastsim.batch import BatchPoint
-from .stats import MeasurementSample, PowerWindow
+from .stats import MeasurementSample, PowerWindow, percentile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .budget import SimBudget
@@ -380,8 +380,7 @@ def drive(net: Engine, points: list[BatchPoint], budget: "SimBudget",
             mean_latency_cycles=(stats.mean_latency_cycles()
                                  if delays else None),
             mean_delay_ns=stats.mean_delay_ns() if delays else None,
-            p99_delay_ns=(float(np.percentile(delays, 99))
-                          if delays else None),
+            p99_delay_ns=percentile(delays, 99) if delays else None,
             mean_hops=stats.mean_hops() if delays else None,
             measured_created=stats.measured_created,
             measured_delivered=stats.measured_delivered,

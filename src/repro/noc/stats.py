@@ -20,7 +20,9 @@ kept separate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .flit import Packet
 
@@ -121,6 +123,32 @@ class PowerWindow:
     cycles: int
     freq_hz: float
     activity: ActivityCounters
+
+
+def percentile(values: Iterable[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of ``values``: for finite
+    values ``np.percentile(values, q)`` (its default linear method)
+    bit for bit, up to the sign of a zero result.
+
+    It sorts a copy and interpolates between the order statistics
+    around the virtual index ``(n - 1) * q / 100`` with NumPy's
+    arithmetic: up from the lower one below the midpoint, down from
+    the upper one at or above it.  It is plain Python because NumPy
+    2's percentile imports ``numpy.ma`` on first use, which costs more
+    than a run's whole percentile work.
+    """
+    data = sorted(values)
+    if not data:
+        raise ValueError("no values to take a percentile of")
+    virtual = (len(data) - 1) * (q / 100)
+    if virtual >= len(data) - 1:
+        return float(data[-1])
+    below = math.floor(virtual)
+    gamma = virtual - below
+    low, high = data[below], data[below + 1]
+    step = high - low
+    return float(high - step * (1 - gamma) if gamma >= 0.5
+                 else low + step * gamma)
 
 
 class StatsCollector:

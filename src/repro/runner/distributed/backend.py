@@ -28,10 +28,11 @@ degrades to draining the queue in-process — the same "the runner still
 works, just without the speedup" guarantee the batched backend's
 process pool gives.
 Teardown is graceful: the driver publishes a shutdown sentinel, idle
-workers exit on their own within the poll cap, and only stragglers are
-terminated.  Results are bit-identical to ``serial`` for any worker
-count, claim batch size, crash schedule or claim interleaving, because
-every unit's seed derives from its spec digest alone.
+workers read it within a tenth of a second and exit on their own, and
+only stragglers are terminated.  Results are bit-identical to
+``serial`` for any worker count, claim batch size, crash schedule or
+claim interleaving, because every unit's seed derives from its spec
+digest alone.
 """
 
 from __future__ import annotations

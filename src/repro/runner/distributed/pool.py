@@ -16,7 +16,9 @@ Lifecycle:
   still exhausts quickly and lets the caller fall back in-process).
 * ``close()`` — publish the queue's shutdown sentinel, give workers a
   grace period to exit on their own (they always drain claimable work
-  first), then terminate stragglers.  Workers exiting via the sentinel
+  first; an idle one reads the sentinel within
+  :data:`~repro.runner.distributed.worker.SENTINEL_POLL_S`), then
+  terminate stragglers.  Workers exiting via the sentinel
   finish cleanly: logs flushed, exit code 0.
 
 If the driver dies so hard that ``close()`` never runs (SIGKILL, OOM),

@@ -24,7 +24,10 @@ Queue round-trips are kept off the critical path two ways:
 * Idle polling backs off exponentially with jitter instead of statting
   the queue at a fixed rate: an idle fleet converges to a few listings
   per second *total*, not per worker, while a freshly published plan
-  is still picked up within the (bounded) backoff cap.
+  is still picked up within the (bounded) backoff cap.  Between two
+  listings an idle worker reads only the shutdown sentinel, every
+  :data:`SENTINEL_POLL_S`, so a retiring fleet exits at once instead
+  of at its next backed-off listing.
 
 CLI form (see ``python -m repro.experiments worker --help``)::
 
@@ -46,6 +49,10 @@ _worker_counter = itertools.count()
 #: Hard cap on the idle-poll backoff, so a worker never lags a newly
 #: published plan by more than this many seconds.
 MAX_IDLE_POLL_S = 2.0
+
+#: How often an idle worker reads the shutdown sentinel while it
+#: waits for its next ``todo/`` listing.
+SENTINEL_POLL_S = 0.1
 
 
 class Worker:
@@ -165,7 +172,9 @@ class Worker:
         Idle polls start at ``poll_s`` and double (with +-50% jitter,
         so a fleet's polls decorrelate instead of stampeding the
         filesystem together) up to :data:`MAX_IDLE_POLL_S`; any
-        successful claim resets the backoff.
+        successful claim resets the backoff.  A sentinel published
+        during the wait ends it early (:meth:`_idle`), and the loop
+        lists ``todo/`` once more before it exits.
         """
         handled = 0
         started = time.time() if since is None else since
@@ -186,6 +195,15 @@ class Worker:
                 break
             if self.queue.shutdown_requested(since=started):
                 break
-            time.sleep(delay * self._jitter.uniform(0.5, 1.5))
+            self._idle(delay * self._jitter.uniform(0.5, 1.5), started)
             delay = min(delay * 2.0, cap)
         return handled
+
+    def _idle(self, seconds: float, since: float) -> None:
+        """Wait ``seconds``, or less once a shutdown sentinel at or
+        after ``since`` appears (read every :data:`SENTINEL_POLL_S`)."""
+        end = time.monotonic() + seconds
+        while (left := end - time.monotonic()) > 0:
+            time.sleep(min(left, SENTINEL_POLL_S))
+            if self.queue.shutdown_requested(since=since):
+                return

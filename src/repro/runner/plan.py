@@ -13,7 +13,9 @@ needs to run* for a list of submitted work units:
    Everything else stays on the per-unit path (``singles``).
 3. **Sharding pass** — oversized groups split into shards so they can
    also fan out across a process pool, and so one enormous submission
-   does not build an unboundedly wide engine.
+   does not build an unboundedly wide engine.  A shard fanned out to
+   several workers is at most one engine wide, so the workers, taking
+   one task at a time, even out the work themselves.
 
 Plans are pure data: backends consume ``plan.groups``/``plan.singles``
 (or ``plan.todo`` for per-unit backends) and report each finished
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from ..noc.budget import SimBudget
 from ..noc.config import NocConfig
-from ..noc.fastsim.batch import even_widths
+from ..noc.fastsim.batch import engine_width, even_widths
 from .cache import UnitCache
 from .units import UnitResult, WorkUnit
 
@@ -43,16 +45,18 @@ MAX_SHARD_POINTS = 96
 
 #: Narrowest shard worth carving out of a batch-eligible group when
 #: fanning out.  The floor dates from the NumPy step, when one wide
-#: batch ran >=5x faster than its points one by one.  The compiled
-#: step costs about the same per replica-cycle at any width, so a
-#: shard now saves only what its units share per invocation: engine
-#: set-up, the per-round driver work of its lockstep searches, and one
-#: task's pickling and dispatch.  Whether that still pays for this
-#: floor on the compiled step is unmeasured.  When ``jobs`` exceeds
-#: ``len(group) / MIN_SHARD_POINTS``, sharding deliberately leaves
-#: workers idle rather than shred the group into degenerate slivers
-#: (the inverse-scaling bug the distributed backend exhibited when
-#: many workers split a ~36-unit group into singles).
+#: batch ran >=5x faster than its points one by one; the compiled step
+#: costs about the same per replica-cycle at any width, and whether
+#: the floor still pays there is unmeasured.  It applies below the
+#: one-engine cap of ``group_batches``, so it binds only where an
+#: engine holds more than 6 replicas: for groups that run as one
+#: engine (Python-drawn laws, heterogeneous node clocks, the NumPy
+#: step), and otherwise for shard widths between 6 and an engine's
+#: width (10 on the 5x5 baseline; an 8x8 engine holds 4).  There, when
+#: ``jobs`` exceeds ``len(group) / MIN_SHARD_POINTS``, sharding
+#: deliberately leaves workers idle rather than shred the group into
+#: degenerate slivers (the inverse-scaling bug the distributed backend
+#: exhibited when many workers split a ~36-unit group into singles).
 MIN_SHARD_POINTS = 6
 
 
@@ -139,6 +143,16 @@ class ExecutionPlan:
         buys in parallelism.  When the two pull against each other
         (many workers, small group) the floor wins: better three
         efficient shards than twenty-four degenerate singles.
+
+        When ``jobs > 1`` no shard is wider than one of the engines
+        the group runs as (``engine_width``; the whole group when it
+        runs as one engine).  Equal unit counts are not equal work:
+        points near saturation run several times longer than the
+        rest, so two contiguous halves of a sweep can split its work
+        a third to two thirds.  One-engine tasks, claimed one at a
+        time, let the workers even that out, at almost no cost in
+        batching, since a compiled group runs as engines of that
+        width anyway.
         """
         grouped: dict[tuple, BatchGroup] = {}
         self.singles = []
@@ -166,7 +180,10 @@ class ExecutionPlan:
                 # A group smaller than the floor is its own floor: it
                 # still runs as one shard rather than splitting.
                 floor = min(min_shard, len(group.units))
-                shard_size = min(max_shard, max(floor, per_worker))
+                one_engine = engine_width(
+                    group.config, [u.traffic for u in group.units])
+                shard_size = min(max_shard, max(floor, per_worker),
+                                 one_engine)
             self.groups.extend(group.split(shard_size))
 
     # ------------------------------------------------------------------

@@ -20,13 +20,16 @@ from repro.analysis import (DmsdSteadyState, NoDvfsSteadyState,
 from repro.analysis import sweep as sweep_module
 from repro.analysis.sweep import UtilitySteadyState
 from repro.experiments import Workbench
-from repro.noc import NocConfig, SimBudget
+from repro.noc import PAPER_BASELINE, NocConfig, SimBudget
 from repro.noc.fastsim import batch as batch_module
+from repro.noc.fastsim import kernel
+from repro.noc.fastsim.batch import even_widths
 from repro.runner import (BatchGroup, ExecutionContext, ExecutionPlan,
                           SweepRunner, UnitCache, WorkUnit,
                           backend_names, batch_eligible, default_jobs,
                           make_backend)
 from repro.runner.backends import _execute_group
+from repro.runner.plan import MAX_SHARD_POINTS, MIN_SHARD_POINTS
 from repro.traffic import PatternTraffic, make_pattern
 
 TINY_BUDGET = SimBudget(200, 500, 1500)
@@ -434,6 +437,105 @@ class TestPlannerProperties:
         assert all(not batch_eligible(u) or
                    len(by_class[(u.config, u.budget, u.engine)]) == 1
                    for u in plan.singles)
+
+
+#: Group configs whose compiled engines hold 103, 10 and 4 replicas,
+#: and an 8x8 mesh whose heterogeneous node clocks keep one engine.
+MESH_8X8 = NocConfig(width=8, height=8)
+CAP_CONFIGS = (PROP_CONFIGS[0], PAPER_BASELINE, MESH_8X8,
+               MESH_8X8.with_(node_freqs_hz=tuple([1e9] * 64)))
+
+
+def group_units(config, count, hotspots=()):
+    """``count`` fast units of one batch group on ``config``: uniform
+    traffic at distinct rates, ``hotspot`` (drawn in Python) at the
+    indices in ``hotspots``."""
+    mesh = config.make_mesh()
+    patterns = {name: make_pattern(name, mesh)
+                for name in ("uniform", "hotspot")}
+    return [WorkUnit(
+        policy="no-dvfs", x=0.001 * (i + 1), config=config,
+        traffic=PatternTraffic(
+            patterns["hotspot" if i in hotspots else "uniform"],
+            0.001 * (i + 1)),
+        strategy=NoDvfsSteadyState(), budget=TINY_BUDGET, run_seed=3,
+        engine="fast") for i in range(count)]
+
+
+def shard_widths(units, jobs):
+    plan = ExecutionPlan(units, None)
+    plan.group_batches(jobs=jobs)
+    return [len(g.units) for g in plan.groups]
+
+
+def uncapped_widths(count, jobs):
+    """Shard widths by unit count alone: a group of ``count`` split
+    into ``jobs`` even shards, no narrower than the batch floor."""
+    size = MAX_SHARD_POINTS
+    if jobs > 1:
+        size = min(size, max(min(MIN_SHARD_POINTS, count),
+                             -(-count // jobs)))
+    return even_widths(count, size)
+
+
+class TestOneEngineShards:
+    """A fanned-out shard is at most one engine wide, so the workers,
+    claiming one task at a time, even out work that unit counts do
+    not; plans that do not fan out, and groups that run as one
+    engine, shard by unit count as before."""
+
+    @PLANNER_SETTINGS
+    @given(data=st.data(), config=st.sampled_from(CAP_CONFIGS),
+           count=st.integers(2, 60), jobs=st.integers(2, 8))
+    def test_fanned_out_shards_fit_one_engine(self, data, config, count,
+                                              jobs):
+        hotspots = data.draw(st.lists(st.integers(0, count - 1),
+                                      max_size=1))
+        units = group_units(config, count, hotspots)
+        plan = ExecutionPlan(units, None)
+        plan.group_batches(jobs=jobs)
+        # contiguous, in submission order, every unit exactly once
+        assert ([u.digest() for g in plan.groups for u in g.units]
+                == [u.digest() for u in units])
+        width = batch_module.engine_width(config,
+                                          [u.traffic for u in units])
+        assert all(len(g.units) <= width for g in plan.groups)
+
+    def test_8x8_group_fans_out_one_task_per_engine(self):
+        if kernel.load_kernel() is None:
+            pytest.skip("the NumPy step runs a batch as one engine")
+        units = group_units(MESH_8X8, 72)
+        assert shard_widths(units, jobs=2) == [4] * 18
+        assert shard_widths(units, jobs=1) == [72]
+
+    @pytest.mark.parametrize("case", ["hotspot", "node-clocks", "numpy"])
+    def test_one_engine_groups_shard_by_unit_count(self, monkeypatch,
+                                                   case):
+        config, hotspots = MESH_8X8, ()
+        if case == "hotspot":
+            hotspots = (1,)
+        elif case == "node-clocks":
+            config = CAP_CONFIGS[3]
+        else:
+            monkeypatch.setattr(kernel, "load_kernel", lambda: None)
+        for count in (2, 13, 36, 72):
+            units = group_units(config, count, hotspots)
+            for jobs in (1, 2, 3, 8):
+                assert shard_widths(units, jobs) \
+                    == uncapped_widths(count, jobs), (count, jobs)
+        assert shard_widths(group_units(config, 72, hotspots), 2) \
+            == [36, 36]
+
+    @pytest.mark.parametrize("config", CAP_CONFIGS[:3])
+    def test_plans_that_do_not_fan_out_are_unchanged(self, config):
+        for count in (2, 13, 72, 97):
+            assert shard_widths(group_units(config, count), 1) \
+                == uncapped_widths(count, 1)
+
+    def test_small_5x5_groups_on_two_workers_are_unchanged(self):
+        for count in range(2, 21):
+            units = group_units(PAPER_BASELINE, count)
+            assert shard_widths(units, 2) == uncapped_widths(count, 2)
 
 
 class TestBatchedDifferential:

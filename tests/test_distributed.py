@@ -29,10 +29,12 @@ from repro.runner.distributed import (CollectTimeout, Collector,
                                       ShardTask, Worker, WorkQueue,
                                       plan_tasks, publish_plan,
                                       read_lease)
-from repro.runner.distributed.pool import _worker_env
-from test_backends import (KNOB_RULES, POLICY_STRATEGIES,  # noqa: F401
-                           check_knob_message, factory, fingerprint,
-                           make_units, rule_knobs, spell)
+from repro.noc.fastsim import kernel
+from repro.runner.distributed.pool import WorkerPool, _worker_env
+from test_backends import (KNOB_RULES, MESH_8X8,  # noqa: F401
+                           POLICY_STRATEGIES, check_knob_message,
+                           factory, fingerprint, group_units, make_units,
+                           rule_knobs, spell)
 
 #: Short lease so expiry-recovery tests run in milliseconds.
 FAST_TTL = 0.15
@@ -1015,6 +1017,25 @@ class TestDistributedBackend:
             rerun_ctx.close()
         assert rerun_ctx.runner.last_report.parallel is False
 
+    def test_8x8_group_publishes_one_task_per_engine(self, tmp_path):
+        """Fanned out to a fleet, a compiled 8x8 group is one task per
+        4-replica engine, and its results equal serial execution."""
+        if kernel.load_kernel() is None:
+            pytest.skip("the NumPy step runs a batch as one engine")
+        units = group_units(MESH_8X8, 16)
+        serial = serial_fingerprints(units)
+        ctx = ExecutionContext(backend="distributed",
+                               queue=str(tmp_path / "q"), workers=2,
+                               cache=None, engine="fast")
+        try:
+            results = ctx.run(units)
+        finally:
+            ctx.close()
+        assert [fingerprint(r) for r in results] == serial
+        assert ctx.runner.last_report.groups == 4
+        assert len(list((tmp_path / "q" / "results").glob("group-*"))) \
+            == 4
+
     def test_falls_back_in_process_when_spawning_impossible(
             self, tmp_path, tiny_config, factory, monkeypatch):
         """Hosts that cannot spawn subprocesses still complete the
@@ -1475,6 +1496,26 @@ class TestWarmPool:
                     == serial_a)
         finally:
             ctx.close()
+
+    def test_idle_fleet_retires_promptly(self, tmp_path):
+        """A fleet idling at its backoff cap retires at once: a worker
+        reads the shutdown sentinel while it waits for its next
+        ``todo/`` listing, and exits cleanly."""
+        WorkQueue(tmp_path / "q").ensure()
+        # A 10 s poll is also the backoff cap: every idle wait is
+        # 5-15 s, so a worker that saw the sentinel only at its next
+        # listing would hold close() for seconds.
+        pool = WorkerPool(tmp_path / "q", workers=2, poll_s=10.0)
+        pool.ensure()
+        procs = list(pool.procs)
+        time.sleep(2.5)             # both workers start, then wait
+        t0 = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert [proc.returncode for proc in procs] == [0, 0]
+        logs = sorted((tmp_path / "q" / "logs").glob("worker-*.log"))
+        assert len(logs) == 2
+        assert all("task(s) handled" in log.read_text() for log in logs)
 
     def test_fleet_retires_with_its_driver(self, tmp_path):
         """A driver that never calls ``close()`` still leaves no

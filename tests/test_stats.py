@@ -1,11 +1,20 @@
 """Unit tests for the statistics collector and measurement windows."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import repro
 from repro.noc.flit import Packet
 from repro.noc.stats import (ACTIVITY_FIELDS, ActivityCounters,
                              MeasurementSample, PowerWindow,
-                             StatsCollector)
+                             StatsCollector, percentile)
 
 GHZ = 1e9
 
@@ -107,3 +116,55 @@ class TestPowerWindow:
                         activity=ActivityCounters())
         with pytest.raises(AttributeError):
             w.duration_ns = 5.0
+
+
+#: Delays, with heavy ties among a few values.
+delays = st.one_of(st.floats(min_value=0.0, max_value=1e9),
+                   st.sampled_from((1.5, 2.25, 7.0, 100.125)))
+
+
+class TestPercentile:
+    """``percentile`` equals ``np.percentile`` bit for bit, and leaves
+    ``numpy.ma`` unimported."""
+
+    @given(values=st.lists(delays, min_size=1, max_size=400),
+           q=st.one_of(st.sampled_from((50, 95, 99)),
+                       st.floats(min_value=0.0, max_value=100.0)))
+    # A midpoint that interpolating up from the lower value rounds
+    # differently from interpolating down from the upper one.
+    @example(values=[134.36424411240122, 847.4337369372327], q=50)
+    def test_equals_numpy(self, values, q):
+        assert percentile(values, q).hex() \
+            == float(np.percentile(values, q)).hex()
+
+    @pytest.mark.parametrize("count", [1, 2, 101, 1000, 3000])
+    def test_equals_numpy_on_long_runs(self, count):
+        rng = np.random.default_rng(count)
+        values = list(rng.exponential(40.0, count))
+        values += values[:count // 3]                   # ties
+        for q in (50, 95, 99):
+            assert percentile(values, q).hex() \
+                == float(np.percentile(values, q)).hex()
+
+    def test_needs_values(self):
+        with pytest.raises(ValueError):
+            percentile([], 99)
+
+    def test_a_fast_run_leaves_numpy_ma_unimported(self):
+        code = (
+            "import sys\n"
+            "from repro.noc import NocConfig, SimBudget, run_fixed_point\n"
+            "from repro.traffic import PatternTraffic, make_pattern\n"
+            "config = NocConfig(width=3, height=3)\n"
+            "traffic = PatternTraffic(\n"
+            "    make_pattern('uniform', config.make_mesh()), 0.1)\n"
+            "result = run_fixed_point(config, traffic, config.f_max_hz,\n"
+            "                         SimBudget(200, 500, 1500), seed=3,\n"
+            "                         engine='fast')\n"
+            "assert result.p99_delay_ns is not None\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ and submits the units of all the sweeps a call still needs in a single
 ``SweepRunner.run`` call, with or without a unit cache.  A policy
 comparison, a scenario matrix and each Fig. 10 application are one
 submission, and nothing is submitted a second time to be read back.
+Fig. 2's two policy sweeps are one comparison.
 """
 
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from repro.experiments.__main__ import TINY_CONFIG, main
 from repro.experiments.common import QUICK, Profile, Workbench
 from repro.experiments.fig10 import figure10_app
+from repro.experiments.fig2 import figure2
 from repro.experiments.fig4 import figure4
+from repro.experiments.render import render_figure
 from repro.noc import SimBudget
 from repro.runner import ExecutionContext
 from repro.scenario import ScenarioSpec
@@ -74,6 +77,28 @@ def test_figure10_app_is_one_submission(uncached, tiny_config):
     assert submissions(uncached) == 1
     assert [f.series for f in again] == [f.series for f in first]
     assert again[0].annotations == first[0].annotations
+
+
+def test_figure2_is_one_submission_in_one_batch_group(uncached, tiny_config,
+                                                      monkeypatch):
+    """Fig. 2's No-DVFS and RMSD sweeps are one policy comparison: one
+    submission, run as one batch group, drawing the same figures as
+    two separate policy sweeps."""
+    figures = figure2(uncached, tiny_config)
+    assert submissions(uncached) == 1
+    assert uncached.runner.totals.reports[0].groups == 1
+    apart = Workbench(profile=TINY_PROFILE, seed=5,
+                      context=ExecutionContext(cache=None, engine="fast"))
+
+    def one_sweep_each(config, pattern, rates, policies):
+        return {policy: apart.pattern_sweep(config, pattern, policy, rates)
+                for policy in policies}
+
+    monkeypatch.setattr(apart, "policy_comparison", one_sweep_each)
+    expected = figure2(apart, tiny_config)
+    assert submissions(apart) == 2
+    assert ([render_figure(f) for f in figures]
+            == [render_figure(f) for f in expected])
 
 
 def test_cached_batched_tiny_fig4_counts_each_unit_once():
