@@ -35,17 +35,15 @@ def render(payload: dict) -> str:
          f"| {single['fast']['cycles_per_s'] / single['reference']['cycles_per_s']:.1f}x |"),
     ]
     step = payload.get("step_cost")
-    if step and step["compiled"]:
+    if step:
         lines += [
             "",
             f"| fast-engine step ({step['mesh']} replicas) "
-            "| NumPy step | compiled step | speedup |",
-            "|---|---|---|---|",
+            "| compiled step, per cycle |",
+            "|---|---|",
         ]
-        lines += [
-            (f"| {row['replicas']} | {row['numpy_us']:,.0f} us "
-             f"| {row['compiled_us']:,.1f} us | {row['speedup']:.1f}x |")
-            for row in step["widths"]]
+        lines += [f"| {row['replicas']} | {row['compiled_us']:,.1f} us |"
+                  for row in step["widths"]]
     return "\n".join(lines)
 
 

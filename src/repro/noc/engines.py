@@ -13,9 +13,9 @@ the two.  Two engines ship:
     ``Packet`` objects.
 ``fast``
     The array-based model (:class:`repro.noc.fastsim.FastNetwork`) —
-    the same flit-level schedule computed by a compiled step (or NumPy
-    struct-of-arrays operations) over packet records, for any number
-    of replicas.
+    the same flit-level schedule computed by a compiled step over
+    struct-of-arrays state and packet records, for any number of
+    replicas.  It needs a C compiler (``gcc``) on first use.
 
 Their statistical equivalence is enforced differentially by
 ``tests/test_engine_equivalence.py``; the tolerance contract lives in

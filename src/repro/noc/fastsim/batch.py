@@ -3,11 +3,11 @@
 The struct-of-arrays engine is size-agnostic: ``B`` independent sweep
 points become ``B`` disjoint replicas of the mesh inside one
 :class:`FastNetwork` (block-diagonal topology tables), so one cycle
-step advances the whole batch.  The NumPy step and the Python draws
-pay a cost per engine per cycle, which width spreads over the batch;
-the compiled step costs about the same per replica-cycle at any width,
-but its stepping state grows with width.  So when the compiled step
-runs every replica in whole segments (:func:`runs_whole_segments`),
+step advances the whole batch.  The Python draws pay a cost per engine
+per cycle, which width spreads over the batch; the compiled step costs
+about the same per replica-cycle at any width, but its stepping state
+grows with width.  So when the compiled step runs every replica in
+whole segments (:func:`runs_whole_segments`),
 the batch runs as consecutive, evenly sized engines, each holding at
 most :data:`ENGINE_STATE_BYTES` of stepping state and so staying in a
 core's cache; otherwise it runs as one engine (splitting a batch with

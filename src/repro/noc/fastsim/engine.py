@@ -1,18 +1,17 @@
-"""The vectorized mesh engine: struct-of-arrays, batched per cycle.
+"""The vectorized mesh engine: struct-of-arrays, one compiled step.
 
 ``FastNetwork`` replaces the reference :class:`repro.noc.Network` for
 sweeps where wall-clock speed matters.  Instead of objects per router,
 VC and flit, every piece of state lives in flat NumPy arrays indexed by
-the *VC line* ``line = node * (ports * vcs) + port * vcs + vc``, and
-every router pipeline stage (route computation, VC allocation, switch
-allocation, link traversal, credit return) advances for *all* routers
-at once.  The cycle step exists twice over the same arrays: compiled
-(``kernel.c``, loaded by :mod:`repro.noc.fastsim.kernel`) and as NumPy
-array operations (the ``_step_*`` methods below).  The compiled step
-runs whenever the kernel loaded, a whole driver segment per call
-(:meth:`FastNetwork.advance`); the NumPy step is the fallback on hosts
-without a C compiler and the oracle the tests compare it to.  Both
-leave every array bit-identical.
+the *VC line* ``line = node * (ports * vcs) + port * vcs + vc``.  The
+cycle step is compiled (``kernel.c``, built and loaded by
+:mod:`repro.noc.fastsim.kernel`): it advances every router pipeline
+stage (route computation, VC allocation, switch allocation, link
+traversal, credit return) over those arrays in place, a whole segment
+of the simulation loop per call (:meth:`FastNetwork.advance`).  Constructing an
+engine loads the kernel, and raises
+:class:`~repro.noc.fastsim.kernel.KernelBuildError` on a host that
+cannot build it.
 
 Every packet is a record in the packet store, and every delivery is
 logged.  The simulation driver (:func:`repro.noc.simulator.drive`)
@@ -27,7 +26,8 @@ round-robin arbiter order, same phase ordering within a cycle, same
 credit and link timing), so the two engines produce the same flit-level
 schedule for the same arrival sequence; only float accumulation order
 differs.  ``tests/test_engine_equivalence.py`` enforces this
-differentially.
+differentially, and ``tests/test_fastsim_kernel.py`` steps the kernel
+beside reference networks and compares them after every cycle.
 
 Layout notes (all state is flat, integer and preallocated):
 
@@ -59,18 +59,9 @@ Layout notes (all state is flat, integer and preallocated):
   counts are int64.  Cycles (``ready``), line and buffer
   indices and packet ids must therefore fit in int32: the constructor,
   :meth:`FastNetwork.advance`, :meth:`FastNetwork.step_cycle` and the
-  packet store raise ``ValueError`` rather than wrap.  The NumPy step
-  turns the int32 values it indexes with into ``intp`` once, because
-  NumPy converts any other index array on every use.
+  packet store raise ``ValueError`` rather than wrap.
 * ``busy_bits`` has one bit per line, set while its FIFO holds a
-  flit: the compiled step keeps it and lists each replica's busy lines
-  from it.  The NumPy step neither reads nor keeps it.
-* The NumPy step finds round-robin winners with a ``minimum.at``
-  scoreboard over rotated priorities rather than sorting; priorities
-  are unique within a group, so each group gets exactly one champion.
-  The priorities take the scoreboard's int32 dtype, which keeps
-  ``ufunc.at`` on its fast path.  The compiled step arbitrates each
-  input port inside its busy-line scan instead (``kernel.c``).
+  flit: the step keeps it and lists each replica's busy lines from it.
 """
 
 from __future__ import annotations
@@ -84,7 +75,7 @@ import numpy as np
 
 from ...traffic.injection import (ArrivalLaw, InjectionProcess,
                                   TrafficSpec, compiled_law)
-from ..buffer import ACTIVE, IDLE, ROUTING, VC_ALLOC
+from ..buffer import IDLE
 from ..clock import NodeClockBridge, NodeSource
 from ..config import NocConfig
 from ..network import advance_by_cycles, completed_replicas
@@ -97,21 +88,15 @@ from .kernel import COUNTERS, LAWS
 #: Credit count used for ejection (local) ports — an infinite sink.
 _SINK_CREDITS = 1 << 30
 
-#: Larger than any rotated arbiter priority (scoreboard fill value).
+#: Larger than any rotated arbiter priority (scoreboard fill value,
+#: ``kernel.c``'s NO_REQUEST).
 _NO_REQUEST = 1 << 30
 
-#: One, as the int32 arbiter arrays' type: ``ufunc.at`` keeps to its
-#: fast path only when the operands' dtypes match.
-_ONE = np.int32(1)
-
 #: ``counters`` slots, looked up by name in the one layout definition.
-(_WRITES, _READS, _XBAR, _LINK_FLITS, _VC_ALLOCS, _SA_GRANTS, _CREDITS,
- _BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _INJECTED, _EJECTED,
- _STORED, _LOGGED) = map(COUNTERS.index, (
-     "buffer_writes", "buffer_reads", "xbar_traversals", "link_flits",
-     "vc_allocs", "sa_grants", "credit_transfers", "buffered", "in_link",
-     "src_backlog", "queued_packets", "injected_flits", "ejected_flits",
-     "stored_packets", "logged_deliveries"))
+(_BUFFERED, _IN_LINK, _SRC_BACKLOG, _QUEUED, _EJECTED, _STORED,
+ _LOGGED) = map(COUNTERS.index, (
+     "buffered", "in_link", "src_backlog", "queued_packets",
+     "ejected_flits", "stored_packets", "logged_deliveries"))
 _NUM_ACTIVITY = len(ACTIVITY_FIELDS)
 
 #: Initial packet-store capacity (doubles on demand).
@@ -206,11 +191,8 @@ def runs_whole_segments(config: NocConfig,
                         specs: Iterable[TrafficSpec]) -> bool:
     """True when the compiled step will run an engine of these
     replicas a whole segment per call (:meth:`FastNetwork.advance`):
-    the kernel loads and it draws every replica's arrivals
-    (:func:`kernel_law`)."""
-    return (kernel.load_kernel() is not None
-            and all(kernel_law(config, spec) is not None
-                    for spec in specs))
+    it draws every replica's arrivals (:func:`kernel_law`)."""
+    return all(kernel_law(config, spec) is not None for spec in specs)
 
 
 class FastNetwork:
@@ -220,9 +202,9 @@ class FastNetwork:
     inside one engine (block-diagonal topology tables): replica ``c``
     owns global nodes ``c*N .. (c+1)*N - 1``.  Replicas share nothing
     but the cycle step, so each behaves exactly like a ``copies=1``
-    engine.  Width spreads the per-cycle cost of the NumPy step and of
-    the Python draws over the batch; the compiled step costs about the
-    same per replica-cycle at any width, so
+    engine.  Width spreads the per-cycle cost of the Python draws over
+    the batch; the compiled step costs about the same per replica-cycle
+    at any width, so
     :func:`repro.noc.fastsim.run_fixed_batch` runs its points as
     engines no wider than a fixed budget of stepping state.
     """
@@ -247,10 +229,6 @@ class FastNetwork:
         self._NP = num_nodes * self._P
         self._CL = local_nodes * self._PV  # lines per replica
         self._multi = copies > 1
-        self._route_latency = config.route_latency
-        self._va_latency = config.va_latency
-        self._link_latency = config.link_latency
-        self._credit_latency = config.credit_latency
         self._flit_horizon = config.link_latency + 1
         self._credit_horizon = config.credit_latency + 1
         #: the latest cycle a step may start without overflowing ``ready``
@@ -299,7 +277,6 @@ class FastNetwork:
         self.credits[self.line_port == LOCAL] = _SINK_CREDITS
         #: which input line owns each output VC line (-1 = free)
         self.owner = np.full(self._L, -1, dtype=np.int32)
-        self._owner_rows = self.owner.reshape(self._NP, self._V)
 
         # Round-robin pointers, one per (node, port) arbiter, mirroring
         # the reference arbiters' line numbering exactly.
@@ -322,7 +299,6 @@ class FastNetwork:
         self.src_rr = np.zeros(num_nodes, dtype=np.int64)
         self.src_credits = np.full(num_nodes * self._V, self._D,
                                    dtype=np.int64)
-        self.node_base = np.arange(num_nodes, dtype=np.int64) * self._PV
 
         # --- packet store: routing fields and records, by packet id --
         for name in kernel.STORE:
@@ -387,20 +363,13 @@ class FastNetwork:
         #: one replica's VC-allocation and switch-allocation candidates
         self.scratch = np.zeros(2 * self._CL, dtype=np.int32)
         self._kernel = kernel.load_kernel()
-        self._layout = None
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
 
     def _bind_kernel(self) -> None:
         """Point the compiled step at the current state arrays."""
         self._layout = self._kernel.bind(
             layout_scalars(self.config, self.copies, self.pkt_dst.size),
             self)
-
-    @property
-    def compiled(self) -> bool:
-        """True when the compiled cycle step runs this engine."""
-        return self._kernel is not None
 
     # --- packet entry -----------------------------------------------------
     def enqueue_packet(self, src: int, dst: int, length: int,
@@ -442,8 +411,7 @@ class FastNetwork:
         cap = min(cap, _MAX_PACKET_ID + 1)
         for name in kernel.STORE:
             setattr(self, name, _store_array(name, cap, getattr(self, name)))
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
 
     def bind_sources(self, injections: list[InjectionProcess],
                      periods_ns: list[float]) -> None:
@@ -454,9 +422,8 @@ class FastNetwork:
         draws from ``injections[c]`` in the node cycles that clock
         completes, one draw per step.  The compiled step draws the
         replicas that have a :func:`kernel_law`; :meth:`step_cycle`
-        draws the others, and all of them on the NumPy step, through a
-        :class:`~repro.noc.clock.NodeSource`, the Python-drawn ones
-        first.
+        draws the others first, through a
+        :class:`~repro.noc.clock.NodeSource`.
         """
         if self._bound or int(self.counters[_STORED]):
             raise ValueError("bind sources once, to an engine without "
@@ -468,18 +435,16 @@ class FastNetwork:
         self._injections = injections   # keeps the generators alive
         self.period_by_copy[:] = periods_ns
         config, local = self.config, self._NL
-        python, compiled, cycles, factors = [], [], [], []
+        python, cycles, factors = [], [], []
         for copy, injection in enumerate(injections):
             base = copy * local
             self.pkt_prob[base:base + local] = injection.packet_prob
-            source = (copy, NodeSource(injection, config.f_node_hz,
-                                       config.node_freqs_hz))
             law = kernel_law(config, injection.spec)
             if law is None:
-                python.append(source)
+                python.append((copy, NodeSource(injection, config.f_node_hz,
+                                                config.node_freqs_hz)))
             else:
                 injection.check_law(law)
-                compiled.append(source)
                 self.law_by_copy[copy] = LAWS.index(
                     "uniform" if law.dests is None else "table")
                 if law.dests is not None:
@@ -499,11 +464,9 @@ class FastNetwork:
         if cycles:
             self.step_cycles = np.concatenate(cycles).astype(np.int64)
             self.step_factors = np.concatenate(factors).astype(np.float64)
-        self._python_sources = (python if self._kernel is not None
-                                else python + compiled)
+        self._python_sources = python
         self._reserve_arrivals()
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
 
     def _reserve_arrivals(self) -> None:
         """Size the store headroom a step's draws may use: the node
@@ -531,13 +494,13 @@ class FastNetwork:
         replicas with all their measured packets delivered than there
         were at the call.  The compiled step runs the whole segment in
         one call (``kernel.c``: fs_run), returning only to grow the
-        packet store.  While a live replica draws in Python, and on the
-        NumPy step, the segment steps one :meth:`step_cycle` at a time
+        packet store.  While a live replica draws in Python, the
+        segment steps one :meth:`step_cycle` at a time
         (:func:`~repro.noc.network.advance_by_cycles`).  A cycle whose
         pipeline latency would carry ``ready`` past int32 raises
         ``ValueError``.
         """
-        if self._kernel is None or self._python_sources:
+        if self._python_sources:
             return advance_by_cycles(self, cycle, stop, stop_ns, until_done)
         done = completed_replicas(self) if until_done else 0
         while cycle < stop and self.time_by_copy[0] < stop_ns:
@@ -565,19 +528,15 @@ class FastNetwork:
         self._reserve_store(self._max_arrivals)
         if self._python_sources:
             self._draw_arrivals(cycle)
-        if self._kernel is None:
-            self._step_numpy(cycle)
-            self.time_by_copy += self.period_by_copy
-        else:
-            # A replayed trace draws every recorded event of its window,
-            # so the Python draws may take more than their share of the
-            # reserve: keep the compiled replicas' share free.
-            headroom = (self._max_arrivals // self.copies
-                        * (self.copies - len(self._python_sources)))
-            self._reserve_store(headroom)
-            self._kernel.run(self._layout, cycle, cycle + 1, math.inf,
-                             headroom, self.attribute_activity,
-                             self.measuring, 0)
+        # A replayed trace draws every recorded event of its window, so
+        # the Python draws may take more than their share of the
+        # reserve: keep the compiled replicas' share free.
+        headroom = (self._max_arrivals // self.copies
+                    * (self.copies - len(self._python_sources)))
+        self._reserve_store(headroom)
+        self._kernel.run(self._layout, cycle, cycle + 1, math.inf,
+                         headroom, self.attribute_activity,
+                         self.measuring, 0)
 
     def _check_cycle(self, cycle: int) -> None:
         if cycle > self._last_cycle:
@@ -603,387 +562,12 @@ class FastNetwork:
                                     created_ns, measured)
             self.next_node_cycle[copy] = source.bridge.next_node_cycle
 
-    def _log_deliveries(self, cycle: int, lids: np.ndarray) -> None:
-        """Record the delivery of packets ``lids``, in order
-        (``kernel.c``: deliver)."""
-        first = int(self.counters[_LOGGED])
-        self.delivery_log[first:first + lids.size] = lids
-        self.counters[_LOGGED] = first + lids.size
-        copies = self.pkt_copy.take(lids)
-        self.pkt_ejected_cycle[lids] = cycle
-        self.pkt_ejected_ns[lids] = self.time_by_copy.take(copies)
-        np.add.at(self.measured_delivered_by_copy, copies,
-                  self.pkt_measured.take(lids).astype(np.int64))
-
-    def _step_numpy(self, cycle: int) -> None:
-        """The NumPy cycle step."""
-        counters = self.counters
-        slot = cycle % self._credit_horizon
-        count = self.credit_count[slot]
-        if count:
-            self.credits[self.credit_line[slot, :count]
-                         .astype(np.intp)] += 1
-            self.credit_count[slot] = 0
-        count = self.credit_src_count[slot]
-        if count:
-            self.src_credits[self.credit_src[slot, :count]
-                             .astype(np.intp)] += 1
-            self.credit_src_count[slot] = 0
-
-        slot = cycle % self._flit_horizon
-        count = self.flit_count[slot]
-        if count:
-            self.flit_count[slot] = 0
-            self._push_flits(self.flit_line[slot, :count],
-                             self.flit_pid[slot, :count],
-                             self.flit_fidx[slot, :count])
-            counters[_IN_LINK] -= count
-
-        if counters[_SRC_BACKLOG]:
-            self._step_sources()
-        if counters[_BUFFERED]:
-            done = self._step_routers(cycle)
-            if done.size:
-                self._log_deliveries(cycle, done)
-
     def _sync_busy_bits(self) -> None:
-        """Recompute ``busy_bits`` from ``fifo_len``: the compiled step
-        maintains the bits as it pushes and pops flits."""
+        """Recompute ``busy_bits`` from ``fifo_len``: the step maintains
+        the bits as it pushes and pops flits."""
         busy = np.zeros(self.busy_bits.size * 64, dtype=bool)
         busy[:self._L] = self.fifo_len != 0
         self.busy_bits[:] = np.packbits(busy, bitorder="little").view("<u8")
-
-    def _push_flits(self, lines: np.ndarray, pids: np.ndarray,
-                    fidxs: np.ndarray) -> None:
-        """Buffer one arriving flit per (unique) line."""
-        lines = lines.astype(np.intp, copy=False)
-        pos = self.fifo_head.take(lines) + self.fifo_len.take(lines)
-        pos = lines * self._D + pos % self._D
-        self.buf_pid[pos] = pids
-        self.buf_fidx[pos] = fidxs
-        self.fifo_len[lines] += 1
-        self.counters[_BUFFERED] += lines.size
-        self.counters[_WRITES] += lines.size
-        if self._multi and self.attribute_activity:
-            self.activity_by_copy[:, _WRITES] += np.bincount(
-                lines // self._CL, minlength=self.copies)
-
-    # --- sources ------------------------------------------------------------
-    def _step_sources(self) -> None:
-        """All sources try to inject one flit (the reference Source)."""
-        cur_lid = self.cur_lid
-        counters = self.counters
-        if counters[_QUEUED]:
-            need = (cur_lid < 0) & (self.q_head >= 0)
-            for node in np.flatnonzero(need).tolist():
-                lid = self.q_head[node]
-                self.q_head[node] = self.pkt_next[lid]
-                if self.q_head[node] < 0:
-                    self.q_tail[node] = -1
-                counters[_QUEUED] -= 1
-                cur_lid[node] = lid
-                self.cur_len[node] = self.pkt_len[lid]
-                self.cur_sent[node] = 0
-                # Rotate the starting VC per packet, as the reference.
-                self.cur_vc[node] = self.src_rr[node]
-                self.src_rr[node] = (self.src_rr[node] + 1) % self._V
-
-        active = np.flatnonzero(cur_lid >= 0)
-        if not active.size:
-            return
-        vcs = self.cur_vc.take(active)
-        slots = active * self._V + vcs
-        can = self.src_credits.take(slots) > 0
-        if not can.all():
-            active = active[can]
-            if not active.size:
-                return
-            vcs = vcs[can]
-            slots = slots[can]
-        lids = cur_lid.take(active)
-        sent = self.cur_sent.take(active)
-
-        self.src_credits[slots] -= 1
-        lines = self.node_base.take(active) + vcs     # LOCAL port is 0
-        self._push_flits(lines, lids, sent)
-        counters[_SRC_BACKLOG] -= active.size
-        counters[_INJECTED] += active.size
-        if self._multi:
-            self.backlog_by_copy -= np.bincount(active // self._NL,
-                                                minlength=self.copies)
-
-        sent = sent + 1
-        self.cur_sent[active] = sent
-        finished = sent >= self.cur_len.take(active)
-        if finished.any():
-            cur_lid[active[finished]] = -1
-
-    # --- router pipeline ----------------------------------------------------
-    def _step_routers(self, cycle: int) -> np.ndarray:
-        """One cycle of every router's pipeline; returns the packet ids
-        of the delivered tails, in delivery order.
-
-        All phase sets derive from the lines that hold flits (``wf``):
-        ROUTING and VC_ALLOC lines have their head flit buffered by
-        construction, and an ACTIVE line without a buffered flit has
-        nothing to send — so one ``flatnonzero`` over the FIFO
-        occupancy is the only full-line scan per cycle, and everything
-        after operates on the (usually much smaller) busy subset.
-        """
-        state = self.state
-        wf = np.flatnonzero(self.fifo_len)
-        if not wf.size:
-            return wf
-        st = state.take(wf)
-
-        # Phase A: per-VC state advance (IDLE -> ROUTING -> VC_ALLOC).
-        # ``va_mask`` collects this cycle's VC_ALLOC requesters over
-        # ``wf`` positions, so ``va`` keeps ascending line order.
-        va_mask = st == VC_ALLOC
-        rpos = np.flatnonzero(st == ROUTING)
-        if rpos.size:
-            # Newly ROUTING lines (set below) carry ready > cycle and
-            # are not in ``rpos`` anyway: they sit out their latency.
-            done = self.ready.take(wf.take(rpos)) <= cycle
-            sel = rpos[done]
-            if sel.size:
-                state[wf.take(sel)] = VC_ALLOC
-                va_mask[sel] = True
-        ipos = np.flatnonzero(st == IDLE)
-        if ipos.size:
-            idle = wf.take(ipos)
-            front = idle * self._D + self.fifo_head.take(idle)
-            dsts = self.pkt_dst.take(self.buf_pid.take(front))
-            nodes = self.line_node.take(idle)
-            ports = self.route.take(nodes * self._NL + dsts)
-            self.out_port[idle] = ports
-            self.out_group[idle] = nodes * self._P + ports
-            if self._route_latency:
-                self.ready[idle] = cycle + self._route_latency
-                state[idle] = ROUTING
-            else:
-                # Zero-latency route computation: straight to VC_ALLOC,
-                # as the reference's same-cycle fall-through does.
-                state[idle] = VC_ALLOC
-                va_mask[ipos] = True
-
-        # SA candidates are collected *before* VA grants, as in the
-        # reference (a VC granted an output VC this cycle cannot also
-        # win the switch this cycle, even with va_latency == 0).
-        act = wf[st == ACTIVE]
-        out_lines = np.empty(0, dtype=np.int64)
-        if act.size:
-            ready_ok = self.ready.take(act) <= cycle
-            if not ready_ok.all():
-                act = act[ready_ok]
-        if act.size:
-            out_lines = self.out_line.take(act).astype(np.intp)
-            got_credit = self.credits.take(out_lines) > 0
-            if not got_credit.all():
-                act = act[got_credit]
-                out_lines = out_lines[got_credit]
-
-        va = wf[va_mask]
-        if va.size:
-            self._vc_allocate(va, cycle)
-        if act.size:
-            return self._switch_allocate(act, out_lines, cycle)
-        return act
-
-    def _vc_allocate(self, va: np.ndarray, cycle: int) -> None:
-        """Phase B: VC allocation, one grant round per free output VC.
-
-        Mirrors the reference loop exactly: per output port, the free
-        output VCs are granted in increasing index order, each to the
-        next requester after the rotating pointer of the port's
-        ``P*V``-line arbiter (which advances on every grant).
-        """
-        pv = self._PV
-        group = self.out_group.take(va).astype(np.intp)
-        lane = (va % pv).astype(np.int32)
-        scoreboard = self.scoreboard
-
-        while True:
-            prio = (lane - self.va_ptr.take(group)) % pv
-            np.minimum.at(scoreboard, group, prio)
-            champs = np.flatnonzero(prio == scoreboard.take(group))
-            scoreboard[group] = _NO_REQUEST
-            groups = group.take(champs)
-
-            free_rows = self._owner_rows[groups] < 0
-            grantable = free_rows.any(axis=1)
-            if not grantable.all():
-                if not grantable.any():
-                    break
-                champs = champs[grantable]
-                groups = groups[grantable]
-                free_rows = free_rows[grantable]
-            free_vc = free_rows.argmax(axis=1)
-
-            winners = va.take(champs)
-            granted = groups * self._V + free_vc
-            self.owner[granted] = winners
-            self.out_line[winners] = granted
-            self.out_vc[winners] = free_vc
-            self.state[winners] = ACTIVE
-            self.ready[winners] = cycle + self._va_latency
-            self.va_ptr[groups] = (lane.take(champs) + 1) % pv
-            self.counters[_VC_ALLOCS] += winners.size
-            if self._multi and self.attribute_activity:
-                self.activity_by_copy[:, _VC_ALLOCS] += np.bincount(
-                    winners // self._CL, minlength=self.copies)
-
-            if champs.size == va.size:
-                break
-            keep = np.ones(va.size, dtype=bool)
-            keep[champs] = False
-            va = va[keep]
-            group = group[keep]
-            lane = lane[keep]
-
-    def _switch_allocate(self, act: np.ndarray, out_lines: np.ndarray,
-                         cycle: int) -> np.ndarray:
-        """Phase C: separable input-first switch allocation.
-
-        As in the reference, an arbiter is only consulted (and its
-        pointer advanced) when a port has two or more candidates.
-        """
-        if act.size > 1:
-            champs = self._arbitrate(act // self._V, act % self._V,
-                                     self._V, self.sa_in_ptr)
-            if champs is not None:
-                act = act.take(champs)
-                out_lines = out_lines.take(champs)
-        if act.size > 1:
-            champs = self._arbitrate(self.out_group.take(act)
-                                     .astype(np.intp),
-                                     self.line_port.take(act),
-                                     self._P, self.sa_out_ptr)
-            if champs is not None:
-                act = act.take(champs)
-                out_lines = out_lines.take(champs)
-        return self._send(act, out_lines, cycle)
-
-    def _arbitrate(self, group: np.ndarray, lane: np.ndarray,
-                   size: int, pointers: np.ndarray) -> np.ndarray | None:
-        """One round-robin stage: the champion of every group.
-
-        Returns candidate positions, or ``None`` when every group had a
-        single candidate (everyone wins).  Pointers advance one past
-        the winner only for groups that actually arbitrated (>= 2
-        candidates), matching the reference's single-candidate path.
-        """
-        scoreboard = self.scoreboard
-        prio = (lane - pointers.take(group)) % size
-        prio = prio.astype(scoreboard.dtype, copy=False)
-        np.minimum.at(scoreboard, group, prio)
-        champs = np.flatnonzero(prio == scoreboard.take(group))
-        scoreboard[group] = _NO_REQUEST
-        if champs.size == group.size:
-            return None                     # all groups uncontested
-        counts = self.group_counts
-        np.add.at(counts, group, _ONE)
-        contested = counts.take(group.take(champs)) >= 2
-        counts[group] = 0
-        advance = champs[contested]
-        pointers[group.take(advance)] = (lane.take(advance) + 1) % size
-        return champs
-
-    def _send(self, winners: np.ndarray, out_lines: np.ndarray,
-              cycle: int) -> np.ndarray:
-        """Phase D: winners traverse switch and link (the reference's
-        ``_send_flit``, batched); returns the delivered tail packet
-        ids."""
-        counters = self.counters
-        count = winners.size
-        front = self.fifo_head.take(winners)
-        slots = winners * self._D + front
-        pids = self.buf_pid.take(slots).astype(np.intp)
-        fidxs = self.buf_fidx.take(slots)
-        self.fifo_head[winners] = (front + 1) % self._D
-        self.fifo_len[winners] -= 1
-        counters[_BUFFERED] -= count
-        counters[_READS] += count
-        counters[_XBAR] += count
-        counters[_SA_GRANTS] += count
-        by_copy = self.activity_by_copy
-        win_by_copy = None
-        if self._multi and self.attribute_activity:
-            win_by_copy = np.bincount(winners // self._CL,
-                                      minlength=self.copies)
-            by_copy[:, _READS] += win_by_copy
-            by_copy[:, _XBAR] += win_by_copy
-            by_copy[:, _SA_GRANTS] += win_by_copy
-            by_copy[:, _CREDITS] += win_by_copy
-
-        self.pkt_hops[pids[fidxs == 0]] += 1
-        tails = fidxs == self.pkt_len.take(pids) - 1
-        local = self.out_port.take(winners) == LOCAL
-
-        ejected = int(np.count_nonzero(local))
-        ej_by_copy = None
-        done = pids[:0]
-        if ejected:
-            # Ejection: the sink consumes the flit; no credit needed.
-            counters[_EJECTED] += ejected
-            if self._multi:
-                ej_by_copy = np.bincount(winners[local] // self._CL,
-                                         minlength=self.copies)
-                self.ejected_by_copy += ej_by_copy
-            done = pids[local & tails]
-        if ejected != count:
-            if ejected:
-                network = ~local
-                sent_lines = out_lines[network]
-                sent_pids = pids[network]
-                sent_fidxs = fidxs[network]
-            else:
-                sent_lines, sent_pids, sent_fidxs = out_lines, pids, fidxs
-            self.credits[sent_lines] -= 1
-            sent = sent_lines.size
-            slot = (cycle + self._link_latency) % self._flit_horizon
-            # ``out_line = (node*P + out_port) * V + out_vc`` decomposes
-            # back into the link table group and the output VC.
-            self.flit_line[slot, :sent] = (
-                self.link_base.take(sent_lines // self._V)
-                + sent_lines % self._V)
-            self.flit_pid[slot, :sent] = sent_pids
-            self.flit_fidx[slot, :sent] = sent_fidxs
-            self.flit_count[slot] = sent
-            counters[_IN_LINK] += sent
-            counters[_LINK_FLITS] += sent
-            if win_by_copy is not None:
-                by_copy[:, _LINK_FLITS] += (
-                    win_by_copy if ej_by_copy is None
-                    else win_by_copy - ej_by_copy)
-
-        # Return a credit upstream for each freed buffer slot.  A line
-        # decomposes as ``(node*P + in_port) * V + in_vc``; local input
-        # ports credit the source-side mirror instead.
-        in_groups = winners // self._V
-        from_source = self.line_port.take(winners) == LOCAL
-        if from_source.any():
-            routed = ~from_source
-            router_credits = (self.link_base.take(in_groups[routed])
-                              + winners[routed] % self._V)
-            src_slots = (winners[from_source] // self._PV * self._V
-                         + winners[from_source] % self._V)
-        else:
-            router_credits = (self.link_base.take(in_groups)
-                              + winners % self._V)
-            src_slots = np.empty(0, dtype=np.int64)
-        slot = (cycle + self._credit_latency) % self._credit_horizon
-        self.credit_line[slot, :router_credits.size] = router_credits
-        self.credit_count[slot] = router_credits.size
-        self.credit_src[slot, :src_slots.size] = src_slots
-        self.credit_src_count[slot] = src_slots.size
-        counters[_CREDITS] += count
-
-        if tails.any():
-            released = winners[tails]
-            self.owner[out_lines[tails]] = -1
-            self.state[released] = IDLE
-        return done
 
     # --- the driver interface: per-replica clocks, counts and records --
     def time_of(self, copy: int) -> float:
@@ -1085,8 +669,7 @@ class FastNetwork:
         # Router lines: empty FIFOs and release allocations.
         counters[_BUFFERED] -= int(self.fifo_len[lo:hi].sum())
         self.fifo_len[lo:hi] = 0
-        if self._kernel is not None:
-            self._sync_busy_bits()
+        self._sync_busy_bits()
         self.fifo_head[lo:hi] = 0
         self.state[lo:hi] = IDLE
         self.owner[lo:hi] = -1

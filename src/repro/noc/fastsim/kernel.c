@@ -3,15 +3,16 @@
  *
  * fs_run() advances every source and router of a FastNetwork cycle by
  * cycle, in place on the engine's NumPy arrays, until the simulation
- * driver has work to do.  Its cycle step, step(), is the
- * NumPy step of engine.py (which stays the fallback and the test
- * oracle) written as loops.  It draws every replica's arrivals first,
- * then runs each replica's whole cycle (its calendar entries, its
- * sources, its routers) before the next replica's.  Within a replica
- * it keeps the NumPy step's phase order, ascending line scans,
- * line-indexed round-robin arbiters and credit/flit calendar timing,
- * and replicas share no state, so the two produce bit-identical state.
- * One stage moves: switch allocation's input stage runs inside the
+ * loop (repro.noc.simulator.drive) has work to do.  Its cycle step,
+ * step(), draws every replica's arrivals first, then runs each
+ * replica's whole cycle (its calendar entries, its sources, its
+ * routers) before the next replica's.  Within a replica it computes the
+ * reference engine's flit-level schedule (repro.noc.Network:
+ * Router.step, Source.step): the same phase order, line-indexed
+ * round-robin arbiters and credit/flit calendar timing, and replicas
+ * share no state.  Its scans run in ascending line order, so a cycle's
+ * deliveries are logged in that order rather than the reference's
+ * router order.  Switch allocation's input stage runs inside the
  * busy-line scan, ahead of VC allocation, which touches none of its
  * state (step_routers).
  *
@@ -29,9 +30,9 @@
  *
  * busy_bits holds one bit per VC line, set while the line's FIFO holds
  * a flit: push_flit sets it and send clears it when the FIFO empties
- * (FastNetwork.freeze_copy clears a retired replica's; the NumPy step
- * does not use the array).  The busy-line scan lists a replica's lines
- * from these bits, so it visits only the lines that hold flits.
+ * (FastNetwork.freeze_copy clears a retired replica's).  The busy-line
+ * scan lists a replica's lines from these bits, so it visits only the
+ * lines that hold flits.
  *
  * Packets live in the packet store, one record per packet id: created
  * and ejected cycle and ns, measured flag and replica beside the
@@ -68,7 +69,7 @@ typedef uint32_t (*next_uint32_fn)(void *);
 #define NO_REQUEST ((int32_t)1 << 30)
 
 /* counters[]: the activity totals in ACTIVITY_FIELDS order, then the
- * flit accounting (engine.py's COUNTERS). */
+ * flit accounting (kernel.py's COUNTERS). */
 enum {
     BUFFER_WRITES, BUFFER_READS, XBAR_TRAVERSALS, LINK_FLITS, VC_ALLOCS,
     SA_GRANTS, CREDIT_TRANSFERS, NUM_ACTIVITY,
@@ -165,8 +166,8 @@ static void buffered(fs_net *n, int64_t copy, int64_t count, int attribute)
         tally(n, copy, BUFFER_WRITES, count);
 }
 
-/* One replica's sources each try to inject one flit (engine.py:
- * _step_sources). */
+/* One replica's sources each try to inject one flit (the reference
+ * Source.step). */
 static void step_sources(fs_net *n, int64_t copy, int attribute)
 {
     const int64_t vcs = n->vcs, pv = n->ports * n->vcs;
@@ -212,9 +213,9 @@ static void step_sources(fs_net *n, int64_t copy, int attribute)
         n->backlog_by_copy[copy] -= injected;
 }
 
-/* Phase B: VC allocation (engine.py: _vc_allocate).  Each round grants
- * every output port's round-robin champion the lowest free output VC;
- * rounds repeat until no champion can be granted. */
+/* Phase B: VC allocation.  Each round grants every output port's
+ * round-robin champion the lowest free output VC; rounds repeat until
+ * no champion can be granted. */
 static void vc_allocate(fs_net *n, int32_t *va, int64_t count, int64_t copy,
                         int64_t cycle, int attribute)
 {
@@ -284,10 +285,10 @@ static inline int64_t keep_input_champion(fs_net *n, int32_t *act,
     return count + 1;
 }
 
-/* The output stage of switch allocation (engine.py: _arbitrate): keeps
- * each output port's round-robin champion among the input champions,
- * in order, and advances the pointer of every output port that had
- * two or more.  Returns the number of candidates kept. */
+/* The output stage of switch allocation: keeps each output port's
+ * round-robin champion among the input champions, in order, and
+ * advances the pointer of every output port that had two or more.
+ * Returns the number of candidates kept. */
 static int64_t arbitrate_outputs(fs_net *n, int32_t *cand, int64_t count)
 {
     const int64_t ports = n->ports;
@@ -323,8 +324,7 @@ static int64_t arbitrate_outputs(fs_net *n, int32_t *cand, int64_t count)
     return kept;
 }
 
-/* A tail ejected: write its packet's record and log the delivery
- * (engine.py: _log_deliveries). */
+/* A tail ejected: write its packet's record and log the delivery. */
 static void deliver(fs_net *n, int64_t pid, int64_t copy, int64_t cycle)
 {
     n->pkt_ejected_cycle[pid] = cycle;
@@ -333,9 +333,9 @@ static void deliver(fs_net *n, int64_t pid, int64_t copy, int64_t cycle)
     n->measured_delivered_by_copy[copy] += n->pkt_measured[pid];
 }
 
-/* Phase D: one replica's winners traverse switch and link (engine.py:
- * _send).  Its flits and credits are appended to the calendar slots
- * after the previous replicas'. */
+/* Phase D: one replica's winners traverse switch and link (the
+ * reference Router._send_flit).  Its flits and credits are appended to
+ * the calendar slots after the previous replicas'. */
 static void send(fs_net *n, const int32_t *win, int64_t count, int64_t copy,
                  int64_t cycle, int attribute)
 {
@@ -438,8 +438,8 @@ static int64_t list_busy(const fs_net *n, int64_t first, int64_t end,
     return count;
 }
 
-/* One cycle of one replica's router pipelines (engine.py:
- * _step_routers). */
+/* One cycle of one replica's router pipelines (the reference
+ * Router.step). */
 static void step_routers(fs_net *n, int64_t copy, int64_t cycle,
                          int attribute)
 {

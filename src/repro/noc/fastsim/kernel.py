@@ -11,9 +11,11 @@ a stale build.  Builds go to a unique temporary name and are renamed
 into place, so processes starting together on a cold cache each load a
 complete library.
 
-When the build or the load fails, :func:`load_kernel` warns once and
-returns ``None``, and every engine runs the NumPy step instead: the
-same results, more slowly.
+The kernel is the fast engine's only cycle step.  When the build or the
+load fails, :func:`load_kernel` raises :class:`KernelBuildError` with
+the reason, and the execution knobs reject ``engine="fast"`` quoting it
+(:func:`repro.runner.context.check_knobs`); the reference engine needs
+no compiler.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import platform
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ SOURCE = Path(__file__).with_name("kernel.c")
 #: results do not depend on the target's FMA support.
 COMPILER = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: Compiler stderr lines quoted in the fallback warning.
+#: Compiler stderr lines quoted in a failed build's error.
 STDERR_TAIL_LINES = 12
 
 #: ``fs_net``'s int64 scalar fields, in ``kernel.c`` order.
@@ -170,7 +171,8 @@ def _lengths(scalars: dict[str, int]) -> dict[str, int]:
 
 
 class KernelBuildError(RuntimeError):
-    """The compiler failed or the built library does not match."""
+    """The kernel cannot be built or loaded: no compiler, a failed
+    compile, an unusable cache directory or a mismatched library."""
 
 
 class _Layout(ctypes.Structure):
@@ -288,14 +290,15 @@ def build(directory: Path) -> Path:
 
 
 @functools.cache
-def load_kernel() -> Kernel | None:
-    """The compiled step, built on first use; ``None`` (after one
-    warning per process) when it cannot be built or loaded."""
+def load_kernel() -> Kernel:
+    """The compiled step, built on first use.
+
+    Raises :class:`KernelBuildError` with the reason when it cannot be
+    built or loaded; a failed call is not cached, so the next one
+    tries again.
+    """
     try:
         return Kernel(build(cache_dir()))
-    except (KernelBuildError, OSError) as exc:
-        warnings.warn(
-            f"fast engine: the compiled cycle step is unavailable, so "
-            f"the NumPy step runs instead (same results, slower). "
-            f"{exc}", RuntimeWarning, stacklevel=2)
-        return None
+    except OSError as exc:
+        raise KernelBuildError(f"the kernel cannot be built or loaded: "
+                               f"{exc}") from exc

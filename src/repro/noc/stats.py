@@ -203,14 +203,6 @@ class StatsCollector:
             raise RuntimeError("no measured packets were delivered")
         return sum(self.measured_delays_ns) / len(self.measured_delays_ns)
 
-    def percentile_latency(self, q: float) -> float:
-        """``q``-quantile (0..1) of measured latency in cycles."""
-        if not self.measured_latencies:
-            raise RuntimeError("no measured packets were delivered")
-        data = sorted(self.measured_latencies)
-        idx = min(len(data) - 1, int(q * len(data)))
-        return float(data[idx])
-
     def mean_hops(self) -> float:
         if not self.measured_hops:
             raise RuntimeError("no measured packets were delivered")

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..noc.engines import DEFAULT_ENGINE, engine_names
+from ..noc.fastsim import kernel
 from .backends import backend_names
 from .cache import UnitCache
 
@@ -101,7 +102,10 @@ def check_knobs(spelling: str, backend: str, jobs: int, engine: str,
 
     The one place each rule on the context's knobs is written.  The
     message names every knob as ``spelling`` (a :data:`SPELLINGS` key)
-    writes it, so the user reads back what they typed.
+    writes it, so the user reads back what they typed.  The fast engine
+    needs its compiled cycle step, so ``engine="fast"`` loads it here
+    (:func:`repro.noc.fastsim.kernel.load_kernel`) and fails with the
+    reason on a host that cannot build it.
     """
     name, sep = SPELLINGS[spelling]
 
@@ -141,6 +145,16 @@ def check_knobs(spelling: str, backend: str, jobs: int, engine: str,
         raise ValueError(f"{setting('claim_batch', claim_batch)} needs "
                          f"self-spawned workers ({name('workers')} >= "
                          f"1), the only workers it configures")
+    if engine == "fast":
+        try:
+            kernel.load_kernel()
+        except kernel.KernelBuildError as exc:
+            raise ValueError(
+                f"{setting('engine', 'fast')} needs its compiled cycle "
+                f"step, which gcc builds on first use, and it cannot be "
+                f"built here: {exc}. Install gcc, or use "
+                f"{setting('engine', 'reference')} (the default), which "
+                f"runs without a compiler") from exc
 
 
 @dataclass

@@ -50,8 +50,8 @@ MAX_SHARD_POINTS = 96
 #: the floor still pays there is unmeasured.  It applies below the
 #: one-engine cap of ``group_batches``, so it binds only where an
 #: engine holds more than 6 replicas: for groups that run as one
-#: engine (Python-drawn laws, heterogeneous node clocks, the NumPy
-#: step), and otherwise for shard widths between 6 and an engine's
+#: engine (Python-drawn laws, heterogeneous node clocks), and
+#: otherwise for shard widths between 6 and an engine's
 #: width (10 on the 5x5 baseline; an 8x8 engine holds 4).  There, when
 #: ``jobs`` exceeds ``len(group) / MIN_SHARD_POINTS``, sharding
 #: deliberately leaves workers idle rather than shred the group into

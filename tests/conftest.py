@@ -77,23 +77,14 @@ def step_calls(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
-def numpy_step(monkeypatch) -> None:
-    """Run every fast engine built in the test on the NumPy step, the
-    compiled kernel's fallback, as on a host without a C compiler."""
-    monkeypatch.setattr(kernel, "load_kernel", lambda: None)
-
-
-def pytest_collection_modifyitems(config, items):
-    """Deselect ``numpy_step`` cases parametrized to the reference
-    engine: the fixture changes only fast engines, so each would repeat
-    its plain run."""
-    kept, repeats = [], []
-    for item in items:
-        callspec = getattr(item, "callspec", None)
-        repeat = ("numpy_step" in getattr(item, "fixturenames", ())
-                  and callspec is not None
-                  and callspec.params.get("engine") == "reference")
-        (repeats if repeat else kept).append(item)
-    if repeats:
-        config.hook.pytest_deselected(items=repeats)
-        items[:] = kept
+def no_compiler(monkeypatch, tmp_path):
+    """A host that cannot build the fast engine's kernel: its compiler
+    is missing and its cache directory empty, so
+    :func:`kernel.load_kernel` raises :class:`kernel.KernelBuildError`
+    (the loaded kernel is forgotten before and after the test)."""
+    monkeypatch.setattr(kernel, "COMPILER",
+                        ("repro-no-such-compiler",) + kernel.COMPILER[1:])
+    monkeypatch.setattr(kernel, "cache_dir", lambda: tmp_path)
+    kernel.load_kernel.cache_clear()
+    yield
+    kernel.load_kernel.cache_clear()

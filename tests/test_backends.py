@@ -22,7 +22,6 @@ from repro.analysis.sweep import UtilitySteadyState
 from repro.experiments import Workbench
 from repro.noc import PAPER_BASELINE, NocConfig, SimBudget
 from repro.noc.fastsim import batch as batch_module
-from repro.noc.fastsim import kernel
 from repro.noc.fastsim.batch import even_widths
 from repro.runner import (BatchGroup, ExecutionContext, ExecutionPlan,
                           SweepRunner, UnitCache, WorkUnit,
@@ -76,7 +75,9 @@ def fingerprint(unit_result):
 #: :func:`spelled` to render as each front end writes it; a ``queue``
 #: is a directory name under the test's ``tmp_path``.  The CLI tests
 #: (``test_cli.py``), the ``REPRO_*`` tests (``test_distributed.py``)
-#: and the constructor test below all run this one table.
+#: and the constructor test below all run this one table, on a host
+#: that cannot build the fast engine's kernel (the ``no_compiler``
+#: fixture), where ``engine=fast`` breaks a rule too.
 KNOB_RULES = {
     "unknown-backend": ({"backend": "warp"}, ("{backend}", "'warp'")),
     "unknown-engine": ({"engine": "warp"}, ("{engine}", "'warp'")),
@@ -108,6 +109,10 @@ KNOB_RULES = {
         {"backend": "distributed", "queue": "q", "workers": 0,
          "claim_batch": 3},
         ("{claim_batch 3} needs self-spawned workers ({workers} >= 1)",)),
+    "fast-without-compiler": (
+        {"engine": "fast"},
+        ("{engine fast} needs its compiled cycle step", "gcc",
+         "`repro-no-such-compiler` is not on PATH", "{engine reference}")),
 }
 
 #: Marks of the other front ends, absent from each one's messages.
@@ -172,7 +177,7 @@ class TestExecutionContext:
         ctx = ExecutionContext(backend="serial", engine="fast")
         assert ctx.resolved_backend() == "serial"
 
-    def test_validation(self, tmp_path):
+    def test_validation(self, tmp_path, no_compiler):
         """The constructor enforces every knob rule, naming fields."""
         for rule in KNOB_RULES:
             with pytest.raises(ValueError) as excinfo:
@@ -502,22 +507,17 @@ class TestOneEngineShards:
         assert all(len(g.units) <= width for g in plan.groups)
 
     def test_8x8_group_fans_out_one_task_per_engine(self):
-        if kernel.load_kernel() is None:
-            pytest.skip("the NumPy step runs a batch as one engine")
         units = group_units(MESH_8X8, 72)
         assert shard_widths(units, jobs=2) == [4] * 18
         assert shard_widths(units, jobs=1) == [72]
 
-    @pytest.mark.parametrize("case", ["hotspot", "node-clocks", "numpy"])
-    def test_one_engine_groups_shard_by_unit_count(self, monkeypatch,
-                                                   case):
+    @pytest.mark.parametrize("case", ["hotspot", "node-clocks"])
+    def test_one_engine_groups_shard_by_unit_count(self, case):
         config, hotspots = MESH_8X8, ()
         if case == "hotspot":
             hotspots = (1,)
-        elif case == "node-clocks":
-            config = CAP_CONFIGS[3]
         else:
-            monkeypatch.setattr(kernel, "load_kernel", lambda: None)
+            config = CAP_CONFIGS[3]
         for count in (2, 13, 36, 72):
             units = group_units(config, count, hotspots)
             for jobs in (1, 2, 3, 8):

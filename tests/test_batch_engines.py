@@ -12,7 +12,6 @@ read-only topology tables.
 from __future__ import annotations
 
 import dataclasses
-import shutil
 
 import numpy as np
 import pytest
@@ -27,10 +26,6 @@ from repro.noc.simulator import SimResult
 from repro.noc.topology import NUM_PORTS, OPPOSITE
 from repro.traffic import PatternTraffic, TransposeTraffic, make_pattern
 from repro.workload import make_workload
-
-needs_compiler = pytest.mark.skipif(
-    shutil.which(kernel.COMPILER[0]) is None,
-    reason=f"no {kernel.COMPILER[0]} on PATH")
 
 CONFIG = PAPER_BASELINE.with_(width=8, height=8)
 BUDGET = SimBudget(60, 150, 300)
@@ -75,7 +70,6 @@ def assert_same_results(ours: list[SimResult], theirs: list[SimResult]):
                     == getattr(b, field.name)), (i, field.name)
 
 
-@needs_compiler
 @pytest.mark.parametrize("probe", [False, True])
 def test_wide_compiled_batch_runs_as_even_engines(widths, probe):
     points = nine_points()
@@ -93,17 +87,14 @@ def heterogeneous(config: NocConfig) -> NocConfig:
         1e9 if node % 2 else 8e8 for node in range(config.num_nodes)))
 
 
-@pytest.mark.parametrize("case", ["numpy", "node-clocks", "python-law"])
+@pytest.mark.parametrize("case", ["node-clocks", "python-law"])
 def test_batches_the_compiled_step_cannot_segment_run_as_one_engine(
-        widths, monkeypatch, case):
-    """The NumPy step pays a cost per engine per cycle that width
-    spreads, and splitting batches with Python-drawn replicas gained
-    on some batch shapes and lost on others, so these batches keep one
-    engine whatever their width."""
+        widths, case):
+    """Splitting batches with Python-drawn replicas gained on some
+    batch shapes and lost on others, so these batches keep one engine
+    whatever their width."""
     config, points = CONFIG, nine_points()
-    if case == "numpy":
-        monkeypatch.setattr(kernel, "load_kernel", lambda: None)
-    elif case == "node-clocks":
+    if case == "node-clocks":
         # Rate steps need homogeneous node clocks.
         config = heterogeneous(CONFIG)
         points[2] = dataclasses.replace(points[2], traffic=PatternTraffic(
@@ -152,8 +143,7 @@ def test_engine_widths_follow_the_state_budget():
     assert most == 4
     assert ENGINE_STATE_BYTES // engine.replica_bytes(PAPER_BASELINE) == 10
     points = nine_points() * 8
-    if kernel.load_kernel() is not None:
-        assert batch.engine_widths(CONFIG, points) == even_widths(72, most)
+    assert batch.engine_widths(CONFIG, points) == even_widths(72, most)
     assert batch.engine_widths(CONFIG, []) == []
 
 

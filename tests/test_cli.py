@@ -85,6 +85,10 @@ class TestBadArgumentDiagnostics:
         assert "reference" in err and "fast" in err
         self._check_rules(capsys, tmp_path, "unknown-engine")
 
+    def test_fast_engine_without_a_compiler(self, capsys, tmp_path,
+                                            no_compiler):
+        self._check_rules(capsys, tmp_path, "fast-without-compiler")
+
     def test_non_integer_jobs(self, capsys):
         err = self._error_output(["--jobs", "many", "fig5"], capsys)
         assert "--jobs" in err

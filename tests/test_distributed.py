@@ -29,7 +29,6 @@ from repro.runner.distributed import (CollectTimeout, Collector,
                                       ShardTask, Worker, WorkQueue,
                                       plan_tasks, publish_plan,
                                       read_lease)
-from repro.noc.fastsim import kernel
 from repro.runner.distributed.pool import WorkerPool, _worker_env
 from test_backends import (KNOB_RULES, MESH_8X8,  # noqa: F401
                            POLICY_STRATEGIES, check_knob_message,
@@ -927,7 +926,7 @@ class TestDistributedBackend:
             ExecutionContext(workers=-1)
 
     def test_env_rejects_orphan_queue_like_the_cli(self, monkeypatch,
-                                                   tmp_path):
+                                                   tmp_path, no_compiler):
         """``REPRO_*`` enforces every knob rule the CLI does, naming the
         variable; ``REPRO_JOBS=0`` means all cores, as ``--jobs 0``
         does; and ``REPRO_POOL`` is no longer read."""
@@ -1020,8 +1019,6 @@ class TestDistributedBackend:
     def test_8x8_group_publishes_one_task_per_engine(self, tmp_path):
         """Fanned out to a fleet, a compiled 8x8 group is one task per
         4-replica engine, and its results equal serial execution."""
-        if kernel.load_kernel() is None:
-            pytest.skip("the NumPy step runs a batch as one engine")
         units = group_units(MESH_8X8, 16)
         serial = serial_fingerprints(units)
         ctx = ExecutionContext(backend="distributed",

@@ -99,15 +99,6 @@ class TestStatsCollector:
             stats.mean_latency_cycles()
         with pytest.raises(RuntimeError):
             stats.mean_delay_ns()
-        with pytest.raises(RuntimeError):
-            stats.percentile_latency(0.99)
-
-    def test_percentile(self):
-        stats = StatsCollector()
-        for latency in (10, 20, 30, 40, 100):
-            stats.on_packet_delivered(delivered_packet(latency=latency))
-        assert stats.percentile_latency(0.5) == 30.0
-        assert stats.percentile_latency(0.99) == 100.0
 
 
 class TestPowerWindow:
