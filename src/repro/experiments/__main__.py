@@ -249,82 +249,14 @@ def list_scenarios_main(argv: list[str]) -> int:
 
 
 def worker_main(argv: list[str]) -> int:
-    """``python -m repro.experiments worker``: drain a work queue."""
-    from ..runner.distributed import (DEFAULT_LEASE_TTL_S,
-                                      DEFAULT_MAX_ATTEMPTS, QueueError,
-                                      Worker, WorkQueue)
+    """``python -m repro.experiments worker``: drain a work queue.
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments worker",
-        description="Claim and execute sweep shards from a shared "
-                    "work-queue directory (see README 'Distributed "
-                    "execution').")
-    parser.add_argument("--queue", required=True, metavar="DIR",
-                        help="work-queue directory shared with the "
-                             "driver (created if missing)")
-    parser.add_argument("--lease-ttl", type=float,
-                        default=DEFAULT_LEASE_TTL_S, metavar="S",
-                        help="lease time-to-live in seconds; a "
-                             "heartbeat renews it every TTL/3 while a "
-                             "task executes (default "
-                             f"{DEFAULT_LEASE_TTL_S:g})")
-    parser.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="idle poll interval in seconds "
-                             "(default 0.2)")
-    parser.add_argument("--max-tasks", type=int, default=None,
-                        metavar="N",
-                        help="exit after handling N tasks (default: "
-                             "unbounded)")
-    parser.add_argument("--max-idle", type=float, default=None,
-                        metavar="S",
-                        help="exit after S seconds without claimable "
-                             "work (default: wait forever)")
-    parser.add_argument("--max-attempts", type=int,
-                        default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-                        help="per-task attempt budget before a task "
-                             f"is marked failed (default "
-                             f"{DEFAULT_MAX_ATTEMPTS})")
-    parser.add_argument("--claim-batch", type=int, default=1,
-                        metavar="N",
-                        help="tasks to claim per queue round-trip "
-                             "(default 1; higher cuts filesystem "
-                             "chatter on shared/network queues — see "
-                             "README 'Distributed execution')")
-    parser.add_argument("--since", type=float, default=None,
-                        metavar="T",
-                        help="honour shutdown sentinels published at "
-                             "or after wall-clock time T (seconds "
-                             "since the epoch; default: when the loop "
-                             "starts).  Self-spawning drivers pass the "
-                             "spawn time")
-    args = parser.parse_args(argv)
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be > 0")
-    if args.poll <= 0:
-        parser.error("--poll must be > 0")
-    if args.max_attempts < 1:
-        parser.error("--max-attempts must be >= 1")
-    if args.claim_batch < 1:
-        parser.error("--claim-batch must be >= 1")
-    if args.max_tasks is not None and args.max_tasks < 1:
-        parser.error("--max-tasks must be >= 1")
-    if args.max_idle is not None and args.max_idle < 0:
-        parser.error("--max-idle must be >= 0")
-    try:
-        queue = WorkQueue(args.queue,
-                          lease_ttl_s=args.lease_ttl).ensure()
-    except QueueError as exc:
-        parser.error(str(exc))
-    worker = Worker(queue, max_attempts=args.max_attempts,
-                    claim_batch=args.claim_batch)
-    handled = worker.run(poll_s=args.poll, max_tasks=args.max_tasks,
-                         max_idle_s=args.max_idle, since=args.since)
-    print(f"[worker {worker.worker_id}: {handled} task(s) handled, "
-          f"{worker.failed} failed]", file=sys.stderr)
-    # Non-zero when this worker exhausted any task's retry budget, so
-    # supervisors (CI steps, cluster schedulers) notice a worker that
-    # can only burn attempts.
-    return 1 if worker.failed else 0
+    The entry point lives beside the worker loop, where the pool's
+    forked workers run it too; it loads with the first call.
+    """
+    from ..runner.distributed.worker import worker_main as run_worker
+
+    return run_worker(argv)
 
 
 def _execution_flags() -> argparse.ArgumentParser:

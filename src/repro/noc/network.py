@@ -228,10 +228,12 @@ class Network:
         return self._time_ns
 
     def snapshot(self, copy: int) -> tuple[float, int, int, int]:
-        """Time, next reference node cycle, ejected flits and source
-        backlog, as of now."""
-        return (self._time_ns, self._source.bridge.next_node_cycle,
-                self.stats.ejected_flits, self.source_backlog_flits())
+        """Time, next reference node cycle (0 without bound sources),
+        ejected flits and source backlog, as of now."""
+        node_cycle = (0 if self._source is None
+                      else self._source.bridge.next_node_cycle)
+        return (self._time_ns, node_cycle, self.stats.ejected_flits,
+                self.source_backlog_flits())
 
     def activity_of(self, copy: int) -> ActivityCounters:
         return self.aggregate_activity()

@@ -14,8 +14,9 @@ problem.  This package solves it with files:
 * :mod:`.worker` — the claim/execute/complete loop behind
   ``python -m repro.experiments worker --queue DIR``, with multi-claim
   leases (``--claim-batch``) and backed-off idle polling;
-* :mod:`.pool` — :class:`WorkerPool`: local worker fleets that
-  outlive a single sweep and retire via the queue's shutdown sentinel;
+* :mod:`.pool` — :class:`WorkerPool`: fleets of workers forked from
+  the driver that outlive a single sweep and retire via the queue's
+  shutdown sentinel;
 * :mod:`.collector` — the driver side: block until the plan completes,
   re-enqueue expired leases, surface exhausted retries;
 * :mod:`.backend` — :class:`DistributedBackend`, registered as

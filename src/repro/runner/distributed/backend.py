@@ -6,15 +6,15 @@ waits for workers to drain it, and feeds the collected results back
 through the runner exactly like any other backend.  Who the workers
 are is the deployment's choice:
 
-* ``workers=N`` (CLI ``--workers N``) self-spawns ``N`` local worker
-  subprocesses — zero-setup multi-process distribution on one machine.
-  The fleet spawns for the first ``execute()`` call that publishes
-  work and serves every later one (a Workbench regenerating several
-  figures, repeated sweeps in one session), so interpreter and import
-  start-up is paid once per backend, not once per sweep.  It retires
-  on ``close()`` (via ``ExecutionContext.close()``), or when the
-  backend is collected or the interpreter exits: no worker outlives
-  its driver;
+* ``workers=N`` (CLI ``--workers N``) self-spawns ``N`` local workers
+  — zero-setup multi-process distribution on one machine.  Each is a
+  fork of this process (:mod:`.pool`), so it starts with the driver's
+  imports, registered plugins and loaded kernel.  The fleet spawns for
+  the first ``execute()`` call that publishes work and serves every
+  later one (a Workbench regenerating several figures, repeated sweeps
+  in one session).  It retires on ``close()`` (via
+  ``ExecutionContext.close()``), or when the backend is collected or
+  the interpreter exits: no worker outlives its driver;
 * ``workers=0`` publishes and waits for *external* workers: processes
   started by hand, by a cluster scheduler, or on other hosts sharing
   the queue directory (``python -m repro.experiments worker --queue
@@ -23,10 +23,12 @@ are is the deployment's choice:
 The knobs arrive validated (:func:`repro.runner.context.check_knobs`).
 Self-spawned workers are babysat from the collector's poll hook: a
 worker that dies while shards remain is respawned (within a bounded,
-per-round budget), and if no subprocess can run at all the driver
+per-round budget), and if no worker can be forked at all the driver
 degrades to draining the queue in-process — the same "the runner still
 works, just without the speedup" guarantee the batched backend's
-process pool gives.
+process pool gives.  A task that needs the compiled kernel where it
+cannot be built stops that drain with the loader's
+:class:`~repro.noc.fastsim.kernel.KernelBuildError`.
 Teardown is graceful: the driver publishes a shutdown sentinel, idle
 workers read it within a tenth of a second and exit on their own, and
 only stragglers are terminated.  Results are bit-identical to
@@ -122,7 +124,7 @@ class DistributedBackend:
         peak_alive = 0
         if self.workers and enqueued:
             # A plan served wholly from pre-existing results/ needs no
-            # fleet at all — don't pay N interpreter startups for it.
+            # fleet at all — don't fork N workers for it.
             fleet = self._fleet()
             fleet.reset_budget()
             peak_alive = fleet.ensure()
@@ -136,10 +138,14 @@ class DistributedBackend:
             alive = fleet.ensure()
             peak_alive = max(peak_alive, alive)
             if not alive:
-                # No subprocess can run (restricted host, or the
-                # respawn budget is spent): drain in-process so the
-                # sweep still completes, identically.
+                # No worker can run (restricted host, or the respawn
+                # budget is spent): drain in-process so the sweep
+                # still completes, identically.
                 fallback.run_once()
+                if fallback.kernel_error is not None:
+                    # The task went back to todo/; no one here can
+                    # run it.
+                    raise fallback.kernel_error
 
         Collector(queue, [t.task_id for t in tasks],
                   max_attempts=self.max_attempts, poll_s=self.poll_s,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import pickle
 import socket
@@ -301,16 +302,7 @@ class WorkQueue:
 
         Returns ``"requeued"`` or ``"failed"``.
         """
-        task_id = claim.task_id
-        try:
-            current = json.loads(
-                (self._dir("claimed") / f"{task_id}.json").read_text())
-        except (OSError, ValueError):
-            return "requeued"   # already retired or completed
-        if int(current.get("attempts", 0)) != claim.attempts:
-            return "requeued"   # stolen and re-claimed; not ours
-        lease = read_lease(self.lease_path(task_id))
-        if lease is not None and lease.worker_id != claim.worker_id:
+        if not self._owns(claim):
             return "requeued"
         ticket = dict(claim.ticket)
         ticket["attempts"] = claim.attempts + 1
@@ -318,7 +310,31 @@ class WorkQueue:
         return self._retire(ticket, max_attempts,
                             expected_attempts=claim.attempts)
 
-    def _retire(self, ticket: dict, max_attempts: int,
+    def release(self, claim: Claim) -> None:
+        """Hand a claim back unattempted: its ticket returns to
+        ``todo/`` with its attempt count unchanged, for a worker that
+        can run it.  Only the claim's current owner may (see
+        :meth:`release_error`)."""
+        if self._owns(claim):
+            # No attempt was spent, so no budget can run out.
+            self._retire(dict(claim.ticket), math.inf,
+                         expected_attempts=claim.attempts)
+
+    def _owns(self, claim: Claim) -> bool:
+        """Is ``claim`` still its task's live claim (not retired,
+        completed, or stolen by the expiry sweep and re-issued)?"""
+        try:
+            current = json.loads(
+                (self._dir("claimed") / f"{claim.task_id}.json")
+                .read_text())
+        except (OSError, ValueError):
+            return False        # already retired or completed
+        if int(current.get("attempts", 0)) != claim.attempts:
+            return False        # stolen and re-claimed; not ours
+        lease = read_lease(self.lease_path(claim.task_id))
+        return lease is None or lease.worker_id == claim.worker_id
+
+    def _retire(self, ticket: dict, max_attempts: float,
                 expected_attempts: int | None = None) -> str:
         """Route an updated ticket back to ``todo/`` or to ``failed/``.
 

@@ -29,7 +29,14 @@ Queue round-trips are kept off the critical path two ways:
   :data:`SENTINEL_POLL_S`, so a retiring fleet exits at once instead
   of at its next backed-off listing.
 
-CLI form (see ``python -m repro.experiments worker --help``)::
+A worker that claims a fast-engine task on a host that cannot build
+the compiled kernel hands the task back unspent and stops claiming, so
+the task waits for a worker that can run it instead of burning its
+attempts here.
+
+:func:`worker_main` is the ``worker`` verb's entry point, shared by the
+CLI and by the pool's forked workers (see ``python -m
+repro.experiments worker --help``)::
 
     python -m repro.experiments worker --queue DIR
 """
@@ -38,10 +45,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import threading
 import time
 
-from .queue import (Claim, DEFAULT_MAX_ATTEMPTS, WorkQueue,
+from ...noc.fastsim.kernel import KernelBuildError
+from .lease import DEFAULT_LEASE_TTL_S
+from .queue import (Claim, DEFAULT_MAX_ATTEMPTS, QueueError, WorkQueue,
                     default_worker_id)
 
 _worker_counter = itertools.count()
@@ -68,6 +78,9 @@ class Worker:
         self.claim_batch = claim_batch
         self.executed = 0
         self.failed = 0
+        #: Why this host cannot run a task it claimed (the kernel
+        #: loader's error); once set, the worker claims no more.
+        self.kernel_error: KernelBuildError | None = None
         # Owned jitter source for idle-poll backoff: OS-entropy
         # seeded, so a fleet's polls decorrelate without touching the
         # process-global RNG (whose state user code may have seeded).
@@ -102,7 +115,11 @@ class Worker:
         abandon the rest of the batch: the failing ticket goes back to
         the queue (or to ``failed/`` once its attempt budget is spent,
         carrying the error history for the collector to surface) and
-        execution moves on to the next claimed task.
+        execution moves on to the next claimed task.  A
+        :class:`KernelBuildError` is no fault of the task: it and every
+        claim still held go back to ``todo/`` with their attempt counts
+        unchanged, and the worker records the error in
+        :attr:`kernel_error` and stops.
         """
         held = list(claims)
         lock = threading.Lock()
@@ -125,10 +142,16 @@ class Worker:
                 held.remove(claim)
 
         try:
-            for claim in claims:
+            for index, claim in enumerate(claims):
                 try:
                     task = self.queue.load_payload(claim)
                     results = list(task.iter_results())
+                except KernelBuildError as exc:
+                    self.kernel_error = exc
+                    for unrun in claims[index:]:
+                        release(unrun)
+                        self.queue.release(unrun)
+                    break
                 except Exception as exc:  # noqa: BLE001 — task faults
                     # must not take down the worker; they are reported
                     # via the ticket.
@@ -149,7 +172,7 @@ class Worker:
     def drain(self) -> int:
         """Execute until the queue has nothing claimable; rounds done."""
         done = 0
-        while self.run_once():
+        while self.kernel_error is None and self.run_once():
             done += 1
         return done
 
@@ -159,7 +182,8 @@ class Worker:
         """The long-running loop: claim, execute, back off when idle.
 
         Exits after ``max_tasks`` executed-or-failed tasks (``None`` =
-        unbounded), after ``max_idle_s`` seconds without claimable work
+        unbounded), once a task could not run for want of the kernel
+        (:attr:`kernel_error`), after ``max_idle_s`` seconds without claimable work
         (``None`` = wait forever), or as soon as the queue is idle and
         the driver has published a shutdown sentinel at or after
         ``since`` (the self-spawned fleet's teardown — workers
@@ -185,6 +209,8 @@ class Worker:
             before = self.executed + self.failed
             if self.run_once():
                 handled += self.executed + self.failed - before
+                if self.kernel_error is not None:
+                    break
                 idle_since = None
                 delay = poll_s
                 continue
@@ -207,3 +233,89 @@ class Worker:
             time.sleep(min(left, SENTINEL_POLL_S))
             if self.queue.shutdown_requested(since=since):
                 return
+
+
+def worker_main(argv: list[str]) -> int:
+    """``python -m repro.experiments worker``: drain a work queue.
+
+    Also the entry point of the pool's forked workers, on the
+    arguments :func:`~repro.runner.distributed.pool._worker_command`
+    spells after ``worker``.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments worker",
+        description="Claim and execute sweep shards from a shared "
+                    "work-queue directory (see README 'Distributed "
+                    "execution').")
+    parser.add_argument("--queue", required=True, metavar="DIR",
+                        help="work-queue directory shared with the "
+                             "driver (created if missing)")
+    parser.add_argument("--lease-ttl", type=float,
+                        default=DEFAULT_LEASE_TTL_S, metavar="S",
+                        help="lease time-to-live in seconds; a "
+                             "heartbeat renews it every TTL/3 while a "
+                             "task executes (default "
+                             f"{DEFAULT_LEASE_TTL_S:g})")
+    parser.add_argument("--poll", type=float, default=0.2, metavar="S",
+                        help="idle poll interval in seconds "
+                             "(default 0.2)")
+    parser.add_argument("--max-tasks", type=int, default=None,
+                        metavar="N",
+                        help="exit after handling N tasks (default: "
+                             "unbounded)")
+    parser.add_argument("--max-idle", type=float, default=None,
+                        metavar="S",
+                        help="exit after S seconds without claimable "
+                             "work (default: wait forever)")
+    parser.add_argument("--max-attempts", type=int,
+                        default=DEFAULT_MAX_ATTEMPTS, metavar="N",
+                        help="per-task attempt budget before a task "
+                             f"is marked failed (default "
+                             f"{DEFAULT_MAX_ATTEMPTS})")
+    parser.add_argument("--claim-batch", type=int, default=1,
+                        metavar="N",
+                        help="tasks to claim per queue round-trip "
+                             "(default 1; higher cuts filesystem "
+                             "chatter on shared/network queues — see "
+                             "README 'Distributed execution')")
+    parser.add_argument("--since", type=float, default=None,
+                        metavar="T",
+                        help="honour shutdown sentinels published at "
+                             "or after wall-clock time T (seconds "
+                             "since the epoch; default: when the loop "
+                             "starts).  Self-spawning drivers pass the "
+                             "spawn time")
+    args = parser.parse_args(argv)
+    if args.lease_ttl <= 0:
+        parser.error("--lease-ttl must be > 0")
+    if args.poll <= 0:
+        parser.error("--poll must be > 0")
+    if args.max_attempts < 1:
+        parser.error("--max-attempts must be >= 1")
+    if args.claim_batch < 1:
+        parser.error("--claim-batch must be >= 1")
+    if args.max_tasks is not None and args.max_tasks < 1:
+        parser.error("--max-tasks must be >= 1")
+    if args.max_idle is not None and args.max_idle < 0:
+        parser.error("--max-idle must be >= 0")
+    try:
+        queue = WorkQueue(args.queue,
+                          lease_ttl_s=args.lease_ttl).ensure()
+    except QueueError as exc:
+        parser.error(str(exc))
+    worker = Worker(queue, max_attempts=args.max_attempts,
+                    claim_batch=args.claim_batch)
+    handled = worker.run(poll_s=args.poll, max_tasks=args.max_tasks,
+                         max_idle_s=args.max_idle, since=args.since)
+    print(f"[worker {worker.worker_id}: {handled} task(s) handled, "
+          f"{worker.failed} failed]", file=sys.stderr)
+    if worker.kernel_error is not None:
+        print(f"[worker {worker.worker_id}: stopped claiming, its "
+              f"tasks went back to the queue: {worker.kernel_error}]",
+              file=sys.stderr)
+    # Non-zero when this worker exhausted any task's retry budget or
+    # cannot run the queue's tasks, so supervisors (CI steps, cluster
+    # schedulers) notice a worker that can only burn attempts.
+    return 1 if worker.failed or worker.kernel_error else 0

@@ -17,9 +17,11 @@ import os
 import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import NoDvfsSteadyState, SteadyStateStrategy
 from repro.runner import (ExecutionContext, ExecutionPlan, UnitCache,
                           backend_names, make_backend)
@@ -29,7 +31,10 @@ from repro.runner.distributed import (CollectTimeout, Collector,
                                       ShardTask, Worker, WorkQueue,
                                       plan_tasks, publish_plan,
                                       read_lease)
-from repro.runner.distributed.pool import WorkerPool, _worker_env
+from repro.noc.fastsim.kernel import KernelBuildError
+from repro.runner.distributed import pool as pool_mod
+from repro.runner.distributed.pool import WorkerPool
+from repro.runner.distributed.worker import worker_main
 from test_backends import (KNOB_RULES, MESH_8X8,  # noqa: F401
                            POLICY_STRATEGIES, check_knob_message,
                            factory, fingerprint, group_units, make_units,
@@ -37,6 +42,10 @@ from test_backends import (KNOB_RULES, MESH_8X8,  # noqa: F401
 
 #: Short lease so expiry-recovery tests run in milliseconds.
 FAST_TTL = 0.15
+
+#: The environment of a driver subprocess, with ``repro`` importable.
+DRIVER_ENV = {**os.environ,
+              "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
 
 
 class ExplodingStrategy(SteadyStateStrategy):
@@ -624,6 +633,31 @@ class TestWorkerLoop:
         assert all(queue.has_result(t.task_id) for t in tasks)
         assert queue.claim("another") is None
 
+    def test_worker_without_the_kernel_hands_its_claims_back(
+            self, tmp_path, tiny_config, factory, no_compiler, capsys):
+        """A worker that cannot build the kernel spends no attempt: the
+        fast task it failed on and the rest of its claimed batch go
+        back to ``todo/`` unspent, and it stops with the loader's
+        reason, for a worker that can run them."""
+        queue = WorkQueue(tmp_path / "q").ensure()
+        plan = ExecutionPlan(make_units(tiny_config, factory,
+                                        rates=(0.05, 0.1)), None)
+        plan.group_batches(jobs=2, max_shard=1, min_shard=1)
+        tasks, _ = publish_plan(queue, plan)
+        assert len(tasks) == 2
+        assert worker_main(["--queue", str(tmp_path / "q"),
+                            "--claim-batch", "2", "--max-idle", "0"]) == 1
+        assert queue.failed_tickets() == {}
+        assert set(queue.todo_ids()) == {t.task_id for t in tasks}
+        for task in tasks:
+            ticket = json.loads((tmp_path / "q" / "todo" /
+                                 f"{task.task_id}.json").read_text())
+            assert ticket["attempts"] == 0
+        assert not queue.claimed_ids()
+        err = capsys.readouterr().err
+        assert "0 task(s) handled" in err
+        assert "no C compiler" in err
+
     def test_run_loop_max_tasks_and_max_idle(self, tmp_path,
                                              tiny_config, factory):
         units = make_units(tiny_config, factory, engine="reference")
@@ -988,7 +1022,7 @@ class TestDistributedBackend:
 
     def test_spawned_workers_end_to_end_bit_identical(
             self, tmp_path, tiny_config, factory):
-        """Two self-spawned local worker subprocesses, zero setup."""
+        """Two self-spawned local workers, zero setup."""
         units = three_policy_units(tiny_config, factory)
         serial = serial_fingerprints(units)
         ctx = ExecutionContext(backend="distributed",
@@ -1004,7 +1038,7 @@ class TestDistributedBackend:
         assert report.executed == len(units)
         assert report.groups >= 1
         # A warm-queue rerun (fresh context, same queue) is served
-        # from results/ without spawning any worker subprocess.
+        # from results/ without spawning any worker.
         rerun_ctx = ExecutionContext(backend="distributed",
                                      queue=str(tmp_path / "q"),
                                      workers=2, cache=None,
@@ -1035,14 +1069,12 @@ class TestDistributedBackend:
 
     def test_falls_back_in_process_when_spawning_impossible(
             self, tmp_path, tiny_config, factory, monkeypatch):
-        """Hosts that cannot spawn subprocesses still complete the
-        sweep, identically, in process."""
-        import repro.runner.distributed.pool as pool_mod
+        """Hosts that cannot fork still complete the sweep,
+        identically, in process."""
+        def no_fork():
+            raise OSError("forking disabled for this test")
 
-        def no_spawn(*args, **kwargs):
-            raise OSError("spawning disabled for this test")
-
-        monkeypatch.setattr(pool_mod.subprocess, "Popen", no_spawn)
+        monkeypatch.setattr(pool_mod.os, "fork", no_fork)
         units = make_units(tiny_config, factory)
         serial = serial_fingerprints(units)
         ctx = ExecutionContext(backend="distributed",
@@ -1054,6 +1086,38 @@ class TestDistributedBackend:
             ctx.close()
         assert [fingerprint(r) for r in results] == serial
         assert ctx.runner.last_report.parallel is False
+
+    def test_falls_back_in_process_without_os_fork(
+            self, tmp_path, tiny_config, factory, monkeypatch):
+        """A platform without ``os.fork`` cannot spawn a worker, and
+        the sweep completes in process."""
+        monkeypatch.delattr(pool_mod.os, "fork")
+        units = make_units(tiny_config, factory)
+        ctx = ExecutionContext(backend="distributed",
+                               queue=str(tmp_path / "q"), workers=2,
+                               cache=None, engine="fast")
+        try:
+            results = ctx.run(units)
+        finally:
+            ctx.close()
+        assert [fingerprint(r) for r in results] == \
+            serial_fingerprints(units)
+        assert ctx.runner.last_report.parallel is False
+
+    def test_fleet_without_the_kernel_raises_its_error(
+            self, tmp_path, tiny_config, factory, no_compiler):
+        """Where no worker, nor the driver, can build the kernel, the
+        sweep fails with the loader's error instead of waiting for a
+        worker that can, and no task's attempts were spent."""
+        backend = DistributedBackend(tmp_path / "q", workers=1,
+                                     poll_s=0.01, timeout_s=60)
+        plan = ExecutionPlan(make_units(tiny_config, factory), None)
+        try:
+            with pytest.raises(KernelBuildError, match="no C compiler"):
+                backend.execute(plan, jobs=1, finish=lambda r: None)
+        finally:
+            backend.close()
+        assert WorkQueue(tmp_path / "q").failed_tickets() == {}
 
     def test_empty_plan_skips_queue_entirely(self, tmp_path,
                                              tiny_config, factory):
@@ -1070,19 +1134,6 @@ class TestDistributedBackend:
             ctx.close()
         assert all(r.from_cache for r in again)
         assert ctx.runner.last_report.executed == 0
-
-    def test_worker_env_makes_repro_importable(self):
-        import os
-        from pathlib import Path
-
-        import repro
-
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env = _worker_env()
-        assert src_root in env["PYTHONPATH"].split(os.pathsep)
-        # idempotent: already-present src root is not duplicated
-        assert _worker_env()["PYTHONPATH"].split(os.pathsep).count(
-            src_root) == 1
 
     def test_external_mode_shards_for_a_fleet(self, tiny_config,
                                               factory, tmp_path,
@@ -1138,7 +1189,7 @@ class TestDistributedBackend:
             "else:\n"
             "    raise SystemExit('missing AttributeError')\n")
         proc = subprocess.run([sys.executable, "-c", code],
-                              env=_worker_env(), capture_output=True,
+                              env=DRIVER_ENV, capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -1291,9 +1342,10 @@ class _EchoTask:
 
 
 class _FakeProc:
-    """A subprocess.Popen stand-in for pool-logic tests (no spawns)."""
+    """A forked-worker handle stand-in for pool-logic tests (no forks):
+    ``_fork_worker(command, log_path)`` returns one."""
 
-    def __init__(self, command, *args, **kwargs):
+    def __init__(self, command, log_path):
         self.command = command
         self.returncode = None
         self.terminated = self.killed = False
@@ -1322,16 +1374,12 @@ class _FakeProc:
 
 # ---------------------------------------------------------------------
 class TestWorkerPool:
-    """Pool lifecycle logic, with subprocess spawning stubbed out."""
+    """Pool lifecycle logic, with forking stubbed out."""
 
     @pytest.fixture
     def fake_pool(self, tmp_path, monkeypatch):
-        import repro.runner.distributed.pool as pool_mod
-
-        from repro.runner.distributed.pool import WorkerPool
-
         WorkQueue(tmp_path / "q").ensure()
-        monkeypatch.setattr(pool_mod.subprocess, "Popen", _FakeProc)
+        monkeypatch.setattr(pool_mod, "_fork_worker", _FakeProc)
         return WorkerPool(tmp_path / "q", workers=2, lease_ttl_s=0.5)
 
     def test_validates_worker_count(self, tmp_path):
@@ -1420,23 +1468,21 @@ class TestWarmPool:
 
     @pytest.fixture
     def record_spawns(self, monkeypatch):
-        """Record every worker subprocess the pool module spawns."""
-        import repro.runner.distributed.pool as pool_mod
-
+        """Record every worker the pool module forks."""
         spawned = []
-        real_popen = pool_mod.subprocess.Popen
+        real_fork_worker = pool_mod._fork_worker
 
         def recording(*args, **kwargs):
-            proc = real_popen(*args, **kwargs)
+            proc = real_fork_worker(*args, **kwargs)
             spawned.append(proc)
             return proc
 
-        monkeypatch.setattr(pool_mod.subprocess, "Popen", recording)
+        monkeypatch.setattr(pool_mod, "_fork_worker", recording)
         return spawned
 
     def test_fleet_gone_after_close(
             self, tmp_path, tiny_config, factory, record_spawns):
-        """``close()`` leaves no worker subprocess behind — and the
+        """``close()`` leaves no worker process behind — and the
         sentinel retires them gracefully (exit 0), not by SIGTERM."""
         units = three_policy_units(tiny_config, factory)
         serial = serial_fingerprints(units)
@@ -1552,7 +1598,7 @@ class TestWarmPool:
             """)
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
-            env=_worker_env(), capture_output=True, text=True,
+            env=DRIVER_ENV, capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         collected_codes, exited_pids = map(json.loads,
@@ -1570,6 +1616,24 @@ class TestWarmPool:
             logs = "".join(path.read_text() for path in
                            (tmp_path / name / "logs").glob("*.log"))
             assert logs.count("task(s) handled") == 1, logs
+
+    def test_forked_workers_are_named(self, tmp_path):
+        """A forked worker keeps its driver's command line, so it
+        carries a process name of its own for ``pgrep -x``."""
+        WorkQueue(tmp_path / "q").ensure()
+        pool = WorkerPool(tmp_path / "q", workers=1)
+        pool.ensure()
+        try:
+            comm = Path(f"/proc/{pool.procs[0].pid}/comm")
+            if not comm.exists():
+                pytest.skip("no /proc here")
+            deadline = time.monotonic() + 10.0
+            while (comm.read_text().strip() != "repro-worker"
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert comm.read_text().strip() == "repro-worker"
+        finally:
+            pool.close()
 
     def test_warm_rounds_survive_mid_round_crash_inprocess(
             self, tmp_path, tiny_config, factory):
@@ -1615,3 +1679,125 @@ class TestWarmPool:
                 == serial_fingerprints(units_a))
         assert ([fingerprint(r) for r in round_b]
                 == serial_fingerprints(units_b))
+
+
+# ---------------------------------------------------------------------
+class TestForkHazards:
+    """A forked worker shares its driver's memory image, so it must
+    leave nothing of the driver's own to run or to write: no exit
+    handler, no finalizer, no buffered output."""
+
+    def _drive(self, script, tmp_path):
+        import subprocess
+        import sys
+
+        # The driver's stdout is a pipe, so it is block-buffered
+        # unless the environment asks otherwise.
+        env = {name: value for name, value in DRIVER_ENV.items()
+               if name != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script),
+             str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_worker_exit_runs_no_driver_exit_handler(self, tmp_path):
+        """A worker retiring on its own (here through ``--max-tasks``)
+        runs neither the driver's ``atexit`` handlers nor the pool's
+        finalizer, which would publish the shutdown sentinel and retire
+        its sibling: the sibling keeps serving."""
+        proc = self._drive("""
+            import atexit, json, os, sys, time
+            from repro.runner.distributed import (DistributedBackend,
+                                                  WorkQueue)
+            from repro.runner.distributed import pool as pool_mod
+
+            root = sys.argv[1]
+
+            def record_exit():
+                with open(root + "/atexit.log", "a") as log:
+                    log.write(f"{os.getpid()}\\n")
+
+            atexit.register(record_exit)
+
+            class Echo:
+                def __init__(self, value):
+                    self.value = value
+
+                def iter_results(self):
+                    yield self.value
+
+            one_task = pool_mod._worker_command
+            pool_mod._worker_command = (
+                lambda *args, **kwargs: one_task(*args, **kwargs)
+                + ["--max-tasks", "1"])
+            backend = DistributedBackend(root + "/q", workers=2,
+                                         poll_s=0.01)
+            fleet = backend._fleet()    # registers the pool finalizer
+            queue = WorkQueue(root + "/q").ensure()
+            fleet.ensure()
+            procs = list(fleet.procs)
+
+            def wait_for(exits):
+                deadline = time.monotonic() + 30
+                while (sum(p.poll() is not None for p in procs) < exits
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+
+            queue.publish("t1", Echo("t1"))
+            wait_for(1)
+            time.sleep(0.5)             # a sentinel is read in 0.1 s
+            first = [p.poll() for p in procs]
+            sentinel = queue.shutdown_requested()
+            queue.publish("t2", Echo("t2"))
+            wait_for(2)
+            print(json.dumps({"first": first, "sentinel": sentinel,
+                              "codes": [p.poll() for p in procs],
+                              "done": sorted(queue.result_ids()),
+                              "driver": os.getpid()}))
+            backend.close()
+            """, tmp_path)
+        report = json.loads(proc.stdout)
+        assert sorted(report["first"], key=str) == [0, None], \
+            "one worker's exit retired its sibling"
+        assert report["sentinel"] is False
+        assert report["codes"] == [0, 0]
+        assert report["done"] == ["t1", "t2"]
+        assert (tmp_path / "atexit.log").read_text().split() == \
+            [str(report["driver"])], "a worker ran the driver's atexit"
+
+    def test_unflushed_driver_output_prints_once(self, tmp_path):
+        """Output the driver buffered before its fleet forked reaches
+        the driver's stdout exactly once and never a worker's log."""
+        proc = self._drive("""
+            import sys
+            from repro.analysis import NoDvfsSteadyState, sweep_units
+            from repro.noc import NocConfig, SimBudget
+            from repro.runner import ExecutionContext
+            from repro.traffic import PatternTraffic, make_pattern
+
+            config = NocConfig(width=3, height=3, num_vcs=2,
+                               vc_buf_depth=2, packet_length=3)
+            pattern = make_pattern("uniform", config.make_mesh())
+            sys.stdout.write("driver output before the fork\\n")
+            ctx = ExecutionContext(backend="distributed",
+                                   queue=sys.argv[1] + "/q", workers=1,
+                                   cache=None, engine="fast")
+            try:
+                ctx.run(sweep_units(
+                    config, lambda r: PatternTraffic(pattern, r),
+                    [0.05], NoDvfsSteadyState(),
+                    SimBudget(200, 500, 1500), 7, "fast"))
+                assert ctx.runner.last_report.parallel
+            finally:
+                ctx.close()
+            print("driver done")
+            """, tmp_path)
+        assert proc.stdout.splitlines() == [
+            "driver output before the fork", "driver done"]
+        logs = list((tmp_path / "q" / "logs").glob("worker-*.log"))
+        assert len(logs) == 1
+        log = logs[0].read_text()
+        assert "task(s) handled" in log
+        assert "driver output" not in log

@@ -102,6 +102,14 @@ def test_kernel_loads_when_a_compiler_is_present():
     assert isinstance(kernel.load_kernel(), kernel.Kernel)
 
 
+def test_unbound_snapshots_agree():
+    """Without bound sources both engines answer a snapshot: nothing
+    stepped, node cycle 0, nothing ejected or queued."""
+    config = NocConfig(width=3, height=3)
+    assert (Network(config).snapshot(0) == FastNetwork(config).snapshot(0)
+            == (0.0, 0, 0, 0))
+
+
 class ReferenceReplicas:
     """``copies`` reference networks stepped as the replicas of one
     engine: what :func:`advance_by_cycles` reads (``step_cycle``,
@@ -117,7 +125,6 @@ class ReferenceReplicas:
     def __init__(self, config: NocConfig, copies: int) -> None:
         self.nets = [Network(config) for _ in range(copies)]
         self.periods = [0.0] * copies
-        self.bound = False
         #: replica -> its measured (created, delivered) at retirement
         self.retired: dict[int, tuple[int, int]] = {}
 
@@ -126,7 +133,6 @@ class ReferenceReplicas:
                                           periods_ns):
             net.bind_sources([injection], [period])
         self.periods = list(periods_ns)
-        self.bound = True
 
     def retune(self, copy: int, period_ns: float, time_ns: float) -> None:
         self.nets[copy].retune(0, period_ns, time_ns)
@@ -157,11 +163,7 @@ class ReferenceReplicas:
         return list(created), list(delivered)
 
     def snapshot(self, copy: int) -> tuple[float, int, int, int]:
-        net = self.nets[copy]
-        if self.bound:
-            return net.snapshot(0)
-        return (net.time_of(0), 0, net.stats.ejected_flits,
-                net.source_backlog_flits())
+        return self.nets[copy].snapshot(0)
 
 
 def assert_slots_grouped(net: FastNetwork) -> None:
